@@ -3,6 +3,7 @@ its two cross-product phase spaces, and the deformed uncertainty relations."""
 
 from .elements import Gen, Monomial, Element
 from .errors import (
+    DivisionByZeroError,
     IncompleteStateError,
     KappaHopfError,
     NonTerminationError,
@@ -64,7 +65,7 @@ from .presets import (
     multiply,
     normal_form,
 )
-from .scalars import GaussianRational, Scalar, scalar_add, scalar_mul, scalar_to_complex
+from .scalars import GaussianRational, Scalar
 
 __version__ = "0.1.0"
 

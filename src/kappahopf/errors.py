@@ -9,6 +9,10 @@ class ParameterError(KappaHopfError, ValueError):
     """Invalid numeric parameter (e.g. non-positive value of hbar, kappa or c)."""
 
 
+class DivisionByZeroError(KappaHopfError, ZeroDivisionError):
+    """Division by a scalar with no inverse in the ring: zero, or a sum of addends."""
+
+
 class SectorError(KappaHopfError, ValueError):
     """Monomial uses generators that are not admissible in the requested sector."""
 

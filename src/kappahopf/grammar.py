@@ -409,11 +409,16 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
         v = _invert(v)
         n = -n
     if v.kind == "scalar":
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * v.data
-        return Value("scalar", out)
+        return Value("scalar", _scalar_pow(v.data, n))
     if v.kind == "element":
+        terms = list(v.data.items())
+        if len(terms) == 1 and not terms[0][0].word:
+            # (c q^k)^n = c^n q^(k n): q-powers multiply by adding exponents
+            mono, coeff = terms[0]
+            return Value(
+                "element",
+                Element.term(Monomial((), mono.qexp * n), _scalar_pow(coeff, n)),
+            )
         out = Element.one()
         for _ in range(n):
             out = preset.multiply(out, v.data)
@@ -424,6 +429,18 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
     for _ in range(n - 1):
         out_t = tensor_multiply(out_t, v.data, preset)
     return Value("tensor", out_t)
+
+
+def _scalar_pow(s: Scalar, n: int) -> Scalar:
+    """s^n for n >= 0 by repeated squaring."""
+    out = Scalar.one()
+    while n:
+        if n & 1:
+            out = out * s
+        n >>= 1
+        if n:
+            s = s * s
+    return out
 
 
 def eval_text(

@@ -1,21 +1,25 @@
 """Exact coefficient ring: Gaussian rationals times signed powers of hbar, kappa, c.
 
 Every coefficient appearing in the deformed commutation relations lies in
-Q(i) * hbar^a kappa^b c^d, so the ring is kept exact: rationals via
-`fractions.Fraction`, the imaginary unit as an explicit component, and the
-three physical constants as a signed exponent triple.  No floating point
-enters until `Scalar.to_complex` bridges into the numeric module.
+Q(i) * hbar^a kappa^b c^d, so the ring is kept exact.  A `Scalar` stores each
+addend as its exponent triple (e_hbar, e_kappa, e_c) mapped to a plain int
+triple (re_num, im_num, den) meaning (re_num + im_num*i) / den, with den > 0
+and gcd(re_num, im_num, den) == 1, so equal values have equal stores.  Ring
+operations are integer cross-multiplication plus one gcd per addend.
+
+`GaussianRational` (two `fractions.Fraction` parts) is the public view of one
+coefficient: the constructors accept it and `Scalar.items()` yields it.  No
+floating point enters until `Scalar.to_complex` bridges into the numeric
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import ParameterError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .errors import DivisionByZeroError, ParameterError
 
 
 def _frac(x) -> Fraction:
@@ -55,7 +59,7 @@ class GaussianRational:
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
+            raise DivisionByZeroError("division by zero (inverse of 0 in Q(i))")
         return GaussianRational(self.re / norm, -self.im / norm)
 
     @property
@@ -66,28 +70,90 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-G_ZERO = GaussianRational(_ZERO, _ZERO)
-G_ONE = GaussianRational(_ONE, _ZERO)
-G_I = GaussianRational(_ZERO, _ONE)
-
 # exponent triple: (e_hbar, e_kappa, e_c)
 Triple = tuple[int, int, int]
+# one coefficient: (re_num, im_num, den) = (re_num + im_num*i) / den
+Coeff = tuple[int, int, int]
+
+_UNIT: Triple = (0, 0, 0)
+_C_ONE: Coeff = (1, 0, 1)
+_C_I: Coeff = (0, 1, 1)
+
+
+def _coeff(re, im) -> Coeff | None:
+    """Canonical int triple of re + im*i (ints or Fractions); None for zero."""
+    re, im = _frac(re), _frac(im)
+    if not re and not im:
+        return None
+    rd, id_ = re.denominator, im.denominator
+    den = rd * id_ // gcd(rd, id_)
+    # both parts are reduced, so over their lcm the three ints are coprime
+    return (re.numerator * (den // rd), im.numerator * (den // id_), den)
+
+
+def _reduce(a: int, b: int, d: int) -> Coeff | None:
+    """Canonical form of (a + b*i) / d with d > 0; None for zero."""
+    if not a and not b:
+        return None
+    if d == 1:
+        return (a, b, 1)
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def _mul_coeff(x: Coeff, y: Coeff) -> Coeff:
+    """Product of two nonzero coefficients; Q(i) is a field, so it is nonzero."""
+    p, q, d = x
+    r, s, e = y
+    re, im, den = p * r - q * s, p * s + q * r, d * e
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            return (re // g, im // g, den // g)
+    return (re, im, den)
+
+
+def _accumulate(terms: dict[Triple, Coeff], triple: Triple, y: Coeff) -> None:
+    """terms[triple] += y in place, dropping the addend if it cancels."""
+    x = terms.get(triple)
+    if x is None:
+        terms[triple] = y
+        return
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        total = _reduce(a1 + a2, b1 + b2, d1)
+    else:
+        total = _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    if total is None:
+        del terms[triple]
+    else:
+        terms[triple] = total
+
+
+def _wrap(terms: dict[Triple, Coeff]) -> "Scalar":
+    """Scalar over an already canonical store, skipping re-canonicalisation."""
+    s = object.__new__(Scalar)
+    s._terms = terms
+    return s
 
 
 class Scalar:
     """Finite sum of Gaussian-rational multiples of hbar^a kappa^b c^d.
 
-    Canonical form: at most one addend per exponent triple, no zero addends.
-    Values are immutable; all operations return fresh instances.
+    Canonical form: at most one addend per exponent triple, no zero addends,
+    every coefficient a reduced int triple (see the module docstring).
+    Values are immutable; all operations return fresh instances or operands.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Triple, GaussianRational] | None = None):
-        canonical: dict[Triple, GaussianRational] = {}
+        canonical: dict[Triple, Coeff] = {}
         if terms:
-            for triple, coeff in terms.items():
-                if not coeff.is_zero:
+            for triple, g in terms.items():
+                coeff = _coeff(g.re, g.im)
+                if coeff is not None:
                     canonical[triple] = coeff
         self._terms = canonical
 
@@ -95,63 +161,77 @@ class Scalar:
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar()
+        return _S_ZERO
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({(0, 0, 0): G_ONE})
+        return _S_ONE
 
     @staticmethod
     def i() -> "Scalar":
-        return Scalar({(0, 0, 0): G_I})
+        return _S_I
 
     @staticmethod
     def rational(num, den=1) -> "Scalar":
-        return Scalar({(0, 0, 0): GaussianRational.of(Fraction(num, den))})
+        return Scalar.term(Fraction(num, den))
 
     @staticmethod
     def gaussian(re=0, im=0) -> "Scalar":
-        return Scalar({(0, 0, 0): GaussianRational.of(re, im)})
+        return Scalar.term(re, im)
 
     @staticmethod
     def term(re=0, im=0, *, hbar=0, kappa=0, c=0) -> "Scalar":
         """Single addend (re + im*i) * hbar^hbar kappa^kappa c^c."""
-        return Scalar({(hbar, kappa, c): GaussianRational.of(re, im)})
+        coeff = _coeff(re, im)
+        return _wrap({} if coeff is None else {(hbar, kappa, c): coeff})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for triple, coeff in other._terms.items():
-            acc = terms.get(triple)
-            terms[triple] = coeff if acc is None else acc + coeff
-        return Scalar(terms)
+            _accumulate(terms, triple, coeff)
+        return _wrap(terms)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({t: -c for t, c in self._terms.items()})
+        return _wrap({t: (-a, -b, d) for t, (a, b, d) in self._terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        terms: dict[Triple, GaussianRational] = {}
-        for (a1, b1, c1), g1 in self._terms.items():
-            for (a2, b2, c2), g2 in other._terms.items():
-                triple = (a1 + a2, b1 + b2, c1 + c2)
-                prod = g1 * g2
-                acc = terms.get(triple)
-                terms[triple] = prod if acc is None else acc + prod
-        return Scalar(terms)
+        # most products in the rewrite engine have the shared one() as a factor
+        if other is _S_ONE:
+            return self
+        if self is _S_ONE:
+            return other
+        lhs, rhs = self._terms, other._terms
+        if len(lhs) == 1 and len(rhs) == 1:
+            ((a1, b1, c1), x), = lhs.items()
+            ((a2, b2, c2), y), = rhs.items()
+            return _wrap({(a1 + a2, b1 + b2, c1 + c2): _mul_coeff(x, y)})
+        terms: dict[Triple, Coeff] = {}
+        for (a1, b1, c1), x in lhs.items():
+            for (a2, b2, c2), y in rhs.items():
+                _accumulate(terms, (a1 + a2, b1 + b2, c1 + c2), _mul_coeff(x, y))
+        return _wrap(terms)
 
     def inverse(self) -> "Scalar":
-        """Inverse of a single-addend scalar; sums are not invertible here."""
+        """Inverse of a single-addend scalar; zero and sums are not invertible."""
+        if not self._terms:
+            raise DivisionByZeroError("division by zero")
         if len(self._terms) != 1:
-            raise ZeroDivisionError(
+            raise DivisionByZeroError(
                 "only single-term scalars are invertible (got "
                 f"{len(self._terms)} terms)"
             )
-        ((eh, ek, ec), g), = self._terms.items()
-        return Scalar({(-eh, -ek, -ec): g.inverse()})
+        ((eh, ek, ec), (a, b, d)), = self._terms.items()
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return _wrap({(-eh, -ek, -ec): _reduce(d * a, -d * b, a * a + b * b)})
 
     # -- queries -----------------------------------------------------------
 
@@ -159,8 +239,12 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[Triple, GaussianRational]]:
+        """(triple, coefficient) pairs, each coefficient as a GaussianRational."""
+        return [
+            (t, GaussianRational(Fraction(a, d), Fraction(b, d)))
+            for t, (a, b, d) in self._terms.items()
+        ]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -180,15 +264,19 @@ class Scalar:
         """Substitute positive real values for the constants.
 
         The exact rational parts are converted to float last, after the
-        power product, to keep rounding to a single step per addend.
+        power product, to keep rounding to a single step per addend.  Int
+        true division is correctly rounded, so `a / d` is the float of the
+        reduced fraction without reducing it first.
         """
         for name, value in (("hbar", hbar), ("kappa", kappa), ("c", c)):
             if not value > 0:
                 raise ParameterError(f"{name} must be strictly positive, got {value}")
         total = 0j
-        for (eh, ek, ec), g in sorted(self._terms.items()):
+        for triple in sorted(self._terms):
+            eh, ek, ec = triple
+            a, b, d = self._terms[triple]
             mag = hbar**eh * kappa**ek * c**ec
-            total += complex(float(g.re) * mag, float(g.im) * mag)
+            total += complex(a / d * mag, b / d * mag)
         return total
 
     # -- rendering ---------------------------------------------------------
@@ -198,9 +286,13 @@ class Scalar:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for triple, g in sorted(self._terms.items()):
-            for piece in _gauss_pieces(g, _powers_str(triple)):
-                parts.append(piece)
+        for triple in sorted(self._terms):
+            a, b, d = self._terms[triple]
+            powers = _powers_str(triple)
+            if a:
+                parts.append(_product_str(a, d, False, powers))
+            if b:
+                parts.append(_product_str(b, d, True, powers))
         out = parts[0]
         for piece in parts[1:]:
             if piece.startswith("-"):
@@ -216,7 +308,13 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): G_ONE}
+        return self._terms == {_UNIT: _C_ONE}
+
+
+# shared constants: scalars are immutable, so one instance of each suffices
+_S_ZERO = _wrap({})
+_S_ONE = _wrap({_UNIT: _C_ONE})
+_S_I = _wrap({_UNIT: _C_I})
 
 
 def _powers_str(triple: Triple) -> str:
@@ -230,40 +328,17 @@ def _powers_str(triple: Triple) -> str:
     return " ".join(parts)
 
 
-def _rat_str(f: Fraction) -> str:
-    return str(f)  # Fraction renders as "p/q" or "p"
-
-
-def _gauss_pieces(g: GaussianRational, powers: str) -> list[str]:
-    """Split a Gaussian coefficient into real and imaginary product strings."""
-    pieces = []
-    if g.re != 0:
-        pieces.append(_product_str(g.re, False, powers))
-    if g.im != 0:
-        pieces.append(_product_str(g.im, True, powers))
-    return pieces
-
-
-def _product_str(f: Fraction, imaginary: bool, powers: str) -> str:
-    sign = "-" if f < 0 else ""
-    mag = -f if f < 0 else f
+def _product_str(num: int, den: int, imaginary: bool, powers: str) -> str:
+    """One real or imaginary part num/den, reduced on its own, as a product."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     factors = []
-    if mag != 1 or (not imaginary and not powers):
-        factors.append(_rat_str(mag))
+    if num != 1 or den != 1 or (not imaginary and not powers):
+        factors.append(str(num) if den == 1 else f"{num}/{den}")
     if imaginary:
         factors.append("i")
     if powers:
         factors.append(powers)
     return sign + " ".join(factors)
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_to_complex(a: Scalar, hbar: float, kappa: float, c: float) -> complex:
-    return a.to_complex(hbar, kappa, c)

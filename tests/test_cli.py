@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, formats, determinism, negative control."""
 
 import json
+import time
 
 from kappahopf.cli import main
 
@@ -39,6 +40,19 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "[x0, x1]", "--sector", "poincare")
         assert code == 2
         assert "poincare" in err
+
+    def test_division_by_zero_is_typed(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "1/0")
+        assert code == 2
+        assert out == ""
+        assert "division by zero" in err
+        assert "internal error" not in err
+
+    def test_large_q_power_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "eval", "q^100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.strip() == "q^100000000"
 
 
 class TestSuites:

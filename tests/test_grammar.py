@@ -87,6 +87,17 @@ class TestEval:
         with pytest.raises(SectorError):
             eval_text("x1^-1")
 
+    def test_powers_match_repeated_multiplication(self):
+        cases = (("(1/2 + 1/3 i) hbar", 13), ("2 kappa^-1", 40), ("(3 q^-2)", 7))
+        for base, n in cases:
+            product = eval_text(base)
+            for _ in range(n - 1):
+                product = eval_text(f"({product.render()}) ({base})")
+            assert eval_text(f"({base})^{n}").render() == product.render()
+        assert eval_text("(2 q^3)^-2").as_element() == Element.term(
+            Monomial((), -6), Scalar.rational(1, 4)
+        )
+
     def test_division_restricted(self):
         with pytest.raises(SectorError):
             eval_text("x0 / x1")

@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappahopf.errors import ParameterError
-from kappahopf.scalars import (
-    GaussianRational,
-    Scalar,
-    scalar_add,
-    scalar_mul,
-    scalar_to_complex,
-)
+from kappahopf.errors import DivisionByZeroError, ParameterError
+from kappahopf.scalars import GaussianRational, Scalar
 
 
 def ih(hbar=0, kappa=0, c=0):
@@ -21,59 +15,75 @@ def ih(hbar=0, kappa=0, c=0):
 
 def test_additive_inverse():
     a = ih(hbar=1)  # i hbar
-    assert scalar_add(a, -a).is_zero
+    assert (a + -a).is_zero
 
 
 def test_like_terms_combine():
     half = Scalar.term(Fraction(1, 2), 0, hbar=1, kappa=-1, c=-1)
-    assert scalar_add(half, half) == Scalar.term(1, 0, hbar=1, kappa=-1, c=-1)
+    assert half + half == Scalar.term(1, 0, hbar=1, kappa=-1, c=-1)
 
 
 def test_gaussian_addition_on_same_monomial():
-    assert scalar_add(ih(hbar=1), Scalar.term(1, 0, hbar=1)) == Scalar.term(
-        1, 1, hbar=1
-    )
+    assert ih(hbar=1) + Scalar.term(1, 0, hbar=1) == Scalar.term(1, 1, hbar=1)
 
 
 def test_i_squared():
-    assert scalar_mul(Scalar.i(), Scalar.i()) == Scalar.rational(-1)
+    assert Scalar.i() * Scalar.i() == Scalar.rational(-1)
 
 
 def test_exponent_cancellation():
     a = Scalar.term(1, 0, hbar=1, kappa=-1, c=-1)
     b = Scalar.term(1, 0, kappa=1, c=1)
-    assert scalar_mul(a, b) == Scalar.term(1, 0, hbar=1)
+    assert a * b == Scalar.term(1, 0, hbar=1)
 
 
 def test_hand_arithmetic_product():
     # (-i hbar / kappa c) * (i/2) = hbar / (2 kappa c)
     a = Scalar.term(0, -1, hbar=1, kappa=-1, c=-1)
     b = Scalar.term(0, Fraction(1, 2))
-    assert scalar_mul(a, b) == Scalar.term(Fraction(1, 2), 0, hbar=1, kappa=-1, c=-1)
+    assert a * b == Scalar.term(Fraction(1, 2), 0, hbar=1, kappa=-1, c=-1)
 
 
 def test_to_complex_examples():
-    assert scalar_to_complex(Scalar.term(1, 0, hbar=1), 1.0, 2.0, 3.0) == 1.0 + 0.0j
-    assert scalar_to_complex(ih(hbar=1, kappa=-1), 1.0, 2.0, 3.0) == 0.0 + 0.5j
+    assert Scalar.term(1, 0, hbar=1).to_complex(1.0, 2.0, 3.0) == 1.0 + 0.0j
+    assert ih(hbar=1, kappa=-1).to_complex(1.0, 2.0, 3.0) == 0.0 + 0.5j
     # rational-to-float oracle: (1+i)/3 at any values
     third = Scalar.gaussian(Fraction(1, 3), Fraction(1, 3))
-    val = scalar_to_complex(third, 0.9, 7.7, 2.2)
+    val = third.to_complex(0.9, 7.7, 2.2)
     expected = complex(float(Fraction(1, 3)), float(Fraction(1, 3)))
     assert val == expected
 
 
 def test_to_complex_rejects_nonpositive_constants():
     with pytest.raises(ParameterError):
-        scalar_to_complex(Scalar.one(), 0.0, 1.0, 1.0)
+        Scalar.one().to_complex(0.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        scalar_to_complex(Scalar.one(), 1.0, -2.0, 1.0)
+        Scalar.one().to_complex(1.0, -2.0, 1.0)
 
 
 def test_inverse_of_single_term():
     a = Scalar.term(0, -2, hbar=1, kappa=-1)
-    assert scalar_mul(a, a.inverse()) == Scalar.one()
+    assert a * a.inverse() == Scalar.one()
     with pytest.raises(ZeroDivisionError):
         (Scalar.one() + Scalar.term(1, 0, hbar=1)).inverse()
+
+
+def test_inverse_of_zero_is_typed():
+    with pytest.raises(DivisionByZeroError, match="division by zero"):
+        Scalar.zero().inverse()
+    with pytest.raises(DivisionByZeroError):
+        GaussianRational.of(0, 0).inverse()
+
+
+def test_canonical_form():
+    reducible = Scalar.term(Fraction(2, 4), 0, hbar=1)
+    reduced = Scalar.term(Fraction(1, 2), 0, hbar=1)
+    assert reducible == reduced and hash(reducible) == hash(reduced)
+    # a sum over a common denominator of 6 reduces to halves
+    summed = Scalar.rational(1, 6) + Scalar.rational(1, 3)
+    assert summed == Scalar.rational(1, 2)
+    assert hash(summed) == hash(Scalar.rational(1, 2))
+    assert summed.render() == "1/2"
 
 
 def test_gaussian_inverse():
@@ -130,6 +140,100 @@ def test_render_round_trip_shapes():
         Scalar.rational(-3, 2): "-3/2",
         Scalar.gaussian(Fraction(1, 2), Fraction(1, 2)): "1/2 + 1/2 i",
         Scalar.term(1, 0, hbar=2, c=-1): "hbar^2 c^-1",
+        Scalar.gaussian(Fraction(1, 2), Fraction(1, 3)): "1/2 + 1/3 i",
+        Scalar.term(0, Fraction(-2, 3), hbar=1): "-2/3 i hbar",
     }
     for scalar, text in cases.items():
         assert scalar.render() == text
+
+
+# -- oracle: the int-backed ring against GaussianRational arithmetic on items() --
+
+
+def _ref(a):
+    return dict(a.items())
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for t, g in y.items():
+        out[t] = out[t] + g if t in out else g
+    return {t: g for t, g in out.items() if not g.is_zero}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for t1, g1 in x.items():
+        for t2, g2 in y.items():
+            t = tuple(e1 + e2 for e1, e2 in zip(t1, t2))
+            out[t] = out[t] + g1 * g2 if t in out else g1 * g2
+    return {t: g for t, g in out.items() if not g.is_zero}
+
+
+def _ref_to_complex(x, hbar, kappa, c):
+    total = 0j
+    for (eh, ek, ec), g in sorted(x.items()):
+        mag = hbar**eh * kappa**ek * c**ec
+        total += complex(float(g.re) * mag, float(g.im) * mag)
+    return total
+
+
+def _ref_render(x):
+    pieces = []
+    for triple in sorted(x):
+        powers = " ".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(("hbar", "kappa", "c"), triple)
+            if e
+        )
+        for part, imaginary in ((x[triple].re, False), (x[triple].im, True)):
+            if not part:
+                continue
+            factors = []
+            if abs(part) != 1 or (not imaginary and not powers):
+                factors.append(str(abs(part)))
+            if imaginary:
+                factors.append("i")
+            if powers:
+                factors.append(powers)
+            pieces.append(("-" if part < 0 else "") + " ".join(factors))
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
+
+
+wide_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+wide_scalars = st.dictionaries(
+    triples, st.builds(GaussianRational.of, wide_fracs, wide_fracs), max_size=4
+).map(Scalar)
+
+
+@given(wide_scalars, wide_scalars)
+def test_ring_matches_gaussian_rational_oracle(a, b):
+    ra, rb = _ref(a), _ref(b)
+    assert _ref(a + b) == _ref_add(ra, rb)
+    assert _ref(a - b) == _ref_add(ra, {t: -g for t, g in rb.items()})
+    assert _ref(-a) == {t: -g for t, g in ra.items()}
+    assert _ref(a * b) == _ref_mul(ra, rb)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    vals = (0.7, 2.3, 1.9)
+    assert a.to_complex(*vals) == _ref_to_complex(ra, *vals)
+    assert a.render() == _ref_render(ra)
+    assert (a * b).render() == _ref_render(_ref_mul(ra, rb))
+
+
+@given(triples, st.builds(GaussianRational.of, wide_fracs, wide_fracs))
+def test_inverse_matches_gaussian_rational_oracle(triple, g):
+    a = Scalar({triple: g})
+    if g.is_zero:
+        with pytest.raises(DivisionByZeroError):
+            a.inverse()
+        return
+    inv = _ref(a.inverse())
+    assert inv == {tuple(-e for e in triple): g.inverse()}
+    assert a * a.inverse() == Scalar.one()
