@@ -10,6 +10,7 @@ from .errors import (
     ParameterError,
     PairingError,
     ParseError,
+    ResourceLimitError,
     SectorError,
 )
 from .hopf import (
@@ -25,7 +26,6 @@ from .hopf import (
     coproduct,
     counit,
     tensor_multiply,
-    tensor_of,
 )
 from .crossproduct import (
     Convention,
@@ -60,10 +60,7 @@ from .presets import (
     Basis,
     Sector,
     classical_limit,
-    commutator,
     get_preset,
-    multiply,
-    normal_form,
 )
 from .scalars import GaussianRational, Scalar
 

@@ -152,7 +152,7 @@ def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
     _check_position_element(x)
     preset = ctx.preset
     dx = coproduct(x, preset)
-    out = Element.zero()
+    acc: dict[Monomial, Scalar] = {}
     for (m1, m2), s in dx.items():
         if ctx.convention is Convention.LEFT:
             coeff = pair(p, Element.term(m2, Scalar.one()), ctx)
@@ -161,8 +161,8 @@ def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
             coeff = pair(p, Element.term(m1, Scalar.one()), ctx)
             kept = m2
         if not coeff.is_zero:
-            out = out + Element.term(kept, coeff * s)
-    return preset.normal_form(out)
+            _add_term(acc, kept, coeff * s)
+    return preset.normal_form(Element(acc))
 
 
 def _split_phase_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
@@ -189,7 +189,7 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
     preset = ctx.preset
     preset.check_admissible(a)
     preset.check_admissible(b)
-    out = Element.zero()
+    acc: dict[Monomial, Scalar] = {}
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
         for mb, cb in b.items():
@@ -207,8 +207,13 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
                 pq = v.qexp + pb.qexp
                 for xm, xc in xpart.items():
                     mono = Monomial(xm.word + pword, xm.qexp + pq)
-                    out = out + Element.term(mono, xc * ca * cb * s)
-    return out
+                    _add_term(acc, mono, xc * ca * cb * s)
+    return Element(acc)
+
+
+def _add_term(acc: dict, key, coeff: Scalar):
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
 
 
 def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
@@ -371,28 +376,14 @@ def select_convention(basis: Basis) -> list[ConventionEvidence]:
 # -- momentum basis transformation ------------------------------------------------
 
 
-def _phi(e: Element, sign: int) -> Element:
-    """P_i -> P_i q^sign, P0 -> P0, q -> q on momentum elements."""
-    out: dict[Monomial, Scalar] = {}
-    for mono, coeff in e.items():
-        shift = sum(1 for g in mono.word if g in SPATIAL_P)
-        key = Monomial(mono.word, mono.qexp + sign * shift)
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return Element(out)
+def _phi(mono: Monomial, sign: int) -> Monomial:
+    """P_i -> P_i q^sign, P0 -> P0, q -> q on a momentum monomial.
 
-
-def _phi_tensor(t: TensorElement, sign: int) -> TensorElement:
-    out: dict[tuple[Monomial, ...], Scalar] = {}
-    for key, coeff in t.items():
-        new_key = []
-        for mono in key:
-            shift = sum(1 for g in mono.word if g in SPATIAL_P)
-            new_key.append(Monomial(mono.word, mono.qexp + sign * shift))
-        k = tuple(new_key)
-        prev = out.get(k)
-        out[k] = coeff if prev is None else prev + coeff
-    return TensorElement(t.rank, out)
+    The shift depends on the word alone, so phi is injective on monomials and
+    maps an element or a tensor term by term with no collisions.
+    """
+    shift = sum(1 for g in mono.word if g in SPATIAL_P)
+    return Monomial(mono.word, mono.qexp + sign * shift)
 
 
 def basis_map_check() -> BasisMapReport:
@@ -418,8 +409,16 @@ def basis_map_check() -> BasisMapReport:
             ok_flip = True
             residuals = {}
             for e in subjects:
-                lhs = coproduct(_phi(e, sign), tgt_preset)
-                rhs = _phi_tensor(coproduct(e, src_preset), sign)
+                lhs = coproduct(
+                    Element({_phi(m, sign): c for m, c in e.items()}), tgt_preset
+                )
+                rhs = TensorElement(
+                    2,
+                    {
+                        (_phi(a, sign), _phi(b, sign)): c
+                        for (a, b), c in coproduct(e, src_preset).items()
+                    },
+                )
                 d_plain = lhs - rhs
                 d_flip = lhs - rhs.flip()
                 if not d_plain.is_zero:

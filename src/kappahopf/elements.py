@@ -13,7 +13,7 @@ construction rather than silently reordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .errors import SectorError
@@ -54,12 +54,17 @@ SPATIAL_P = (Gen.P1, Gen.P2, Gen.P3)
 GEN_BY_NAME = {g.render(): g for g in Gen}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Word in the generators times q^qexp."""
+    """Word in the generators times q^qexp.
+
+    Monomials key every dict of the engine, so the hash is computed once at
+    construction rather than from the whole word on every lookup.
+    """
 
     word: tuple[Gen, ...] = ()
     qexp: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(g in POSITIONS for g in self.word) and any(
@@ -69,6 +74,10 @@ class Monomial:
                 "monomial mixes position and Lorentz generators: "
                 + " ".join(g.render() for g in self.word)
             )
+        object.__setattr__(self, "_hash", hash((self.word, self.qexp)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_sorted(self) -> bool:

@@ -13,6 +13,11 @@ class DivisionByZeroError(KappaHopfError, ZeroDivisionError):
     """Division by a scalar with no inverse in the ring: zero, or a sum of addends."""
 
 
+class ResourceLimitError(KappaHopfError, ValueError):
+    """A result is too large to handle, e.g. a coefficient past the interpreter's
+    limit on int-to-str conversion."""
+
+
 class SectorError(KappaHopfError, ValueError):
     """Monomial uses generators that are not admissible in the requested sector."""
 

@@ -10,6 +10,11 @@ Delta(P_i) = P_i (x) q + q^-1 (x) P_i.  The leg-transposed variant fails
 coproduct multiplicativity against the boost coproduct (see the regression
 test suite), reverses the deformation factor in the derived phase-space
 relations, and breaks the momentum-basis transformation, so it is rejected.
+
+Once a preset is fixed, so are its structure maps: the coproduct of each
+monomial and each monomial-by-monomial slot product are memoized on the
+`AlgebraPreset` instance, so a `with_rule_override` copy never sees the
+results of the preset it was copied from.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .elements import (
     SPATIAL_P,
     Element,
 )
-from .presets import AlgebraPreset, Basis, Sector, _eps, get_preset
+from .presets import AlgebraPreset, Basis, Sector, _accumulate, _eps, get_preset
 from .reports import CheckEntry, CheckReport
 from .scalars import Scalar
 
@@ -119,33 +124,24 @@ def _tensor_sort_key(key: tuple[Monomial, ...]):
     return tuple((not m.word, m.sort_key()) for m in key)
 
 
-def tensor_of(*elements: Element) -> TensorElement:
-    """Outer product of elements, one per slot."""
-    rank = len(elements)
-    terms: dict[tuple[Monomial, ...], Scalar] = {}
-    for combo in iproduct(*[list(e.items()) for e in elements]):
-        key = tuple(m for m, _ in combo)
-        coeff = Scalar.one()
-        for _, c in combo:
-            coeff = coeff * c
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-    return TensorElement(rank, terms)
-
-
 def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
     """Slotwise product, no braiding; each slot normalized by the preset."""
     if a.rank != b.rank:
         raise ValueError("tensor ranks differ")
-    out = TensorElement(a.rank)
+    product = preset.multiply_monomials
+    acc: dict[tuple[Monomial, ...], Scalar] = {}
     for key_a, ca in a.items():
         for key_b, cb in b.items():
-            slots = [
-                preset.multiply(Element.term(ma, Scalar.one()), Element.term(mb, Scalar.one()))
-                for ma, mb in zip(key_a, key_b)
-            ]
-            out = out + tensor_of(*slots).scaled(ca * cb)
-    return out
+            slots = [product(ma, mb).items() for ma, mb in zip(key_a, key_b)]
+            cab = ca * cb
+            for combo in iproduct(*slots):
+                coeff = cab
+                for _, c in combo:
+                    coeff = coeff * c
+                key = tuple(m for m, _ in combo)
+                prev = acc.get(key)
+                acc[key] = coeff if prev is None else prev + coeff
+    return TensorElement(a.rank, acc)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
@@ -269,10 +265,13 @@ _COPRODUCTS: dict[Basis, dict] = {}
 _ANTIPODES: dict[Basis, dict] = {}
 
 
-def _coproducts(basis: Basis) -> dict:
+def _coproducts(basis: Basis) -> dict[Gen, TensorElement]:
     table = _COPRODUCTS.get(basis)
     if table is None:
-        table = _coproduct_table(basis)
+        table = {
+            g: TensorElement(2, {(m1, m2): s for m1, m2, s in entries})
+            for g, entries in _coproduct_table(basis).items()
+        }
         _COPRODUCTS[basis] = table
     return table
 
@@ -291,17 +290,24 @@ def _antipodes(basis: Basis) -> dict:
 def coproduct(e: Element, preset: AlgebraPreset) -> TensorElement:
     """Algebra-homomorphic extension of the generator coproducts; Delta(q) = q (x) q."""
     preset.check_admissible(e)
-    table = _coproducts(preset.basis)
-    out = TensorElement(2)
+    memo = preset._coproduct_cache
+    acc: dict[tuple[Monomial, ...], Scalar] = {}
     for mono, coeff in e.items():
-        t = TensorElement(
-            2, {(Monomial((), mono.qexp), Monomial((), mono.qexp)): Scalar.one()}
-        )
-        for g in reversed(mono.word):
-            gt = TensorElement(2, {(m1, m2): s for m1, m2, s in table[g]})
-            t = tensor_multiply(gt, t, preset)
-        out = out + t.scaled(coeff)
-    return out
+        t = memo.get(mono)
+        if t is None:
+            t = _coproduct_monomial(mono, preset)
+            memo[mono] = t
+        _accumulate(acc, t, coeff)
+    return TensorElement(2, acc)
+
+
+def _coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
+    table = _coproducts(preset.basis)
+    q = Monomial((), mono.qexp)
+    t = TensorElement(2, {(q, q): Scalar.one()})
+    for g in reversed(mono.word):
+        t = tensor_multiply(table[g], t, preset)
+    return t
 
 
 def antipode(e: Element, preset: AlgebraPreset) -> Element:
@@ -327,10 +333,6 @@ def counit(e: Element, preset: AlgebraPreset) -> Scalar:
     return total
 
 
-def counit_monomial(mono: Monomial) -> Scalar:
-    return Scalar.one() if not mono.word else Scalar.zero()
-
-
 # -- tensor-slot maps ------------------------------------------------------------
 
 
@@ -338,15 +340,17 @@ def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> Tensor
     """Apply the coproduct to one slot of a rank-2 tensor, producing rank 3."""
     if t.rank != 2:
         raise ValueError("slot coproduct expects a rank-2 tensor")
-    out = TensorElement(3)
+    acc: dict[tuple[Monomial, ...], Scalar] = {}
     for (m1, m2), coeff in t.items():
         target = m1 if slot == 0 else m2
         other = m2 if slot == 0 else m1
         dt = coproduct(Element.term(target, Scalar.one()), preset)
         for (a, b), s in dt.items():
             key = (a, b, other) if slot == 0 else (other, a, b)
-            out = out + TensorElement(3, {key: s * coeff})
-    return out
+            term = s * coeff
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return TensorElement(3, acc)
 
 
 def counit_slot(t: TensorElement, slot: int) -> Element:

@@ -34,15 +34,28 @@ class KinematicParams:
     Pvec: float = 0.0
 
     def __post_init__(self):
+        # every chained comparison is false for nan as well as for inf; one
+        # expression on the fields is the cheapest test for the per-row
+        # construction in sweeps, and the loops below only name the culprit
+        if (
+            0 < self.kappa < math.inf
+            and 0 < self.c < math.inf
+            and 0 < self.hbar < math.inf
+            and 0 <= self.M < math.inf
+            and 0 <= self.Pvec < math.inf
+        ):
+            return
         for name in ("kappa", "c", "hbar"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
                 raise ParameterError(
-                    f"{name} must be strictly positive, got {getattr(self, name)}"
+                    f"{name} must be strictly positive and finite, got {value}"
                 )
         for name in ("M", "Pvec"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
                 raise ParameterError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}"
+                    f"{name} must be nonnegative and finite, got {value}"
                 )
 
 
@@ -233,7 +246,7 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     if not (lo > 0 and hi > 0):
         raise ParameterError("log grid bounds must be positive")
     if n < 2:
-        return [lo]
+        raise ParameterError(f"a log grid needs at least 2 points, got {n}")
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return [lo * ratio**i for i in range(n)]
 

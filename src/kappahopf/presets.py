@@ -251,6 +251,11 @@ class AlgebraPreset:
         self.allowed = frozenset(self.generators)
         self._nf_cache: dict[Monomial, Element] = {}
         self._qpast_cache: dict = {}
+        # structure-map memos, filled by `multiply_monomials` and
+        # `hopf.coproduct`; per instance, so a `with_rule_override` copy and a
+        # fresh `get_preset` start cold
+        self._product_cache: dict[tuple[Monomial, Monomial], Element] = {}
+        self._coproduct_cache: dict = {}
         self._steps = 0
 
     def __repr__(self) -> str:
@@ -368,11 +373,21 @@ class AlgebraPreset:
                     _accumulate(acc, self._nf_monomial(raw), c12 * qc)
         return Element(acc)
 
-    def multiply_all(self, *factors: Element) -> Element:
-        out = Element.one()
-        for f in factors:
-            out = self.multiply(out, f)
-        return out
+    def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
+        """Normal form of m1 * m2, memoized per monomial pair.
+
+        For the structure maps, which multiply the same few monomials over and
+        over; `multiply` stays unmemoized, since arbitrary products rarely
+        repeat and the memo would only grow.
+        """
+        key = (m1, m2)
+        cached = self._product_cache.get(key)
+        if cached is None:
+            cached = self.multiply(
+                Element.term(m1, Scalar.one()), Element.term(m2, Scalar.one())
+            )
+            self._product_cache[key] = cached
+        return cached
 
     def commutator(self, a: Element, b: Element) -> Element:
         return self.multiply(a, b) - self.multiply(b, a)
@@ -411,21 +426,6 @@ def get_preset(basis: Basis, sector: Sector) -> AlgebraPreset:
         rules.update(_phase_rules(basis))
         rules.update(_momentum_rules())
     return AlgebraPreset(basis, sector, rules, _q_rules(sector))
-
-
-# -- free-function wrappers over the preset methods -----------------------------
-
-
-def normal_form(e: Element, preset: AlgebraPreset) -> Element:
-    return preset.normal_form(e)
-
-
-def multiply(a: Element, b: Element, preset: AlgebraPreset) -> Element:
-    return preset.multiply(a, b)
-
-
-def commutator(a: Element, b: Element, preset: AlgebraPreset) -> Element:
-    return preset.commutator(a, b)
 
 
 def classical_limit(e: Element) -> Element:

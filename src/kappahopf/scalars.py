@@ -15,11 +15,12 @@ module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZeroError, ParameterError
+from .errors import DivisionByZeroError, ParameterError, ResourceLimitError
 
 
 def _frac(x) -> Fraction:
@@ -336,7 +337,13 @@ def _product_str(num: int, den: int, imaginary: bool, powers: str) -> str:
     num = abs(num)
     factors = []
     if num != 1 or den != 1 or (not imaginary and not powers):
-        factors.append(str(num) if den == 1 else f"{num}/{den}")
+        try:
+            factors.append(str(num) if den == 1 else f"{num}/{den}")
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ResourceLimitError(
+                f"coefficient has more than {sys.get_int_max_str_digits()} "
+                "digits and cannot be rendered"
+            ) from None
     if imaginary:
         factors.append("i")
     if powers:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, determinism, negative control."""
 
+import hashlib
 import json
 import time
 
@@ -48,6 +49,13 @@ class TestEval:
         assert "division by zero" in err
         assert "internal error" not in err
 
+    def test_huge_coefficient_render_is_typed(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "2^20000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "cannot be rendered" in err
+        assert "internal error" not in err
+
     def test_large_q_power_is_bounded(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "eval", "q^100000000")
@@ -94,6 +102,13 @@ class TestSuites:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["reports"][0]["axiom"] == "casimir-centrality"
+
+    def test_suite_json_golden_digest(self, capsys):
+        # exactness gate: structure-map memos and other speedups must leave
+        # the certificate byte-identical
+        code, out, _ = run_cli(capsys, "suite", "all", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "41d86e8ecf37aaea"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "suite", "all", "--format", "json")
@@ -149,6 +164,42 @@ class TestNumeric:
         )
         assert code == 2
         assert "kappa" in err
+
+    def test_mass_shell_rejects_nan_mass(self, capsys):
+        code, out, err = run_cli(
+            capsys, "numeric", "mass-shell", "--kappa", "1", "--M", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: M must be nonnegative and finite")
+
+    def test_mass_shell_rejects_infinite_kappa(self, capsys):
+        code, out, err = run_cli(
+            capsys, "numeric", "mass-shell", "--kappa", "inf", "--M", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: kappa must be strictly positive and finite")
+
+    def test_sweep_rejects_negative_points(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10",
+            "--points", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 2 points, got -3" in err
+
+    def test_sweep_rejects_single_point(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10",
+            "--points", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 2 points, got 1" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf.hopf import (
     TensorElement,
+    _subjects,
     antipode,
     casimir,
     check_antipode_axiom,
@@ -22,7 +23,7 @@ from kappahopf.hopf import (
     tensor_commutator,
     tensor_multiply,
 )
-from kappahopf.presets import Basis, Sector, get_preset
+from kappahopf.presets import AlgebraPreset, Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
 
 PB = get_preset(Basis.BICROSS, Sector.PHASESPACE)
@@ -287,3 +288,53 @@ class TestJacobi:
         assert report.passed, report.failures()
         n = len(preset.generators) + 1  # q included
         assert len(report.entries) == n * (n - 1) * (n - 2) // 6
+
+
+class TestStructureMapMemo:
+    """The coproduct and slot-product memos live on the preset instance."""
+
+    @pytest.mark.parametrize(
+        "basis, pair",
+        [
+            (Basis.BICROSS, (Gen.M2, Gen.M1)),
+            (Basis.STANDARD, (Gen.N2, Gen.N1)),
+            (Basis.BICROSS, (Gen.P1, Gen.N1)),
+        ],
+    )
+    def test_corrupted_copy_does_not_see_warm_memo(self, basis, pair):
+        perturb = Element.from_scalar(Scalar.term(0, 1, hbar=1))
+        checks = (check_coassociativity, check_coproduct_homomorphism)
+        # the unsorted word hi*lo: its coproduct rewrites the corrupted pair
+        # in the first slot, so a memo shared with the base preset shows here
+        word = Element.term(Monomial(pair), Scalar.one())
+
+        def corrupted_results(base):
+            bad = base.with_rule_override(pair, base.rules[pair] + perturb)
+            return [check(bad).to_dict() for check in checks], coproduct(word, bad)
+
+        get_preset.cache_clear()
+        cold_reports, cold_word = corrupted_results(get_preset(basis, Sector.POINCARE))
+        get_preset.cache_clear()
+        warm_base = get_preset(basis, Sector.POINCARE)
+        assert all(check(warm_base).passed for check in checks)
+        assert coproduct(word, warm_base) != cold_word
+        warm_reports, warm_word = corrupted_results(warm_base)
+        assert warm_reports == cold_reports
+        assert warm_word == cold_word
+        assert not all(report["pass"] for report in warm_reports)
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+    def test_memoized_coproduct_matches_fresh_recomputation(self, preset):
+        get_preset.cache_clear()
+        memoized = get_preset(preset.basis, preset.sector)
+        subjects = [e for _, e in _subjects(memoized)]
+        # degree-2 products exercise the slot-product memo as well
+        elements = subjects + [memoized.multiply(a, b) for a in subjects for b in subjects]
+        first = [coproduct(e, memoized) for e in elements]
+        again = [coproduct(e, memoized) for e in elements]
+        fresh = AlgebraPreset(preset.basis, preset.sector, preset.rules, preset.qrules)
+        for e, got_first, got_again in zip(elements, first, again):
+            fresh._coproduct_cache.clear()
+            fresh._product_cache.clear()
+            expected = coproduct(e, fresh)
+            assert got_first == expected and got_again == expected, e.render()
