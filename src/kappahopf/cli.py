@@ -102,75 +102,41 @@ def _corrupted(preset, pair_text: str):
     return preset.with_rule_override((hi, lo), bad)
 
 
-def _axiom_reports(basis_filter, corrupt):
-    reports = []
-    for basis in _bases(basis_filter):
-        for sector in (Sector.POINCARE, Sector.PHASESPACE):
+def _suite_presets(args, *sectors):
+    """(basis, preset) for each selected basis and sector; with --corrupt-rule,
+    each preset is corrupted once and all checks of the suite share that copy."""
+    corrupt = args.corrupt_rule
+    bases = [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
+    for basis in bases:
+        for sector in sectors:
             preset = get_preset(basis, sector)
-            if corrupt:
-                preset = _corrupted(preset, corrupt)
-            for fn in (
-                check_coassociativity,
-                check_counit_axiom,
-                check_antipode_axiom,
-                check_coproduct_homomorphism,
-            ):
-                reports.append(fn(preset))
-    return reports
-
-
-def _jacobi_reports(basis_filter, corrupt):
-    reports = []
-    for basis in _bases(basis_filter):
-        for sector in (Sector.POINCARE, Sector.PHASESPACE):
-            preset = get_preset(basis, sector)
-            if corrupt:
-                preset = _corrupted(preset, corrupt)
-            reports.append(check_jacobi(preset))
-    return reports
-
-
-def _casimir_reports(basis_filter, corrupt):
-    reports = []
-    for basis in _bases(basis_filter):
-        preset = get_preset(basis, Sector.POINCARE)
-        if corrupt:
-            preset = _corrupted(preset, corrupt)
-        reports.append(check_centrality(basis, preset))
-    return reports
-
-
-def _phasespace_reports(basis_filter, corrupt):
-    reports = []
-    for basis in _bases(basis_filter):
-        table_preset = get_preset(basis, Sector.PHASESPACE)
-        if corrupt:
-            table_preset = _corrupted(table_preset, corrupt)
-        reports.append(
-            derive_phase_space_relations(basis, Convention.LEFT, table_preset)
-        )
-    return reports
-
-
-def _bases(basis_filter) -> list[Basis]:
-    if basis_filter:
-        return [Basis(basis_filter)]
-    return [Basis.BICROSS, Basis.STANDARD]
+            yield basis, _corrupted(preset, corrupt) if corrupt else preset
 
 
 def cmd_suite(args) -> int:
     out_format = _resolve_format(args)
-    corrupt = args.corrupt_rule
+    both = (Sector.POINCARE, Sector.PHASESPACE)
     reports = []
-    basis_map = None
     if args.suite in ("axioms", "all"):
-        reports.extend(_axiom_reports(args.basis, corrupt))
+        for _, p in _suite_presets(args, *both):
+            reports += [
+                check_coassociativity(p),
+                check_counit_axiom(p),
+                check_antipode_axiom(p),
+                check_coproduct_homomorphism(p),
+            ]
     if args.suite in ("jacobi", "all"):
-        reports.extend(_jacobi_reports(args.basis, corrupt))
+        reports += [check_jacobi(p) for _, p in _suite_presets(args, *both)]
     if args.suite in ("casimir", "all"):
-        reports.extend(_casimir_reports(args.basis, corrupt))
+        reports += [
+            check_centrality(b, p) for b, p in _suite_presets(args, Sector.POINCARE)
+        ]
     if args.suite in ("phasespace", "all"):
-        reports.extend(_phasespace_reports(args.basis, corrupt))
+        reports += [
+            derive_phase_space_relations(b, Convention.LEFT, p)
+            for b, p in _suite_presets(args, Sector.PHASESPACE)
+        ]
+    basis_map = None
     if args.suite in ("basis-map", "all"):
         basis_map = basis_map_check()
 

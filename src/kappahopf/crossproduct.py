@@ -33,6 +33,7 @@ from .elements import (
     SPATIAL_P,
     SPATIAL_X,
     Element,
+    accumulate,
 )
 from .errors import PairingError
 from .hopf import TensorElement, coproduct
@@ -151,18 +152,14 @@ def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
     _check_momentum_element(p)
     _check_position_element(x)
     preset = ctx.preset
-    dx = coproduct(x, preset)
+    # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
+    paired = 1 if ctx.convention is Convention.LEFT else 0
     acc: dict[Monomial, Scalar] = {}
-    for (m1, m2), s in dx.items():
-        if ctx.convention is Convention.LEFT:
-            coeff = pair(p, Element.term(m2, Scalar.one()), ctx)
-            kept = m1
-        else:
-            coeff = pair(p, Element.term(m1, Scalar.one()), ctx)
-            kept = m2
+    for key, s in coproduct(x, preset).items():
+        coeff = pair(p, Element.term(key[paired], Scalar.one()), ctx)
         if not coeff.is_zero:
-            _add_term(acc, kept, coeff * s)
-    return preset.normal_form(Element(acc))
+            accumulate(acc, [(key[1 - paired], coeff * s)])
+    return preset.normal_form(Element._wrap(acc))
 
 
 def _split_phase_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
@@ -194,6 +191,7 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
         xa, pa = _split_phase_monomial(ma)
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
+            cab = ca * cb
             dpa = coproduct(Element.term(pa, Scalar.one()), preset)
             for (u, v), s in dpa.items():
                 acted = left_action(
@@ -205,15 +203,12 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
                 # momentum sector is commutative: merge words, add q powers
                 pword = tuple(sorted(v.word + pb.word))
                 pq = v.qexp + pb.qexp
-                for xm, xc in xpart.items():
-                    mono = Monomial(xm.word + pword, xm.qexp + pq)
-                    _add_term(acc, mono, xc * ca * cb * s)
-    return Element(acc)
-
-
-def _add_term(acc: dict, key, coeff: Scalar):
-    prev = acc.get(key)
-    acc[key] = coeff if prev is None else prev + coeff
+                moved = (
+                    (Monomial(xm.word + pword, xm.qexp + pq), xc)
+                    for xm, xc in xpart.items()
+                )
+                accumulate(acc, moved, cab * s)
+    return Element._wrap(acc)
 
 
 def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
@@ -332,12 +327,12 @@ def check_module_algebra_law(ctx: PairingContext) -> bool:
         for x in xs:
             for y in xs:
                 lhs = left_action(p, preset.multiply(x, y), ctx)
-                rhs = Element.zero()
+                rhs: dict[Monomial, Scalar] = {}
                 for (u, v), s in dp.items():
                     a = left_action(Element.term(u, Scalar.one()), x, ctx)
                     b = left_action(Element.term(v, Scalar.one()), y, ctx)
-                    rhs = rhs + preset.multiply(a, b).scaled(s)
-                if lhs != rhs:
+                    accumulate(rhs, preset.multiply(a, b).items(), s)
+                if lhs != Element._wrap(rhs):
                     return False
     return True
 

@@ -9,6 +9,10 @@ q; see `presets` for the corresponding rewrite rules.
 Positions never mix with Lorentz generators inside one monomial: the algebra
 has no defined commutator between them, so such words are rejected at
 construction rather than silently reordered.
+
+Every sum the engine builds, of monomials here and of tensor terms in `hopf`,
+is a `LinearCombination`, and every layer adds terms into a dict with the one
+in-place `accumulate`, which keeps the canonical form as it goes.
 """
 
 from __future__ import annotations
@@ -114,18 +118,113 @@ class Monomial:
 UNIT_MONOMIAL = Monomial()
 
 
-class Element:
-    """Finite Scalar-weighted sum of monomials, kept in canonical form."""
+def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
+    """acc[key] += coeff (times factor) for each (key, coeff) of items, in place.
+
+    Every coeff must be nonzero.  A key whose sum cancels is removed, so acc
+    never holds a zero coefficient and can be wrapped as it is.
+    """
+    if factor is not None and factor.is_zero:
+        return acc
+    for key, coeff in items:
+        if factor is not None:
+            coeff = coeff * factor
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = coeff
+        else:
+            total = prev + coeff
+            if total.is_zero:
+                del acc[key]
+            else:
+                acc[key] = total
+    return acc
+
+
+class LinearCombination:
+    """Finite Scalar-weighted sum of keys in canonical form: like keys are
+    added and no zero coefficient is stored.  Values are immutable.
+
+    `Scalar` is not one of these: its store is int triples with one gcd per
+    addend, which shares no code with a store of Scalar coefficients.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
-        canonical: dict[Monomial, Scalar] = {}
+    def __init__(self, terms: dict | None = None):
+        """Copy of terms from outside the engine, with zero coefficients dropped."""
+        canonical = {}
         if terms:
-            for mono, coeff in terms.items():
+            for key, coeff in terms.items():
                 if not coeff.is_zero:
-                    canonical[mono] = coeff
+                    canonical[key] = coeff
         self._terms = canonical
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """Instance over a dict that is already canonical."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    def _like(self, terms: dict):
+        """Value of the same kind as self over a canonical dict."""
+        return self._wrap(terms)
+
+    def _shape(self):
+        """What, besides the terms, two values must share to be added or equal."""
+        return None
+
+    def __add__(self, other):
+        if self._shape() != other._shape():
+            raise ValueError("cannot add values of different rank")
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return self._like(accumulate(dict(self._terms), other._terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def scaled(self, s: Scalar):
+        # the coefficient ring has no zero divisors: nonzero products stay nonzero
+        if s.is_zero:
+            return self._like({})
+        return self._like({k: c * s for k, c in self._terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self):
+        return self._terms.items()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape() == other._shape()
+            and self._terms == other._terms
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+
+class Element(LinearCombination):
+    """Finite Scalar-weighted sum of monomials, kept in canonical form."""
+
+    __slots__ = ()
+
+    # perfbench/tracer.py counts additions per class from the class's own
+    # __dict__, so each class names its __add__
+    __add__ = LinearCombination.__add__
 
     # -- constructors ------------------------------------------------------
 
@@ -153,52 +252,13 @@ class Element:
     def term(mono: Monomial, coeff: Scalar) -> "Element":
         return Element({mono: coeff})
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "Element") -> "Element":
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-        return Element(terms)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element({m: -c for m, c in self._terms.items()})
-
-    def scaled(self, s: Scalar) -> "Element":
-        if s.is_zero:
-            return Element()
-        return Element({m: c * s for m, c in self._terms.items()})
-
     # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self):
-        return self._terms.items()
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self._terms.get(mono, Scalar.zero())
 
     def monomials(self):
         return self._terms.keys()
-
-    def generators_used(self) -> frozenset[Gen]:
-        return frozenset(g for m in self._terms for g in m.word)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"Element({self.render()})"
 
     # -- rendering -----------------------------------------------------------
 

@@ -20,12 +20,13 @@ to `e` for every normal-form element the engine produces.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossproduct import Convention, PairingContext, left_action, pair
 from .elements import GEN_BY_NAME, Monomial, Element
-from .errors import ParseError, SectorError
+from .errors import ParseError, ResourceLimitError, SectorError
 from .hopf import TensorElement, antipode, coproduct, counit, tensor_multiply
 from .presets import AlgebraPreset, Basis, Sector, get_preset
 from .scalars import Scalar
@@ -449,7 +450,18 @@ def eval_text(
     sector: Sector | None = None,
     convention: Convention = Convention.LEFT,
 ) -> Value:
-    """Parse and evaluate in one step."""
-    node = parse(source)
-    ctx = EvalContext(Basis(basis), sector, convention)
-    return evaluate(node, ctx)
+    """Parse and evaluate in one step.
+
+    The parser, the evaluator and the rewrite engine all recurse, so deep
+    nesting, long sums and long words are bounded by the interpreter's
+    recursion limit; reaching it raises ResourceLimitError.
+    """
+    try:
+        node = parse(source)
+        ctx = EvalContext(Basis(basis), sector, convention)
+        return evaluate(node, ctx)
+    except RecursionError:
+        raise ResourceLimitError(
+            "expression is too deeply nested or too long to evaluate "
+            f"within the recursion limit ({sys.getrecursionlimit()})"
+        ) from None

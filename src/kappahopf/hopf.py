@@ -20,87 +20,64 @@ results of the preset it was copied from.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .elements import (
     BOOSTS,
     Gen,
+    LinearCombination,
     Monomial,
     POSITIONS,
     ROTATIONS,
     SPATIAL_P,
     Element,
+    accumulate,
 )
-from .presets import AlgebraPreset, Basis, Sector, _accumulate, _eps, get_preset
+from .presets import AlgebraPreset, Basis, Sector, _eps, get_preset
 from .reports import CheckEntry, CheckReport
 from .scalars import Scalar
 
 HALF = Fraction(1, 2)
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Rank-2 or rank-3 tensor-product element with Scalar weights."""
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms: dict[tuple[Monomial, ...], Scalar] | None = None):
         if rank not in (2, 3):
             raise ValueError(f"tensor rank must be 2 or 3, got {rank}")
+        if terms and any(len(key) != rank for key in terms):
+            raise ValueError("tensor term arity does not match rank")
         self.rank = rank
-        canonical: dict[tuple[Monomial, ...], Scalar] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if len(key) != rank:
-                    raise ValueError("tensor term arity does not match rank")
-                if not coeff.is_zero:
-                    canonical[key] = coeff
-        self._terms = canonical
+        super().__init__(terms)
 
-    @staticmethod
-    def zero(rank: int = 2) -> "TensorElement":
-        return TensorElement(rank)
+    # named in the class body for the same reason as `Element.__add__`
+    __add__ = LinearCombination.__add__
+
+    @classmethod
+    def _wrap(cls, terms: dict, rank: int):
+        out = super()._wrap(terms)
+        out.rank = rank
+        return out
+
+    def _like(self, terms: dict):
+        return self._wrap(terms, self.rank)
+
+    def _shape(self):
+        return self.rank
 
     @staticmethod
     def unit(rank: int = 2) -> "TensorElement":
         return TensorElement(rank, {(Monomial(),) * rank: Scalar.one()})
 
-    def items(self):
-        return self._terms.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.rank != other.rank:
-            raise ValueError("tensor ranks differ")
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-        return TensorElement(self.rank, terms)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.rank, {k: -c for k, c in self._terms.items()})
-
-    def scaled(self, s: Scalar) -> "TensorElement":
-        return TensorElement(self.rank, {k: c * s for k, c in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.rank == other.rank
-            and self._terms == other._terms
-        )
-
     def flip(self) -> "TensorElement":
         """Swap the two slots of a rank-2 tensor."""
         if self.rank != 2:
             raise ValueError("flip is defined for rank-2 tensors")
-        return TensorElement(2, {(b, a): c for (a, b), c in self._terms.items()})
+        return self._like({(b, a): c for (a, b), c in self._terms.items()})
 
     def render(self, sep: str = " ⊗ ") -> str:
         if not self._terms:
@@ -116,9 +93,6 @@ class TensorElement:
                 parts.append(f"{coeff.render_single()} {body}")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"TensorElement({self.render()})"
-
 
 def _tensor_sort_key(key: tuple[Monomial, ...]):
     return tuple((not m.word, m.sort_key()) for m in key)
@@ -128,20 +102,21 @@ def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -
     """Slotwise product, no braiding; each slot normalized by the preset."""
     if a.rank != b.rank:
         raise ValueError("tensor ranks differ")
-    product = preset.multiply_monomials
     acc: dict[tuple[Monomial, ...], Scalar] = {}
     for key_a, ca in a.items():
         for key_b, cb in b.items():
-            slots = [product(ma, mb).items() for ma, mb in zip(key_a, key_b)]
-            cab = ca * cb
-            for combo in iproduct(*slots):
-                coeff = cab
-                for _, c in combo:
-                    coeff = coeff * c
-                key = tuple(m for m, _ in combo)
-                prev = acc.get(key)
-                acc[key] = coeff if prev is None else prev + coeff
-    return TensorElement(a.rank, acc)
+            accumulate(acc, _slot_products(key_a, key_b, ca * cb, preset))
+    return TensorElement._wrap(acc, a.rank)
+
+
+def _slot_products(key_a, key_b, coeff: Scalar, preset: AlgebraPreset):
+    """Terms of coeff * (key_a . key_b), each slot a memoized monomial product."""
+    slots = [preset.multiply_monomials(ma, mb).items() for ma, mb in zip(key_a, key_b)]
+    for combo in iproduct(*slots):
+        c = coeff
+        for _, s in combo:
+            c = c * s
+        yield tuple(m for m, _ in combo), c
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
@@ -224,7 +199,8 @@ def _coproduct_table(basis: Basis) -> dict[Gen, list[tuple[Monomial, Monomial, S
     return table
 
 
-def _antipode_table(basis: Basis) -> dict[Gen, Element]:
+@cache
+def _antipodes(basis: Basis) -> dict[Gen, Element]:
     table: dict[Gen, Element] = {}
     for g in POSITIONS:
         table[g] = -Element.generator(g)
@@ -261,27 +237,12 @@ def _antipode_table(basis: Basis) -> dict[Gen, Element]:
     return table
 
 
-_COPRODUCTS: dict[Basis, dict] = {}
-_ANTIPODES: dict[Basis, dict] = {}
-
-
+@cache
 def _coproducts(basis: Basis) -> dict[Gen, TensorElement]:
-    table = _COPRODUCTS.get(basis)
-    if table is None:
-        table = {
-            g: TensorElement(2, {(m1, m2): s for m1, m2, s in entries})
-            for g, entries in _coproduct_table(basis).items()
-        }
-        _COPRODUCTS[basis] = table
-    return table
-
-
-def _antipodes(basis: Basis) -> dict:
-    table = _ANTIPODES.get(basis)
-    if table is None:
-        table = _antipode_table(basis)
-        _ANTIPODES[basis] = table
-    return table
+    return {
+        g: TensorElement(2, {(m1, m2): s for m1, m2, s in entries})
+        for g, entries in _coproduct_table(basis).items()
+    }
 
 
 # -- structure maps -------------------------------------------------------------
@@ -297,8 +258,8 @@ def coproduct(e: Element, preset: AlgebraPreset) -> TensorElement:
         if t is None:
             t = _coproduct_monomial(mono, preset)
             memo[mono] = t
-        _accumulate(acc, t, coeff)
-    return TensorElement(2, acc)
+        accumulate(acc, t.items(), coeff)
+    return TensorElement._wrap(acc, 2)
 
 
 def _coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
@@ -314,13 +275,13 @@ def antipode(e: Element, preset: AlgebraPreset) -> Element:
     """Anti-homomorphic extension of the generator antipodes; S(q) = q^-1."""
     preset.check_admissible(e)
     table = _antipodes(preset.basis)
-    out = Element.zero()
+    acc: dict[Monomial, Scalar] = {}
     for mono, coeff in e.items():
-        acc = Element.q_power(-mono.qexp)
+        image = Element.q_power(-mono.qexp)
         for g in reversed(mono.word):
-            acc = preset.multiply(acc, table[g])
-        out = out + acc.scaled(coeff)
-    return out
+            image = preset.multiply(image, table[g])
+        accumulate(acc, image.items(), coeff)
+    return Element._wrap(acc)
 
 
 def counit(e: Element, preset: AlgebraPreset) -> Scalar:
@@ -341,39 +302,31 @@ def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> Tensor
     if t.rank != 2:
         raise ValueError("slot coproduct expects a rank-2 tensor")
     acc: dict[tuple[Monomial, ...], Scalar] = {}
-    for (m1, m2), coeff in t.items():
-        target = m1 if slot == 0 else m2
-        other = m2 if slot == 0 else m1
-        dt = coproduct(Element.term(target, Scalar.one()), preset)
-        for (a, b), s in dt.items():
-            key = (a, b, other) if slot == 0 else (other, a, b)
-            term = s * coeff
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return TensorElement(3, acc)
+    for key, coeff in t.items():
+        other = key[1 - slot]
+        dt = coproduct(Element.term(key[slot], Scalar.one()), preset)
+        split = (
+            ((a, b, other) if slot == 0 else (other, a, b), s)
+            for (a, b), s in dt.items()
+        )
+        accumulate(acc, split, coeff)
+    return TensorElement._wrap(acc, 3)
 
 
 def counit_slot(t: TensorElement, slot: int) -> Element:
     """Contract one slot of a rank-2 tensor with the counit."""
     if t.rank != 2:
         raise ValueError("slot counit expects a rank-2 tensor")
-    out: dict[Monomial, Scalar] = {}
-    for (m1, m2), coeff in t.items():
-        target = m1 if slot == 0 else m2
-        other = m2 if slot == 0 else m1
-        # eps is 1 exactly on pure q-powers (their exponent is dropped), 0 else
-        if target.word:
-            continue
-        prev = out.get(other)
-        out[other] = coeff if prev is None else prev + coeff
-    return Element(out)
+    # eps is 1 exactly on pure q-powers (their exponent is dropped), 0 else
+    kept = ((key[1 - slot], coeff) for key, coeff in t.items() if not key[slot].word)
+    return Element._wrap(accumulate({}, kept))
 
 
 def antipode_slot_multiply(t: TensorElement, slot: int, preset: AlgebraPreset) -> Element:
     """m . (S (x) id) or m . (id (x) S) applied to a rank-2 tensor."""
     if t.rank != 2:
         raise ValueError("antipode axiom expects a rank-2 tensor")
-    out = Element.zero()
+    acc: dict[Monomial, Scalar] = {}
     for (m1, m2), coeff in t.items():
         e1 = Element.term(m1, Scalar.one())
         e2 = Element.term(m2, Scalar.one())
@@ -381,8 +334,8 @@ def antipode_slot_multiply(t: TensorElement, slot: int, preset: AlgebraPreset) -
             prod = preset.multiply(antipode(e1, preset), e2)
         else:
             prod = preset.multiply(e1, antipode(e2, preset))
-        out = out + prod.scaled(coeff)
-    return out
+        accumulate(acc, prod.items(), coeff)
+    return Element._wrap(acc)
 
 
 # -- axiom suites ----------------------------------------------------------------

@@ -59,16 +59,32 @@ class KinematicParams:
                 )
 
 
+def _overflow(params: KinematicParams) -> ParameterError:
+    return ParameterError(
+        f"mass shell overflows double precision at kappa={params.kappa}, "
+        f"c={params.c}, M={params.M}, P={params.Pvec}"
+    )
+
+
 def mass_shell_exp(params: KinematicParams) -> float:
     """On-shell value of q = exp(P0 / 2 kappa c); always >= 1."""
-    s = math.sqrt((params.Pvec / params.c) ** 2 + params.M**2) / (2 * params.kappa)
-    return s + math.sqrt(1.0 + s * s)
+    try:
+        s = math.sqrt((params.Pvec / params.c) ** 2 + params.M**2) / (2 * params.kappa)
+    except OverflowError:
+        raise _overflow(params) from None
+    q = s + math.sqrt(1.0 + s * s)
+    if q == math.inf:
+        raise _overflow(params)
+    return q
 
 
 def check_mass_shell(params: KinematicParams) -> float:
     """Residual of the mass-shell condition at the closed-form q."""
     q = mass_shell_exp(params)
-    lhs = (params.kappa * (q - 1.0 / q)) ** 2 - (params.Pvec / params.c) ** 2
+    try:
+        lhs = (params.kappa * (q - 1.0 / q)) ** 2 - (params.Pvec / params.c) ** 2
+    except OverflowError:
+        raise _overflow(params) from None
     return lhs - params.M**2
 
 

@@ -34,6 +34,7 @@ from .elements import (
     SPATIAL_P,
     SPATIAL_X,
     Element,
+    accumulate,
 )
 from .errors import NonTerminationError, SectorError
 from .scalars import Scalar
@@ -58,13 +59,13 @@ def _eps(i: int, j: int, k: int) -> int:
 
 def _eps_sum(i: int, j: int, family, coeff: Scalar) -> Element:
     """coeff * eps_{i j k} family[k], summed over k."""
-    out = Element.zero()
-    for k in (1, 2, 3):
-        e = _eps(i, j, k)
-        if e:
-            s = coeff if e > 0 else -coeff
-            out = out + Element.term(Monomial((family[k - 1],)), s)
-    return out
+    return Element(
+        {
+            Monomial((family[k - 1],)): coeff if _eps(i, j, k) > 0 else -coeff
+            for k in (1, 2, 3)
+            if _eps(i, j, k)
+        }
+    )
 
 
 # -- relation tables ---------------------------------------------------------
@@ -91,24 +92,21 @@ def _lorentz_rules(basis: Basis) -> dict:
             else:
                 # [N_b, N_a] = -i eps_{b a k} (M_k cosh(P0/kc)
                 #                              - P_k P_l M_l / 4(kappa c)^2)
-                entry = Element.zero()
+                terms = []
                 for k in (1, 2, 3):
                     e = _eps(b, a, k)
                     if not e:
                         continue
+                    rot = ROTATIONS[k - 1]
                     cosh_c = Scalar.term(0, -Fraction(e, 2))
-                    entry = entry + Element(
-                        {
-                            Monomial((ROTATIONS[k - 1],), 2): cosh_c,
-                            Monomial((ROTATIONS[k - 1],), -2): cosh_c,
-                        }
-                    )
+                    terms += [(Monomial((rot,), 2), cosh_c), (Monomial((rot,), -2), cosh_c)]
                     ppm_c = Scalar.term(0, Fraction(e, 4), kappa=-2, c=-2)
-                    for l in (1, 2, 3):
-                        # word kept in written order: the engine normalizes it
-                        word = (SPATIAL_P[k - 1], SPATIAL_P[l - 1], ROTATIONS[l - 1])
-                        entry = entry + Element.term(Monomial(word), ppm_c)
-                rules[(BOOSTS[b - 1], BOOSTS[a - 1])] = entry
+                    # words kept in written order: the engine normalizes them
+                    terms += [
+                        (Monomial((SPATIAL_P[k - 1], p, m)), ppm_c)
+                        for p, m in zip(SPATIAL_P, ROTATIONS)
+                    ]
+                rules[(BOOSTS[b - 1], BOOSTS[a - 1])] = Element._wrap(accumulate({}, terms))
     return rules
 
 
@@ -130,39 +128,23 @@ def _momentum_lorentz_rules(basis: Basis) -> dict:
     # [P_j, N_i] = -[N_i, P_j]
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            entry = Element.zero()
+            terms = []
             if i == j:
+                half_kc = Scalar.term(0, -HALF, kappa=1, c=1)
                 if basis is Basis.BICROSS:
                     # [N_i, P_i] = i [ kc sinh(P0/kc) e^{-P0/kc} + P^2 / 2kc ]
                     #            = i [ kc (1 - q^-4)/2 + P^2 / 2kc ]
-                    half_kc = Scalar.term(0, -HALF, kappa=1, c=1)
-                    entry = entry + Element(
-                        {
-                            Monomial(): half_kc,
-                            Monomial((), -4): -half_kc,
-                        }
-                    )
+                    terms += [(Monomial(), half_kc), (Monomial((), -4), -half_kc)]
                     inv_2kc = Scalar.term(0, -HALF, kappa=-1, c=-1)
-                    for m in (1, 2, 3):
-                        entry = entry + Element.term(
-                            Monomial((SPATIAL_P[m - 1], SPATIAL_P[m - 1])), inv_2kc
-                        )
+                    terms += [(Monomial((p, p)), inv_2kc) for p in SPATIAL_P]
                 else:
                     # [N_i, P_i] = i kc sinh(P0/kc) = i kc (q^2 - q^-2)/2
-                    half_kc = Scalar.term(0, -HALF, kappa=1, c=1)
-                    entry = entry + Element(
-                        {
-                            Monomial((), 2): half_kc,
-                            Monomial((), -2): -half_kc,
-                        }
-                    )
+                    terms += [(Monomial((), 2), half_kc), (Monomial((), -2), -half_kc)]
             if basis is Basis.BICROSS:
                 # -(-i/kc) P_i P_j from the bicross boost-momentum relation
                 word = tuple(sorted((SPATIAL_P[i - 1], SPATIAL_P[j - 1])))
-                entry = entry + Element.term(
-                    Monomial(word), Scalar.term(0, 1, kappa=-1, c=-1)
-                )
-            rules[(SPATIAL_P[j - 1], BOOSTS[i - 1])] = entry
+                terms.append((Monomial(word), Scalar.term(0, 1, kappa=-1, c=-1)))
+            rules[(SPATIAL_P[j - 1], BOOSTS[i - 1])] = Element._wrap(accumulate({}, terms))
     return rules
 
 
@@ -337,15 +319,15 @@ class AlgebraPreset:
                 )
             acc: dict[Monomial, Scalar] = {}
             swapped = Monomial(left + (lo, hi) + right, mono.qexp)
-            _accumulate(acc, self._nf_monomial(swapped), Scalar.one())
+            accumulate(acc, self._nf_monomial(swapped).items())
             for cmono, ccoeff in rule.items():
                 # splice: left * cmono.word * q^cmono.qexp * right * q^mono.qexp
                 for rword, rcoeff in self._q_past_word(cmono.qexp, right):
                     spliced = Monomial(
                         left + cmono.word + rword, mono.qexp + cmono.qexp
                     )
-                    _accumulate(acc, self._nf_monomial(spliced), ccoeff * rcoeff)
-            result = Element(acc)
+                    accumulate(acc, self._nf_monomial(spliced).items(), ccoeff * rcoeff)
+            result = Element._wrap(acc)
         except Exception:
             self._nf_cache.pop(mono, None)
             raise
@@ -357,8 +339,8 @@ class AlgebraPreset:
         self._steps = 0
         acc: dict[Monomial, Scalar] = {}
         for mono, coeff in e.items():
-            _accumulate(acc, self._nf_monomial(mono), coeff)
-        return Element(acc)
+            accumulate(acc, self._nf_monomial(mono).items(), coeff)
+        return Element._wrap(acc)
 
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_admissible(a)
@@ -370,8 +352,8 @@ class AlgebraPreset:
                 c12 = c1 * c2
                 for word2, qc in self._q_past_word(m1.qexp, m2.word):
                     raw = Monomial(m1.word + word2, m1.qexp + m2.qexp)
-                    _accumulate(acc, self._nf_monomial(raw), c12 * qc)
-        return Element(acc)
+                    accumulate(acc, self._nf_monomial(raw).items(), c12 * qc)
+        return Element._wrap(acc)
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
         """Normal form of m1 * m2, memoized per monomial pair.
@@ -393,21 +375,8 @@ class AlgebraPreset:
         return self.multiply(a, b) - self.multiply(b, a)
 
 
-class _InProgress:
-    def items(self):  # pragma: no cover - never reached
-        raise AssertionError
-
-
-_IN_PROGRESS = _InProgress()
-
-
-def _accumulate(acc: dict, element: Element, factor: Scalar):
-    if factor.is_zero:
-        return
-    for mono, coeff in element.items():
-        term = coeff * factor
-        prev = acc.get(mono)
-        acc[mono] = term if prev is None else prev + term
+# marks a monomial whose normal form is being computed, to catch rewrite cycles
+_IN_PROGRESS = object()
 
 
 @lru_cache(maxsize=None)
@@ -435,9 +404,6 @@ def classical_limit(e: Element) -> Element:
         kept = Scalar(
             {triple: g for triple, g in coeff.items() if triple[1] >= 0}
         )
-        if kept.is_zero:
-            continue
-        flat = Monomial(mono.word, 0)
-        prev = acc.get(flat)
-        acc[flat] = kept if prev is None else prev + kept
-    return Element(acc)
+        if not kept.is_zero:
+            accumulate(acc, [(Monomial(mono.word, 0), kept)])
+    return Element._wrap(acc)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from kappahopf.cli import main
 
 
@@ -61,6 +63,17 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "q^100000000")
         assert time.perf_counter() - start < 1.0
         assert code == 0 and out.strip() == "q^100000000"
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 300 + "P1" + ")" * 300, "+".join(["P1"] * 3000), "P1^1500 x0"],
+        ids=["nested-parentheses", "long-sum", "long-word"],
+    )
+    def test_deep_expression_is_typed(self, capsys, expression):
+        code, out, err = run_cli(capsys, "eval", expression)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression is too deeply nested or too long")
 
 
 class TestSuites:
@@ -180,6 +193,24 @@ class TestNumeric:
         assert code == 2
         assert out == ""
         assert err.startswith("error: kappa must be strictly positive and finite")
+
+    def test_mass_shell_overflow_is_typed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "numeric", "mass-shell", "--kappa", "1e-200", "--M", "1e200"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mass shell overflows double precision")
+
+    def test_sweep_overflow_is_typed(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10",
+            "--points", "3", "--M", "1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mass shell overflows double precision")
 
     def test_sweep_rejects_negative_points(self, capsys):
         code, out, err = run_cli(

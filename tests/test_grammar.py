@@ -3,7 +3,8 @@
 import pytest
 
 from kappahopf.elements import Gen, Monomial, Element
-from kappahopf.errors import ParseError, SectorError
+from kappahopf import presets
+from kappahopf.errors import ParseError, ResourceLimitError, SectorError
 from kappahopf.grammar import eval_text, infer_sector, parse
 from kappahopf.hopf import antipode
 from kappahopf.presets import Basis, Sector, get_preset
@@ -110,6 +111,18 @@ class TestEval:
             infer_sector(parse("x0 N1"))
         with pytest.raises(SectorError):
             infer_sector(parse("[x0, x1]"), Sector.POINCARE)
+
+    def test_shared_preset_recovers_after_recursion_limit(self):
+        preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
+        with pytest.raises(ResourceLimitError):
+            eval_text("P1^1500 x0")
+        assert not any(v is presets._IN_PROGRESS for v in preset._nf_cache.values())
+        fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.PHASESPACE)
+        p1_40 = Element.term(Monomial((Gen.P1,) * 40), Scalar.one())
+        expect = fresh.multiply(p1_40, Element.generator(Gen.X0))
+        got = eval_text("P1^40 x0").as_element()
+        assert got == expect
+        assert got.render() == "x0 P1^40 + (-40 i hbar kappa^-1 c^-1) P1^40"
 
     def test_pairing_and_action(self):
         assert eval_text("<P0 | x0>").render() == "i hbar"
