@@ -469,14 +469,20 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
     report = CheckReport(_preset_tag(preset), "jacobi")
     subjects = _subjects(preset)
     n = len(subjects)
+    # each inner commutator once per pair; [c, a] is taken as -[a, c]
+    inner = {
+        (i, j): preset.commutator(subjects[i][1], subjects[j][1])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 (na, a), (nb, b), (nc, c) = subjects[i], subjects[j], subjects[k]
                 total = (
-                    preset.commutator(preset.commutator(a, b), c)
-                    + preset.commutator(preset.commutator(b, c), a)
-                    + preset.commutator(preset.commutator(c, a), b)
+                    preset.commutator(inner[i, j], c)
+                    + preset.commutator(inner[j, k], a)
+                    + preset.commutator(-inner[i, k], b)
                 )
                 report.entries.append(
                     CheckEntry(f"({na}, {nb}, {nc})", total.is_zero, total.render())

@@ -11,6 +11,12 @@ with s^2 = (P^2/c^2 + M^2) / 4 kappa^2.  Note the dimensionally consistent
 s^2: the variant (P^2 + M^2) / 4 kappa^2 c^2 found in some writeups does not
 satisfy the mass-shell condition unless c = 1.
 
+The closed forms for q and for the mass-shell residual live in one place,
+the float helpers `_shell_q` and `_shell_residual`.  `mass_shell_exp` and
+`check_mass_shell` wrap them for a `KinematicParams`; `sweep_rows` calls them
+directly on plain floats per row, without building a `KinematicParams` or a
+`BoundSet`, so its rows are the per-point values float for float.
+
 Everything runs in double precision; no arbitrary-precision floats.
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .elements import Element
 from .errors import IncompleteStateError, ParameterError
@@ -59,33 +65,43 @@ class KinematicParams:
                 )
 
 
-def _overflow(params: KinematicParams) -> ParameterError:
+def _overflow(kappa: float, c: float, M: float, P: float) -> ParameterError:
     return ParameterError(
-        f"mass shell overflows double precision at kappa={params.kappa}, "
-        f"c={params.c}, M={params.M}, P={params.Pvec}"
+        f"mass shell overflows double precision at kappa={kappa}, "
+        f"c={c}, M={M}, P={P}"
     )
+
+
+def _shell_q(kappa: float, c: float, M: float, P: float) -> float:
+    """On-shell q on plain floats; the one site of the closed form."""
+    try:
+        s = math.sqrt((P / c) ** 2 + M**2) / (2 * kappa)
+    except OverflowError:
+        raise _overflow(kappa, c, M, P) from None
+    q = s + math.sqrt(1.0 + s * s)
+    if q == math.inf:
+        raise _overflow(kappa, c, M, P)
+    return q
+
+
+def _shell_residual(kappa: float, c: float, M: float, P: float, q: float) -> float:
+    """Mass-shell residual at q on plain floats."""
+    try:
+        lhs = (kappa * (q - 1.0 / q)) ** 2 - (P / c) ** 2
+    except OverflowError:
+        raise _overflow(kappa, c, M, P) from None
+    return lhs - M**2
 
 
 def mass_shell_exp(params: KinematicParams) -> float:
     """On-shell value of q = exp(P0 / 2 kappa c); always >= 1."""
-    try:
-        s = math.sqrt((params.Pvec / params.c) ** 2 + params.M**2) / (2 * params.kappa)
-    except OverflowError:
-        raise _overflow(params) from None
-    q = s + math.sqrt(1.0 + s * s)
-    if q == math.inf:
-        raise _overflow(params)
-    return q
+    return _shell_q(params.kappa, params.c, params.M, params.Pvec)
 
 
 def check_mass_shell(params: KinematicParams) -> float:
     """Residual of the mass-shell condition at the closed-form q."""
-    q = mass_shell_exp(params)
-    try:
-        lhs = (params.kappa * (q - 1.0 / q)) ** 2 - (params.Pvec / params.c) ** 2
-    except OverflowError:
-        raise _overflow(params) from None
-    return lhs - params.M**2
+    kappa, c, M, P = params.kappa, params.c, params.M, params.Pvec
+    return _shell_residual(kappa, c, M, P, _shell_q(kappa, c, M, P))
 
 
 class ExpectationAssignment:
@@ -283,34 +299,39 @@ def sweep_rows(
     """
     if var not in ("kappa", "M", "P"):
         raise ParameterError(f"sweep variable must be kappa, M or P, got {var!r}")
+    grid = log_grid(lo, hi, n)
+    if quantity not in ("mass-shell", "bound"):
+        raise ParameterError(f"unknown sweep quantity {quantity!r}")
+    bound = quantity == "bound"
+    # base was validated when it was built; only the swept value needs a check
+    kappa, c, hbar, M, P = base.kappa, base.c, base.hbar, base.M, base.Pvec
+    field = "Pvec" if var == "P" else var
     rows = []
-    for value in log_grid(lo, hi, n):
-        kw = {
-            "kappa": base.kappa,
-            "c": base.c,
-            "hbar": base.hbar,
-            "M": base.M,
-            "Pvec": base.Pvec,
-        }
-        kw["kappa" if var == "kappa" else ("M" if var == "M" else "Pvec")] = value
-        params = KinematicParams(**kw)
-        q = mass_shell_exp(params)
-        if quantity == "mass-shell":
-            val, res = q, check_mass_shell(params)
-        elif quantity == "bound":
-            val = bounds_standard(
-                params.hbar, params.kappa, params.c, exp_q=q
-            ).momentum_position
-            res = val - 0.5 * params.hbar
+    for value in grid:
+        if not 0 < value < math.inf:
+            # grid points are never negative; KinematicParams raises the
+            # usual error for inf, nan or a zero kappa and accepts M = P = 0
+            replace(base, **{field: value})
+        if var == "kappa":
+            kappa = value
+        elif var == "M":
+            M = value
         else:
-            raise ParameterError(f"unknown sweep quantity {quantity!r}")
+            P = value
+        q = _shell_q(kappa, c, M, P)
+        if bound:
+            # bounds_standard(hbar, kappa, c, exp_q=q).momentum_position
+            val = 0.5 * hbar * abs(q)
+            res = val - 0.5 * hbar
+        else:
+            val, res = q, _shell_residual(kappa, c, M, P, q)
         rows.append(
             {
-                "kappa": params.kappa,
-                "c": params.c,
-                "hbar": params.hbar,
-                "M": params.M,
-                "P": params.Pvec,
+                "kappa": kappa,
+                "c": c,
+                "hbar": hbar,
+                "M": M,
+                "P": P,
                 "value": val,
                 "residual": res,
             }

@@ -345,6 +345,10 @@ class AlgebraPreset:
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_admissible(a)
         self.check_admissible(b)
+        return self._product(a, b)
+
+    def _product(self, a: Element, b: Element) -> Element:
+        """Normal form of a * b for operands already checked admissible."""
         self._steps = 0
         acc: dict[Monomial, Scalar] = {}
         for m1, c1 in a.items():
@@ -360,7 +364,9 @@ class AlgebraPreset:
 
         For the structure maps, which multiply the same few monomials over and
         over; `multiply` stays unmemoized, since arbitrary products rarely
-        repeat and the memo would only grow.
+        repeat and the memo would only grow.  A miss goes through the checked
+        `multiply`, since a hand-built tensor may carry a generator from
+        outside the sector.
         """
         key = (m1, m2)
         cached = self._product_cache.get(key)
@@ -372,7 +378,9 @@ class AlgebraPreset:
         return cached
 
     def commutator(self, a: Element, b: Element) -> Element:
-        return self.multiply(a, b) - self.multiply(b, a)
+        self.check_admissible(a)
+        self.check_admissible(b)
+        return self._product(a, b) - self._product(b, a)
 
 
 # marks a monomial whose normal form is being computed, to catch rewrite cycles

@@ -289,6 +289,44 @@ class TestJacobi:
         n = len(preset.generators) + 1  # q included
         assert len(report.entries) == n * (n - 1) * (n - 2) // 6
 
+    @staticmethod
+    def _naive_entries(preset):
+        """Every inner commutator recomputed per triple, [c, a] taken as is."""
+        subjects = _subjects(preset)
+        entries = []
+        for i, (na, a) in enumerate(subjects):
+            for j in range(i + 1, len(subjects)):
+                nb, b = subjects[j]
+                for nc, c in subjects[j + 1 :]:
+                    total = (
+                        preset.commutator(preset.commutator(a, b), c)
+                        + preset.commutator(preset.commutator(b, c), a)
+                        + preset.commutator(preset.commutator(c, a), b)
+                    )
+                    entries.append((f"({na}, {nb}, {nc})", total.is_zero, total.render()))
+        return entries
+
+    @pytest.mark.parametrize(
+        "sector, pair",
+        [
+            (Sector.POINCARE, None),
+            (Sector.PHASESPACE, None),
+            (Sector.POINCARE, (Gen.N2, Gen.N1)),
+            (Sector.PHASESPACE, (Gen.P0, Gen.X1)),
+        ],
+    )
+    @pytest.mark.parametrize("basis", [Basis.BICROSS, Basis.STANDARD])
+    def test_pair_memo_matches_naive_triples(self, basis, sector, pair):
+        preset = get_preset(basis, sector)
+        if pair is not None:
+            perturb = Element.from_scalar(Scalar.term(0, 1, hbar=1))
+            preset = preset.with_rule_override(pair, preset.rules[pair] + perturb)
+        got = [(e.subject, e.passed, e.residual) for e in check_jacobi(preset).entries]
+        expected = self._naive_entries(preset)
+        assert got == expected
+        # the corrupted tables must actually fail somewhere
+        assert all(passed for _, passed, _ in got) == (pair is None)
+
 
 class TestStructureMapMemo:
     """The coproduct and slot-product memos live on the preset instance."""

@@ -1,9 +1,11 @@
 """Numeric kinematics: mass shell, Robertson bound, uncertainty families."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kappahopf.elements import Gen, Element
 from kappahopf.errors import IncompleteStateError, ParameterError
@@ -262,3 +264,122 @@ class TestSweeps:
     def test_invalid_variable(self):
         with pytest.raises(ParameterError):
             sweep_rows("hbar", 1.0, 2.0, 3, KinematicParams(kappa=1.0), "mass-shell")
+
+
+def _reference_rows(var, lo, hi, n, base, quantity):
+    """Sweep rows built point by point from the public per-point functions."""
+    field = "Pvec" if var == "P" else var
+    rows = []
+    for value in log_grid(lo, hi, n):
+        params = dataclasses.replace(base, **{field: value})
+        q = mass_shell_exp(params)
+        if quantity == "mass-shell":
+            val, res = q, check_mass_shell(params)
+        else:
+            val = bounds_standard(
+                params.hbar, params.kappa, params.c, exp_q=q
+            ).momentum_position
+            res = val - 0.5 * params.hbar
+        rows.append(
+            {
+                "kappa": params.kappa,
+                "c": params.c,
+                "hbar": params.hbar,
+                "M": params.M,
+                "P": params.Pvec,
+                "value": val,
+                "residual": res,
+            }
+        )
+    return rows
+
+
+SWEEP_BASES = [
+    KinematicParams(kappa=1.0, M=1.0),
+    KinematicParams(kappa=2.5, c=3.0, hbar=0.25, M=0.3, Pvec=7.0),
+    KinematicParams(kappa=1e3, c=2.99792458e8, hbar=1.054571817e-34, M=5e-3, Pvec=0.0),
+]
+
+
+class TestSweepMatchesPointwise:
+    """sweep_rows evaluates rows on plain floats; each must equal, float for
+    float, the row built from KinematicParams and the per-point functions."""
+
+    @pytest.mark.parametrize("quantity", ["mass-shell", "bound"])
+    @pytest.mark.parametrize("var", ["kappa", "M", "P"])
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=["unit", "c3", "si"])
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(1.0, 1e12, 13), (1e-3, 1e3, 7), (1e8, 1e-8, 5)],
+    )
+    def test_grid(self, var, quantity, base, lo, hi, n):
+        expected = _reference_rows(var, lo, hi, n, base, quantity)
+        assert sweep_rows(var, lo, hi, n, base, quantity) == expected
+
+    @pytest.mark.parametrize("quantity", ["mass-shell", "bound"])
+    @pytest.mark.parametrize("var", ["M", "P"])
+    def test_grid_underflowing_to_zero(self, var, quantity):
+        # the grid ratio underflows, so every point after the first is 0.0,
+        # a valid M or P
+        base = SWEEP_BASES[1]
+        expected = _reference_rows(var, 1e150, 1e-300, 3, base, quantity)
+        assert [row[var] for row in expected] == [1e150, 0.0, 0.0]
+        assert sweep_rows(var, 1e150, 1e-300, 3, base, quantity) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        var=st.sampled_from(["kappa", "M", "P"]),
+        quantity=st.sampled_from(["mass-shell", "bound"]),
+        exps=st.lists(st.floats(-6, 6), min_size=7, max_size=7),
+        n=st.integers(2, 12),
+        zero_m=st.booleans(),
+    )
+    def test_random(self, var, quantity, exps, n, zero_m):
+        kappa, c, hbar, M, P, lo, hi = (10.0**e for e in exps)
+        base = KinematicParams(kappa=kappa, c=c, hbar=hbar, M=0.0 if zero_m else M, Pvec=P)
+        expected = _reference_rows(var, lo, hi, n, base, quantity)
+        assert sweep_rows(var, lo, hi, n, base, quantity) == expected
+
+    def test_overflowing_kappa_grid(self):
+        base = KinematicParams(kappa=1.0, M=1e200)
+        with pytest.raises(ParameterError) as err:
+            sweep_rows("kappa", 1e-200, 1e-100, 5, base, "mass-shell")
+        assert str(err.value) == (
+            "mass shell overflows double precision at kappa=1e-200, c=1.0, "
+            "M=1e+200, P=0.0"
+        )
+        with pytest.raises(ParameterError) as point:
+            mass_shell_exp(dataclasses.replace(base, kappa=1e-200))
+        assert str(point.value) == str(err.value)
+
+    @pytest.mark.parametrize(
+        "var, message",
+        [
+            ("kappa", "kappa must be strictly positive and finite, got inf"),
+            ("M", "M must be nonnegative and finite, got inf"),
+            ("P", "Pvec must be nonnegative and finite, got inf"),
+        ],
+    )
+    def test_infinite_end_point(self, var, message):
+        with pytest.raises(ParameterError) as err:
+            sweep_rows(var, 1.0, math.inf, 3, KinematicParams(kappa=1.0), "bound")
+        assert str(err.value) == message
+
+    def test_nan_end_point(self):
+        with pytest.raises(ParameterError, match="log grid bounds must be positive"):
+            sweep_rows("M", 1.0, math.nan, 3, KinematicParams(kappa=1.0), "bound")
+
+    def test_zero_kappa_from_underflow(self):
+        with pytest.raises(ParameterError) as err:
+            sweep_rows("kappa", 1e150, 1e-300, 3, KinematicParams(kappa=1.0), "bound")
+        assert str(err.value) == "kappa must be strictly positive and finite, got 0.0"
+
+    def test_unknown_quantity(self):
+        with pytest.raises(ParameterError, match="unknown sweep quantity 'energy'"):
+            sweep_rows("kappa", 1.0, 2.0, 3, KinematicParams(kappa=1.0), "energy")
+
+    def test_bound_at_underflowing_kappa_c(self):
+        # 2 kappa c^2 underflows to zero here; the sweep's bound needs only q
+        base = KinematicParams(kappa=1.0, c=1e-200)
+        rows = sweep_rows("kappa", 1e-200, 1e-190, 3, base, "bound")
+        assert [row["value"] for row in rows] == [0.5, 0.5, 0.5]

@@ -67,6 +67,17 @@ class TestNormalForm:
         with pytest.raises(SectorError):
             PB.normal_form(e)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["left", "right"])
+    def test_commutator_sector_error(self, swap):
+        # commutator checks its operands once, then multiplies unchecked
+        a, b = gen(Gen.X1), gen(Gen.P1)
+        if swap:
+            a, b = b, a
+        with pytest.raises(SectorError, match="x1 is not admissible in the poincare"):
+            POB.commutator(a, b)
+        with pytest.raises(SectorError, match="x1 is not admissible in the poincare"):
+            POB.multiply(a, b)
+
     def test_mixed_monomial_rejected_at_construction(self):
         with pytest.raises(SectorError):
             Monomial((Gen.X1, Gen.N1))
