@@ -219,28 +219,14 @@ def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
 
 
 def _phase_pairs():
-    xs = [Gen.X0, *SPATIAL_X]
-    ps = [Gen.P0, *SPATIAL_P]
-    pairs: list[tuple[str, Element, Element]] = []
-    for i, x in enumerate(xs):
-        for y in xs[i + 1 :]:
-            pairs.append(
-                (f"[{x.render()}, {y.render()}]", Element.generator(x), Element.generator(y))
-            )
-    for x in xs:
-        for p in ps:
-            pairs.append(
-                (f"[{x.render()}, {p.render()}]", Element.generator(x), Element.generator(p))
-            )
-        pairs.append((f"[{x.render()}, q]", Element.generator(x), Element.q_power(1)))
-    for i, p in enumerate(ps):
-        for r in ps[i + 1 :]:
-            pairs.append(
-                (f"[{p.render()}, {r.render()}]", Element.generator(p), Element.generator(r))
-            )
-    for p in ps:
-        pairs.append((f"[{p.render()}, q]", Element.generator(p), Element.q_power(1)))
-    return pairs
+    xs = [(g.render(), Element.generator(g)) for g in (Gen.X0, *SPATIAL_X)]
+    ps = [(g.render(), Element.generator(g)) for g in (Gen.P0, *SPATIAL_P)]
+    q = ("q", Element.q_power(1))
+    pairs = [(a, b) for i, a in enumerate(xs) for b in xs[i + 1 :]]
+    pairs += [(a, b) for a in xs for b in (*ps, q)]
+    pairs += [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
+    pairs += [(a, q) for a in ps]
+    return [(f"[{na}, {nb}]", ea, eb) for (na, ea), (nb, eb) in pairs]
 
 
 def derive_phase_space_relations(

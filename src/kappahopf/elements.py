@@ -1,14 +1,15 @@
 """Free-algebra layer: generators, normal-ordered monomials and elements.
 
-A monomial is a word in the fourteen generators together with an integer
-exponent of the invertible group-like element q = exp(P0 / 2 kappa c).  The
-q-power is kept in its own slot rather than as a letter because q commutes
-with everything except x0 and the boosts, and those commutators only rescale
-q; see `presets` for the corresponding rewrite rules.
+A monomial is the tuple (word, qexp): a word in the fourteen generators
+together with an integer exponent of the invertible group-like element
+q = exp(P0 / 2 kappa c).  The q-power is kept in its own slot rather than as a
+letter because q commutes with everything except x0 and the boosts, and those
+commutators only rescale q; see `presets` for the corresponding rewrite rules.
 
 Positions never mix with Lorentz generators inside one monomial: the algebra
-has no defined commutator between them, so such words are rejected at
-construction rather than silently reordered.
+has no defined commutator between them, so `Monomial(word, qexp)` rejects such
+words.  Only the rewrite engine, on words spliced from admissible pieces,
+skips the check with `tuple.__new__(Monomial, (word, qexp))`.
 
 Every sum the engine builds, of monomials here and of tensor terms in `hopf`,
 is a `LinearCombination`, and every layer adds terms into a dict with the one
@@ -17,8 +18,8 @@ in-place `accumulate`, which keeps the canonical form as it goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 
 from .errors import SectorError
 from .scalars import Scalar
@@ -58,30 +59,30 @@ SPATIAL_P = (Gen.P1, Gen.P2, Gen.P3)
 GEN_BY_NAME = {g.render(): g for g in Gen}
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """Word in the generators times q^qexp.
+class Monomial(tuple):
+    """Word in the generators times q^qexp, stored as the pair (word, qexp).
 
-    Monomials key every dict of the engine, so the hash is computed once at
-    construction rather than from the whole word on every lookup.
+    Monomials key every dict of the engine, so hashing and equality are the
+    tuple's own: hash(m) == hash((m.word, m.qexp)).
     """
 
-    word: tuple[Gen, ...] = ()
-    qexp: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(g in POSITIONS for g in self.word) and any(
-            g in LORENTZ for g in self.word
-        ):
+    def __new__(cls, word=(), qexp=0):
+        word = tuple(word)
+        if not (POSITIONS.isdisjoint(word) or LORENTZ.isdisjoint(word)):
             raise SectorError(
                 "monomial mixes position and Lorentz generators: "
-                + " ".join(g.render() for g in self.word)
+                + " ".join(g.render() for g in word)
             )
-        object.__setattr__(self, "_hash", hash((self.word, self.qexp)))
+        return tuple.__new__(cls, (word, qexp))
 
-    def __hash__(self) -> int:
-        return self._hash
+    word = property(itemgetter(0))
+    qexp = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        # for copy and pickle; tuple's own hook would pass the pair as the word
+        return (self[0], self[1])
 
     @property
     def is_sorted(self) -> bool:

@@ -235,14 +235,15 @@ def parse(source: str):
 
 
 def symbols_used(node) -> set[str]:
-    if not isinstance(node, tuple):
-        return set()
-    if node[0] == "sym":
-        return {node[1]}
     out: set[str] = set()
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            out |= symbols_used(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            if node[0] == "sym":
+                out.add(node[1])
+            else:
+                stack.extend(node[1:])
     return out
 
 
@@ -317,16 +318,21 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
         v = _eval(node[1], ctx, preset)
         return Value(v.kind, -v.data)
     if kind in ("add", "sub"):
-        a = _eval(node[1], ctx, preset)
-        b = _eval(node[2], ctx, preset)
-        if a.kind == "tensor" or b.kind == "tensor":
-            if a.kind != "tensor" or b.kind != "tensor":
+        # a sum parses as a left-deep chain; walking its spine in a loop keeps
+        # the depth independent of the number of terms
+        spine = []
+        while node[0] in ("add", "sub"):
+            spine.append(node)
+            node = node[1]
+        a = _eval(node, ctx, preset)
+        for op, _, rhs in reversed(spine):
+            b = _eval(rhs, ctx, preset)
+            if (a.kind == "tensor") != (b.kind == "tensor"):
                 raise SectorError("cannot add a tensor to a non-tensor value")
-            return Value("tensor", a.data + b.data if kind == "add" else a.data - b.data)
-        if a.kind == "scalar" and b.kind == "scalar":
-            return Value("scalar", a.data + b.data if kind == "add" else a.data - b.data)
-        ea, eb = a.as_element(), b.as_element()
-        return Value("element", ea + eb if kind == "add" else ea - eb)
+            if a.kind != b.kind:  # a scalar and an element
+                a, b = Value("element", a.as_element()), Value("element", b.as_element())
+            a = Value(a.kind, a.data + b.data if op == "add" else a.data - b.data)
+        return a
     if kind == "mul":
         return _mul(_eval(node[1], ctx, preset), _eval(node[2], ctx, preset), preset)
     if kind == "div":
@@ -453,8 +459,9 @@ def eval_text(
     """Parse and evaluate in one step.
 
     The parser, the evaluator and the rewrite engine all recurse, so deep
-    nesting, long sums and long words are bounded by the interpreter's
-    recursion limit; reaching it raises ResourceLimitError.
+    nesting and long words are bounded by the interpreter's recursion limit;
+    reaching it raises ResourceLimitError.  Sums are parsed and evaluated in
+    a loop, so the number of terms is not bounded by it.
     """
     try:
         node = parse(source)

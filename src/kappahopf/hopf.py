@@ -278,8 +278,9 @@ def antipode(e: Element, preset: AlgebraPreset) -> Element:
     acc: dict[Monomial, Scalar] = {}
     for mono, coeff in e.items():
         image = Element.q_power(-mono.qexp)
+        # each table[g] is admissible wherever g is, so the product is unchecked
         for g in reversed(mono.word):
-            image = preset.multiply(image, table[g])
+            image = preset._product(image, table[g])
         accumulate(acc, image.items(), coeff)
     return Element._wrap(acc)
 

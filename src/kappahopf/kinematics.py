@@ -176,6 +176,14 @@ class BoundSet:
         }
 
 
+def _two_kappa_c2(kappa: float, c: float) -> float:
+    """The bounds' denominator; 4 kappa c^2 is nonzero whenever this is."""
+    denom = 2 * kappa * c * c
+    if denom == 0.0:
+        raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
+    return denom
+
+
 def bounds_bicross(
     hbar: float, kappa: float, c: float, exp_x: float = 0.0, exp_p: float = 0.0
 ) -> BoundSet:
@@ -184,7 +192,7 @@ def bounds_bicross(
     dt dx_k >= (hbar / 2 kappa c^2) |<x_k>|      dp_k dx_k >= hbar/2
     dE dt   >= hbar/2                            dp_k dt   >= (hbar / 2 kappa c^2) |<p_k>|
     """
-    front = hbar / (2 * kappa * c * c)
+    front = hbar / _two_kappa_c2(kappa, c)
     return BoundSet(
         time_position=front * abs(exp_x),
         momentum_position=0.5 * hbar,
@@ -212,7 +220,7 @@ def bounds_standard(
             stacklevel=2,
         )
     return BoundSet(
-        time_position=hbar / (2 * kappa * c * c) * abs(exp_x),
+        time_position=hbar / _two_kappa_c2(kappa, c) * abs(exp_x),
         momentum_position=0.5 * hbar * abs(exp_q),
         energy_time=0.5 * hbar,
         momentum_time=hbar / (4 * kappa * c * c) * abs(exp_p),

@@ -286,22 +286,18 @@ class AlgebraPreset:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _descent(self, word: tuple[Gen, ...]):
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                return i
-        return None
-
     def _nf_monomial(self, mono: Monomial) -> Element:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             if cached is _IN_PROGRESS:
                 raise NonTerminationError(mono, self._steps)
             return cached
-        word = mono.word
-        i = self._descent(word)
-        if i is None:
-            result = Element.term(mono, Scalar.one())
+        word, qexp = mono
+        for i in range(len(word) - 1):
+            if word[i] > word[i + 1]:
+                break
+        else:
+            result = Element._wrap({mono: _ONE})
             self._nf_cache[mono] = result
             return result
         self._nf_cache[mono] = _IN_PROGRESS
@@ -318,14 +314,12 @@ class AlgebraPreset:
                     f"the {self.sector.value} sector"
                 )
             acc: dict[Monomial, Scalar] = {}
-            swapped = Monomial(left + (lo, hi) + right, mono.qexp)
+            swapped = _tuple_new(Monomial, (left + (lo, hi) + right, qexp))
             accumulate(acc, self._nf_monomial(swapped).items())
-            for cmono, ccoeff in rule.items():
-                # splice: left * cmono.word * q^cmono.qexp * right * q^mono.qexp
-                for rword, rcoeff in self._q_past_word(cmono.qexp, right):
-                    spliced = Monomial(
-                        left + cmono.word + rword, mono.qexp + cmono.qexp
-                    )
+            for (cword, cqexp), ccoeff in rule.items():
+                # splice: left * cword * q^cqexp * right * q^qexp
+                for rword, rcoeff in self._q_past_word(cqexp, right):
+                    spliced = _tuple_new(Monomial, (left + cword + rword, qexp + cqexp))
                     accumulate(acc, self._nf_monomial(spliced).items(), ccoeff * rcoeff)
             result = Element._wrap(acc)
         except Exception:
@@ -355,7 +349,7 @@ class AlgebraPreset:
             for m2, c2 in b.items():
                 c12 = c1 * c2
                 for word2, qc in self._q_past_word(m1.qexp, m2.word):
-                    raw = Monomial(m1.word + word2, m1.qexp + m2.qexp)
+                    raw = _tuple_new(Monomial, (m1.word + word2, m1.qexp + m2.qexp))
                     accumulate(acc, self._nf_monomial(raw).items(), c12 * qc)
         return Element._wrap(acc)
 
@@ -385,6 +379,9 @@ class AlgebraPreset:
 
 # marks a monomial whose normal form is being computed, to catch rewrite cycles
 _IN_PROGRESS = object()
+_ONE = Scalar.one()
+# unchecked Monomial constructor, only for words spliced from admissible pieces
+_tuple_new = tuple.__new__
 
 
 @lru_cache(maxsize=None)

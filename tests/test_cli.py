@@ -7,6 +7,8 @@ import time
 import pytest
 
 from kappahopf.cli import main
+from kappahopf.elements import Element, Gen
+from kappahopf.scalars import Scalar
 
 
 def run_cli(capsys, *argv):
@@ -66,14 +68,23 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "expression",
-        ["(" * 300 + "P1" + ")" * 300, "+".join(["P1"] * 3000), "P1^1500 x0"],
-        ids=["nested-parentheses", "long-sum", "long-word"],
+        ["(" * 300 + "P1" + ")" * 300, "P1^1500 x0"],
+        ids=["nested-parentheses", "long-word"],
     )
     def test_deep_expression_is_typed(self, capsys, expression):
         code, out, err = run_cli(capsys, "eval", expression)
         assert code == 2
         assert out == ""
         assert err.startswith("error: expression is too deeply nested or too long")
+
+    @pytest.mark.parametrize("op, total", [("+", 3000), ("-", -2998)])
+    def test_long_sum_evaluates(self, capsys, op, total):
+        # a sum is evaluated in a loop, so its length is not bounded by the
+        # recursion limit
+        code, out, err = run_cli(capsys, "eval", op.join(["P1"] * 3000))
+        assert (code, err) == (0, "")
+        expected = Element.generator(Gen.P1).scaled(Scalar.rational(total))
+        assert out.strip() == expected.render() == f"({total}) P1"
 
 
 class TestSuites:
@@ -157,6 +168,16 @@ class TestNumeric:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["dp_dx"] - 0.809016994375) < 1e-9
+
+    @pytest.mark.parametrize("basis", ["bicross", "standard"])
+    def test_bounds_underflowing_denominator(self, capsys, basis):
+        # 2 kappa c^2 underflows to 0.0 for these valid inputs
+        code, out, err = run_cli(
+            capsys, "numeric", "bounds", "--basis", basis,
+            "--kappa", "1e-200", "--c", "1e-200",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 2 kappa c^2 underflows double precision")
 
     def test_sweep_csv_limit(self, capsys):
         code, out, _ = run_cli(

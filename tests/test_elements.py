@@ -1,10 +1,16 @@
-"""The shared sparse linear-combination type behind Element and TensorElement."""
+"""The shared sparse linear-combination type behind Element and TensorElement,
+and the tuple-backed Monomial that keys it."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappahopf.elements import Element, Gen, LinearCombination, Monomial, accumulate
+from kappahopf.errors import SectorError
 from kappahopf.hopf import TensorElement
+from kappahopf.presets import Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
 
 # few keys and small coefficients, so sums collide and cancel often
@@ -118,3 +124,54 @@ def test_each_class_names_its_own_add():
     for cls in (Element, TensorElement, Scalar):
         assert "__add__" in vars(cls)
     assert Element.__add__ is TensorElement.__add__ is LinearCombination.__add__
+
+
+class TestMonomialTuple:
+    """A monomial is the tuple (word, qexp); every way of building or copying
+    one must give back a Monomial with that pair."""
+
+    M = Monomial((Gen.P0, Gen.P1, Gen.P1), -2)
+
+    def _assert_same(self, back):
+        assert type(back) is Monomial
+        assert back == self.M
+        assert (back.word, back.qexp) == ((Gen.P0, Gen.P1, Gen.P1), -2)
+
+    def test_copy(self):
+        self._assert_same(copy.copy(self.M))
+        self._assert_same(copy.deepcopy(self.M))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        self._assert_same(pickle.loads(pickle.dumps(self.M, protocol)))
+
+    def test_keyword_construction(self):
+        self._assert_same(Monomial(word=(Gen.P0, Gen.P1, Gen.P1), qexp=-2))
+        assert Monomial(qexp=3) == Monomial((), 3)
+        assert Monomial() == Monomial((), 0)
+
+    def test_iterable_word_is_normalised_to_a_tuple(self):
+        for word in ([Gen.P0, Gen.P1, Gen.P1], (g for g in (Gen.P0, Gen.P1, Gen.P1))):
+            m = Monomial(word, -2)
+            assert type(m.word) is tuple
+            self._assert_same(m)
+            assert hash(m) == hash(self.M)
+        with pytest.raises(SectorError):
+            Monomial(g for g in (Gen.X1, Gen.N1))
+
+    def test_hash_is_the_pair_hash(self):
+        for m in (self.M, Monomial(), Monomial((Gen.X0, Gen.X1), 5)):
+            assert hash(m) == hash((m.word, m.qexp))
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_engine_keys_are_monomials(self, basis, sector):
+        preset = get_preset(basis, sector)
+        subjects = [Element.generator(g) for g in preset.generators]
+        subjects.append(Element.q_power(-1))
+        results = [preset.multiply(a, b) for a in subjects for b in subjects]
+        # every generator once, in anti-normal order: many rewrite steps
+        scrambled = Monomial(tuple(reversed(preset.generators)), 1)
+        results.append(preset.normal_form(Element({scrambled: Scalar.one()})))
+        for e in results:
+            assert all(type(k) is Monomial for k in e.monomials())

@@ -149,6 +149,20 @@ class TestRoundTrip:
             back = eval_text(text, basis, sector)
             assert back.as_element() == e, text
 
+    def test_long_sum_round_trips(self):
+        # past the old recursion bound of about 990 terms on a sum
+        terms = {
+            Monomial((Gen.P0,) * a + (Gen.P1,) * b, qexp): Scalar.term(
+                a + 1, qexp, kappa=-b
+            )
+            for a in range(10)
+            for b in range(10)
+            for qexp in range(-5, 5)
+        }
+        e = Element(terms)
+        assert len(e) == 1000
+        assert eval_text(e.render()).as_element() == e
+
     def test_scalar_round_trips(self):
         from fractions import Fraction
 

@@ -177,6 +177,15 @@ class TestBoundFamilies:
         with pytest.warns(UserWarning):
             bounds_standard(1.0, 1.0, 1.0, exp_q=0.5)
 
+    @pytest.mark.parametrize("bounds", [bounds_bicross, bounds_standard])
+    def test_underflowing_denominator(self, bounds):
+        # 2 kappa c^2 underflows to 0.0 although kappa and c are valid
+        with pytest.raises(ParameterError, match="2 kappa c\\^2 underflows"):
+            bounds(1.0, 1e-200, 1e-200)
+        # a small denominator that does not underflow keeps its value
+        b = bounds(1.0, 1.0, 1e-150, exp_x=1.0)
+        assert b.time_position == 1.0 / (2 * 1.0 * 1e-150 * 1e-150)
+
     def test_all_bounds_nonnegative(self):
         for exp_x in (-3.0, 0.0, 2.0):
             for exp_p in (-1.0, 0.0, 4.0):
