@@ -13,9 +13,11 @@
              | '<' expr '|' expr '>'                  duality pairing
              | '(' expr ')'
 
-Division is defined for invertible right factors only: rationals, single-term
-scalars, and scalar multiples of q powers.  `parse(render(e))` evaluates back
-to `e` for every normal-form element the engine produces.
+INT is a run of ASCII digits 0-9; a literal past the interpreter's
+str-to-int digit limit raises ResourceLimitError.  Division is defined for
+invertible right factors only: rationals, single-term scalars, and scalar
+multiples of q powers.  `parse(render(e))` evaluates back to `e` for every
+normal-form element the engine produces.
 """
 
 from __future__ import annotations
@@ -61,9 +63,11 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also accepts digits that int() rejects
+        # (superscripts) or reads silently (other scripts)
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("NUMBER", source[i:j], line, col))
             col += j - i
@@ -90,6 +94,17 @@ def tokenize(source: str) -> list[Token]:
         raise ParseError("unexpected character", line, col, found=ch)
     tokens.append(Token("EOF", "", line, col))
     return tokens
+
+
+def _int_literal(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:
+        # past the interpreter's limit on str-to-int conversion
+        raise ResourceLimitError(
+            f"integer literal of {len(tok.text)} digits at line {tok.line}, "
+            f"column {tok.column} is too long"
+        ) from None
 
 
 # -- parse tree ------------------------------------------------------------------
@@ -173,14 +188,14 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("NUMBER")
-            node = ("pow", node, sign * int(tok.text))
+            node = ("pow", node, sign * _int_literal(tok))
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return ("num", Fraction(int(tok.text)))
+            return ("num", Fraction(_int_literal(tok)))
         if tok.kind == "(":
             self.advance()
             node = self.action()

@@ -16,8 +16,14 @@ q itself commutes with everything except x0 and the boosts:
     q^a N_i = N_i q^a - a*(i / 2 kappa c) P_i q^a
 
 Rewriting picks the leftmost out-of-order adjacent pair and repeats to a
-fixpoint.  The tables are PBW-like; termination and confluence are certified
-empirically by the Jacobi and associativity suites rather than proven.
+fixpoint.  When that pair commutes (its rule is zero), the smaller letter
+moves left past the whole run of greater letters it commutes with in one
+step: those are the swaps the leftmost-first order would take next.  Normal
+forms are memoized per word, as the normal form of word * q^0: q^a already
+sits at the right end, so word * q^a has the same normal form with a added
+to every q-exponent, which callers add as they accumulate.  The tables are
+PBW-like; termination and confluence are certified empirically by the Jacobi
+and associativity suites rather than proven.
 """
 
 from __future__ import annotations
@@ -231,7 +237,10 @@ class AlgebraPreset:
         else:
             self.generators = (Gen.X0,) + SPATIAL_X + (Gen.P0,) + SPATIAL_P
         self.allowed = frozenset(self.generators)
-        self._nf_cache: dict[Monomial, Element] = {}
+        # the pairs whose rule is zero; built from this instance's own rules,
+        # so a `with_rule_override` copy gets its own set
+        self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
+        self._nf_cache: dict[tuple[Gen, ...], Element] = {}
         self._qpast_cache: dict = {}
         # structure-map memos, filled by `multiply_monomials` and
         # `hopf.coproduct`; per instance, so a `with_rule_override` copy and a
@@ -286,54 +295,62 @@ class AlgebraPreset:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _nf_monomial(self, mono: Monomial) -> Element:
-        cached = self._nf_cache.get(mono)
+    def _nf_word(self, word: tuple[Gen, ...]) -> Element:
+        """Normal form of word * q^0, memoized per word; callers add their
+        q-exponent with `_shifted_accumulate`."""
+        cached = self._nf_cache.get(word)
         if cached is not None:
             if cached is _IN_PROGRESS:
-                raise NonTerminationError(mono, self._steps)
+                raise NonTerminationError(Monomial(word), self._steps)
             return cached
-        word, qexp = mono
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
                 break
         else:
-            result = Element._wrap({mono: _ONE})
-            self._nf_cache[mono] = result
+            result = Element._wrap({_tuple_new(Monomial, (word, 0)): _ONE})
+            self._nf_cache[word] = result
             return result
-        self._nf_cache[mono] = _IN_PROGRESS
+        self._nf_cache[word] = _IN_PROGRESS
         try:
             self._steps += 1
             if self._steps > self.step_cap:
-                raise NonTerminationError(mono, self._steps)
+                raise NonTerminationError(Monomial(word), self._steps)
             hi, lo = word[i], word[i + 1]
-            left, right = word[:i], word[i + 2 :]
-            rule = self.rules.get((hi, lo))
-            if rule is None:
-                raise SectorError(
-                    f"no rewrite rule for pair ({hi.render()}, {lo.render()}) in "
-                    f"the {self.sector.value} sector"
-                )
-            acc: dict[Monomial, Scalar] = {}
-            swapped = _tuple_new(Monomial, (left + (lo, hi) + right, qexp))
-            accumulate(acc, self._nf_monomial(swapped).items())
-            for (cword, cqexp), ccoeff in rule.items():
-                # splice: left * cword * q^cqexp * right * q^qexp
-                for rword, rcoeff in self._q_past_word(cqexp, right):
-                    spliced = _tuple_new(Monomial, (left + cword + rword, qexp + cqexp))
-                    accumulate(acc, self._nf_monomial(spliced).items(), ccoeff * rcoeff)
-            result = Element._wrap(acc)
+            if (hi, lo) in self._commuting:
+                # word[:i + 1] is sorted, so the leftmost-first order would go
+                # on swapping lo left past every greater letter it commutes with
+                j = i
+                while j and word[j - 1] > lo and (word[j - 1], lo) in self._commuting:
+                    j -= 1
+                result = self._nf_word(word[:j] + (lo,) + word[j : i + 1] + word[i + 2 :])
+            else:
+                left, right = word[:i], word[i + 2 :]
+                rule = self.rules.get((hi, lo))
+                if rule is None:
+                    raise SectorError(
+                        f"no rewrite rule for pair ({hi.render()}, {lo.render()}) in "
+                        f"the {self.sector.value} sector"
+                    )
+                acc = dict(self._nf_word(left + (lo, hi) + right)._terms)
+                for (cword, cqexp), ccoeff in rule.items():
+                    # splice: left * cword * q^cqexp * right
+                    for rword, rcoeff in self._q_past_word(cqexp, right):
+                        _shifted_accumulate(
+                            acc, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
+                        )
+                result = Element._wrap(acc)
         except Exception:
-            self._nf_cache.pop(mono, None)
+            self._nf_cache.pop(word, None)
             raise
-        self._nf_cache[mono] = result
+        self._nf_cache[word] = result
         return result
 
     def normal_form(self, e: Element) -> Element:
         self.check_admissible(e)
         self._steps = 0
         acc: dict[Monomial, Scalar] = {}
-        for mono, coeff in e.items():
-            accumulate(acc, self._nf_monomial(mono).items(), coeff)
+        for (word, qexp), coeff in e.items():
+            _shifted_accumulate(acc, self._nf_word(word), qexp, coeff)
         return Element._wrap(acc)
 
     def multiply(self, a: Element, b: Element) -> Element:
@@ -349,8 +366,8 @@ class AlgebraPreset:
             for m2, c2 in b.items():
                 c12 = c1 * c2
                 for word2, qc in self._q_past_word(m1.qexp, m2.word):
-                    raw = _tuple_new(Monomial, (m1.word + word2, m1.qexp + m2.qexp))
-                    accumulate(acc, self._nf_monomial(raw).items(), c12 * qc)
+                    nf = self._nf_word(m1.word + word2)
+                    _shifted_accumulate(acc, nf, m1.qexp + m2.qexp, c12 * qc)
         return Element._wrap(acc)
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
@@ -377,7 +394,16 @@ class AlgebraPreset:
         return self._product(a, b) - self._product(b, a)
 
 
-# marks a monomial whose normal form is being computed, to catch rewrite cycles
+def _shifted_accumulate(acc: dict, nf: Element, shift: int, factor: Scalar) -> dict:
+    """accumulate factor * nf * q^shift into acc; nf is a normal form of some
+    word * q^0, and shifting every q-exponent keeps its terms distinct."""
+    if shift == 0:
+        return accumulate(acc, nf.items(), factor)
+    shifted = ((_tuple_new(Monomial, (w, q + shift)), c) for (w, q), c in nf.items())
+    return accumulate(acc, shifted, factor)
+
+
+# marks a word whose normal form is being computed, to catch rewrite cycles
 _IN_PROGRESS = object()
 _ONE = Scalar.one()
 # unchecked Monomial constructor, only for words spliced from admissible pieces

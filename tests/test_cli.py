@@ -60,6 +60,23 @@ class TestEval:
         assert err.startswith("error: ") and "cannot be rendered" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("P1^\u00b2", "unexpected character"),
+            ("\u0663 P1", "unexpected character"),
+            ("7" * 5000 + " P1", "integer literal of 5000 digits"),
+            ("q^" + "7" * 5000, "integer literal of 5000 digits"),
+        ],
+        ids=["superscript-exponent", "arabic-indic-digit", "long-literal", "long-exponent"],
+    )
+    def test_bad_integer_literal_is_typed(self, capsys, expression, message):
+        code, out, err = run_cli(capsys, "eval", expression)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "internal error" not in err
+
     def test_large_q_power_is_bounded(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "eval", "q^100000000")
@@ -133,6 +150,18 @@ class TestSuites:
         code, out, _ = run_cli(capsys, "suite", "all", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "41d86e8ecf37aaea"
+
+    @pytest.mark.parametrize(
+        "pair, digest",
+        [("P1,x2", "77ed4fee8969adea"), ("P2,P1", "f9095f57bb305a3f")],
+    )
+    def test_corrupted_suite_json_golden_digest(self, capsys, pair, digest):
+        # both corrupt a zero rule, the pair where a commuting run must stop
+        code, out, _ = run_cli(
+            capsys, "suite", "all", "--corrupt-rule", pair, "--format", "json"
+        )
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "suite", "all", "--format", "json")

@@ -1,5 +1,6 @@
 """Normal ordering, multiplication, commutators, classical limit."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,3 +231,138 @@ def test_multiplication_bilinear(preset, data):
     c = data.draw(elements_for(preset))
     assert preset.multiply(a + b, c) == preset.multiply(a, c) + preset.multiply(b, c)
     assert preset.multiply(c, a + b) == preset.multiply(c, a) + preset.multiply(c, b)
+
+
+# -- differential check against a plain reference engine ---------------------------
+
+
+class ReferenceEngine:
+    """Leftmost single swap to a fixpoint from a preset's tables, memoized per
+    (word, qexp): no commuting runs, no q shifts, no shared caches."""
+
+    def __init__(self, preset):
+        self.preset = preset
+        self.memo = {}
+
+    def q_past(self, a, word):
+        """q^a * word as a list of (word', coeff), each meaning coeff * word' * q^a."""
+        if a == 0 or not word:
+            return [(word, Scalar.one())]
+        out = []
+        for w, s in self.q_past(a, word[1:]):
+            out.append(((word[0],) + w, s))
+            if word[0] in self.preset.qrules:
+                lam, extra = self.preset.qrules[word[0]]
+                out.append((extra + w, s * lam * Scalar.rational(a)))
+        return out
+
+    def nf(self, word, qexp):
+        key = (word, qexp)
+        if key not in self.memo:
+            i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+            if i is None:
+                out = Element.term(Monomial(word, qexp), Scalar.one())
+            else:
+                left, right = word[:i], word[i + 2 :]
+                out = self.nf(left + (word[i + 1], word[i]) + right, qexp)
+                for (cword, cq), cc in self.preset.rules[(word[i], word[i + 1])].items():
+                    for rword, rc in self.q_past(cq, right):
+                        out = out + self.nf(left + cword + rword, qexp + cq).scaled(cc * rc)
+            self.memo[key] = out
+        return self.memo[key]
+
+    def normal_form(self, e):
+        out = Element.zero()
+        for (word, qexp), coeff in e.items():
+            out = out + self.nf(word, qexp).scaled(coeff)
+        return out
+
+    def multiply(self, a, b):
+        out = Element.zero()
+        for (w1, q1), c1 in a.items():
+            for (w2, q2), c2 in b.items():
+                for w, c in self.q_past(q1, w2):
+                    out = out + self.nf(w1 + w, q1 + q2).scaled(c1 * c2 * c)
+        return out
+
+
+def random_word(rng, preset, max_len, letters=()):
+    """A random word over the preset's generators with `letters` mixed in."""
+    word = [rng.choice(preset.generators) for _ in range(rng.randint(0, max_len))]
+    for g in letters:
+        word.insert(rng.randint(0, len(word)), g)
+    return tuple(word)
+
+
+def random_element(rng, preset, max_len, letters=()):
+    coeffs = (Scalar.one(), Scalar.i(), Scalar.rational(-2), sc(1, 0, kappa=-1, c=-1))
+    return Element(
+        {
+            Monomial(random_word(rng, preset, max_len, letters), rng.randint(-2, 2)):
+            rng.choice(coeffs)
+            for _ in range(rng.randint(1, 2))
+        }
+    )
+
+
+def assert_matches_reference(preset, seed, letters=()):
+    rng = random.Random(seed)
+    reference = ReferenceEngine(preset)
+    for _ in range(40):
+        e = random_element(rng, preset, 4, letters)
+        got = preset.normal_form(e)
+        want = reference.normal_form(e)
+        assert got == want and got.render() == want.render(), e.render()
+    for _ in range(15):
+        a = random_element(rng, preset, 2, letters[:1])
+        b = random_element(rng, preset, 2, letters[1:])
+        got = preset.multiply(a, b)
+        want = reference.multiply(a, b)
+        assert got == want and got.render() == want.render(), (a.render(), b.render())
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+def test_engine_matches_reference(preset):
+    assert_matches_reference(preset, seed=7)
+
+
+# per sector: zero rules made non-zero, then non-zero rules made zero
+OVERRIDES = {
+    Sector.PHASESPACE: (
+        [(Gen.P2, Gen.P1), (Gen.P1, Gen.X2), (Gen.X3, Gen.X1)],
+        [(Gen.P1, Gen.X1), (Gen.X2, Gen.X0), (Gen.P3, Gen.X0)],
+    ),
+    Sector.POINCARE: (
+        [(Gen.P2, Gen.P1), (Gen.P0, Gen.M1), (Gen.N2, Gen.M2)],
+        [(Gen.P1, Gen.N1), (Gen.N2, Gen.M1), (Gen.P3, Gen.M1)],
+    ),
+}
+
+
+def override_cases():
+    for preset in ALL_PRESETS:
+        made_nonzero, made_zero = OVERRIDES[preset.sector]
+        for pairs, make_nonzero in ((made_nonzero, True), (made_zero, False)):
+            for hi, lo in pairs:
+                case = f"{preset!r}-{hi.name}{lo.name}-{'nonzero' if make_nonzero else 'zero'}"
+                yield pytest.param(preset, (hi, lo), make_nonzero, id=case)
+
+
+@pytest.mark.parametrize("preset, pair, make_nonzero", list(override_cases()))
+def test_override_copy_matches_reference(preset, pair, make_nonzero):
+    assert preset.rules[pair].is_zero is make_nonzero
+    rule = Element.from_scalar(sc(0, 1, hbar=1)) if make_nonzero else Element.zero()
+    copy = preset.with_rule_override(pair, rule)
+    # every word carries both letters of the overridden pair, so many of them use it
+    assert_matches_reference(copy, seed=11, letters=pair)
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), qexp=st.integers(-3, 3))
+def test_normal_form_q_shift(preset, data, qexp):
+    # q^a sits at the right end, so it only shifts every q-exponent by a
+    word = tuple(data.draw(st.lists(st.sampled_from(preset.generators), max_size=5)))
+    base = preset.normal_form(Element.term(Monomial(word), Scalar.one()))
+    shifted = preset.normal_form(Element.term(Monomial(word, qexp), Scalar.one()))
+    assert shifted == Element({Monomial(w, q + qexp): c for (w, q), c in base.items()})
