@@ -17,6 +17,11 @@ conventions are implemented:
 LEFT is the default: it is the unique convention under which the pairing is
 well defined on the noncommutative configuration space and the module-algebra
 law holds (see `select_convention`).
+
+Pairings and actions are memoized per monomial pair on the shared phase-space
+preset, keyed by (convention, momentum monomial, position monomial).  The
+cross product reads monomial actions from that memo directly; `pair` and
+`left_action` sum the memoized values over the terms of their arguments.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .reports import (
     DerivationEntry,
     DerivationReport,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _accumulate as _accumulate_scalar, _wrap as _wrap_scalar
 
 HALF = Fraction(1, 2)
 
@@ -107,14 +112,25 @@ def pair(p: Element, x: Element, ctx: PairingContext) -> Scalar:
     """Duality pairing <p, x>, bilinear over both arguments."""
     _check_momentum_element(p)
     _check_position_element(x)
-    total = Scalar.zero()
+    terms: dict = {}
     for pm, pc in p.items():
         for xm, xc in x.items():
-            total = total + _pair_mono(pm, xm, ctx) * pc * xc
-    return total
+            for triple, coeff in (_pair_mono(pm, xm, ctx) * pc * xc)._terms.items():
+                _accumulate_scalar(terms, triple, coeff)
+    return _wrap_scalar(terms)
 
 
 def _pair_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
+    """<pm, xm>, memoized per (convention, pm, xm) on the phase-space preset."""
+    memo = ctx.preset._pair_cache
+    key = (ctx.convention, pm, xm)
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = _pair_mono_fresh(pm, xm, ctx)
+    return s
+
+
+def _pair_mono_fresh(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
     # <p, 1> = eps(p) ; <1, x> = eps(x)
     if not xm.word:
         return Scalar.one() if not pm.word else Scalar.zero()
@@ -138,28 +154,43 @@ def _pair_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
     # general case: split the position product through the momentum coproduct
     dp = coproduct(Element.term(pm, Scalar.one()), ctx.preset)
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
-    total = Scalar.zero()
+    if ctx.convention is Convention.RIGHT:
+        head, tail = tail, head
+    terms: dict = {}
     for (u, v), s in dp.items():
-        if ctx.convention is Convention.LEFT:
-            total = total + _pair_mono(u, head, ctx) * _pair_mono(v, tail, ctx) * s
-        else:
-            total = total + _pair_mono(u, tail, ctx) * _pair_mono(v, head, ctx) * s
-    return total
+        product = _pair_mono(u, head, ctx) * _pair_mono(v, tail, ctx) * s
+        for triple, coeff in product._terms.items():
+            _accumulate_scalar(terms, triple, coeff)
+    return _wrap_scalar(terms)
 
 
 def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
     """Module-algebra action p |> x = <p, x_(2)> x_(1) (LEFT convention)."""
     _check_momentum_element(p)
     _check_position_element(x)
-    preset = ctx.preset
-    # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
-    paired = 1 if ctx.convention is Convention.LEFT else 0
     acc: dict[Monomial, Scalar] = {}
-    for key, s in coproduct(x, preset).items():
-        coeff = pair(p, Element.term(key[paired], Scalar.one()), ctx)
-        if not coeff.is_zero:
-            accumulate(acc, [(key[1 - paired], coeff * s)])
-    return preset.normal_form(Element._wrap(acc))
+    for pm, pc in p.items():
+        for xm, xc in x.items():
+            accumulate(acc, _act_mono(pm, xm, ctx).items(), pc * xc)
+    return Element._wrap(acc)
+
+
+def _act_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Element:
+    """pm |> xm in normal form, memoized per (convention, pm, xm) on the
+    phase-space preset."""
+    preset = ctx.preset
+    key = (ctx.convention, pm, xm)
+    acted = preset._action_cache.get(key)
+    if acted is None:
+        # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
+        paired = 1 if ctx.convention is Convention.LEFT else 0
+        acc: dict[Monomial, Scalar] = {}
+        for legs, s in coproduct(Element.term(xm, Scalar.one()), preset).items():
+            coeff = _pair_mono(pm, legs[paired], ctx)
+            if not coeff.is_zero:
+                accumulate(acc, [(legs[1 - paired], coeff * s)])
+        acted = preset._action_cache[key] = preset.normal_form(Element._wrap(acc))
+    return acted
 
 
 def _split_phase_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
@@ -189,17 +220,14 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
     acc: dict[Monomial, Scalar] = {}
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
+        left = Element.term(xa, Scalar.one())
+        dpa = coproduct(Element.term(pa, Scalar.one()), preset).items()
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
             cab = ca * cb
-            dpa = coproduct(Element.term(pa, Scalar.one()), preset)
-            for (u, v), s in dpa.items():
-                acted = left_action(
-                    Element.term(u, Scalar.one()),
-                    Element.term(xb, Scalar.one()),
-                    ctx,
-                )
-                xpart = preset.multiply(Element.term(xa, Scalar.one()), acted)
+            for (u, v), s in dpa:
+                # both factors are position elements of the checked operands
+                xpart = preset._product(left, _act_mono(u, xb, ctx))
                 # momentum sector is commutative: merge words, add q powers
                 pword = tuple(sorted(v.word + pb.word))
                 pq = v.qexp + pb.qexp

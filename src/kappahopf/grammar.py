@@ -16,8 +16,10 @@
 INT is a run of ASCII digits 0-9; a literal past the interpreter's
 str-to-int digit limit raises ResourceLimitError.  Division is defined for
 invertible right factors only: rationals, single-term scalars, and scalar
-multiples of q powers.  `parse(render(e))` evaluates back to `e` for every
-normal-form element the engine produces.
+multiples of q powers.  A power of an element or tensor with generators in it
+takes an exponent of at most MAX_POWER; a larger one raises
+ResourceLimitError before any product is formed.  `parse(render(e))`
+evaluates back to `e` for every normal-form element the engine produces.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .scalars import Scalar
 
 _SYMBOLS = ("|>", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "<", ">", "|")
 _KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
+# largest exponent of an element or tensor power with generators in it
+MAX_POWER = 4096
 
 
 @dataclass(frozen=True)
@@ -431,7 +435,7 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
         v = _invert(v)
         n = -n
     if v.kind == "scalar":
-        return Value("scalar", _scalar_pow(v.data, n))
+        return Value("scalar", _power(v.data, n))
     if v.kind == "element":
         terms = list(v.data.items())
         if len(terms) == 1 and not terms[0][0].word:
@@ -439,8 +443,18 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
             mono, coeff = terms[0]
             return Value(
                 "element",
-                Element.term(Monomial((), mono.qexp * n), _scalar_pow(coeff, n)),
+                Element.term(Monomial((), mono.qexp * n), _power(coeff, n)),
             )
+    if n > MAX_POWER:
+        raise ResourceLimitError(
+            f"exponent {n} is above the limit of {MAX_POWER} for powers with "
+            "generators in them"
+        )
+    if v.kind == "element":
+        if len(terms) == 1:
+            # one term: O(log n) products, so O(log n) memoized words
+            return Value("element", _power(v.data, n, Element.one(), preset.multiply))
+        # several terms: squaring multiplies ever longer sums by themselves
         out = Element.one()
         for _ in range(n):
             out = preset.multiply(out, v.data)
@@ -453,15 +467,15 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
     return Value("tensor", out_t)
 
 
-def _scalar_pow(s: Scalar, n: int) -> Scalar:
-    """s^n for n >= 0 by repeated squaring."""
-    out = Scalar.one()
+def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):
+    """base^n for n >= 0 by repeated squaring under the associative mul."""
+    out = one
     while n:
         if n & 1:
-            out = out * s
+            out = mul(out, base)
         n >>= 1
         if n:
-            s = s * s
+            base = mul(base, base)
     return out
 
 

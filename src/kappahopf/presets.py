@@ -242,11 +242,15 @@ class AlgebraPreset:
         self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
         self._nf_cache: dict[tuple[Gen, ...], Element] = {}
         self._qpast_cache: dict = {}
-        # structure-map memos, filled by `multiply_monomials` and
-        # `hopf.coproduct`; per instance, so a `with_rule_override` copy and a
-        # fresh `get_preset` start cold
+        # structure-map memos: monomial products (`multiply_monomials`),
+        # coproducts (`hopf.coproduct`), and, on a phase-space preset, the
+        # duality pairing and the left action per (convention, p, x) monomial
+        # pair (`crossproduct`); per instance, so a `with_rule_override` copy
+        # and a fresh `get_preset` start cold
         self._product_cache: dict[tuple[Monomial, Monomial], Element] = {}
         self._coproduct_cache: dict = {}
+        self._pair_cache: dict = {}
+        self._action_cache: dict = {}
         self._steps = 0
 
     def __repr__(self) -> str:

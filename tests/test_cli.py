@@ -83,6 +83,13 @@ class TestEval:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and out.strip() == "q^100000000"
 
+    def test_large_element_power_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "P1^100000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: exponent 100000 is above the limit")
+
     @pytest.mark.parametrize(
         "expression",
         ["(" * 300 + "P1" + ")" * 300, "P1^1500 x0"],

@@ -1,6 +1,7 @@
 """Duality pairing, left action, cross product, derivation, basis map."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from kappahopf.crossproduct import (
 )
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf.errors import PairingError
-from kappahopf.presets import Basis, classical_limit
+from kappahopf.hopf import coproduct
+from kappahopf.presets import Basis, Sector, classical_limit, get_preset
 from kappahopf.scalars import Scalar
 
 CTX_B = PairingContext(Basis.BICROSS)
@@ -214,6 +216,104 @@ class TestCrossMultiply:
         for a in samples:
             for b in samples:
                 assert cross_multiply(a, b, ctx) == preset.multiply(a, b)
+
+
+_XS = (Gen.X0, Gen.X1, Gen.X2, Gen.X3)
+_PS = (Gen.P0, Gen.P1, Gen.P2, Gen.P3)
+
+
+def _word(rng, letters, lo, hi):
+    return tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+
+def _memo_ops(seed, count=100):
+    """Seeded pair, left_action and cross_multiply calls on both bases.  Each
+    call is made under both conventions, in random order, so the memo entries
+    one call fills are looked up again under the other convention.  Operands
+    are x-before-P monomials with q-exponents -2..2."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(count):
+        basis = rng.choice(tuple(Basis))
+        coeff = Scalar.rational(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+        op = rng.choice((pair, left_action, cross_multiply))
+        if op is cross_multiply:
+            a, b = (
+                Monomial(
+                    tuple(sorted(_word(rng, _XS, 0, 2)) + sorted(_word(rng, _PS, 0, 2))),
+                    rng.randint(-2, 2),
+                )
+                for _ in range(2)
+            )
+        else:
+            # raw position words: the pairing and the action take any order
+            a = Monomial(_word(rng, _PS, 0, 2), rng.randint(-2, 2))
+            b = Monomial(_word(rng, _XS, 1, 2))
+        conventions = list(Convention)
+        rng.shuffle(conventions)
+        a, b = Element.term(a, coeff), Element.term(b, Scalar.one())
+        ops += [(op, a, b, PairingContext(basis, conv)) for conv in conventions]
+    return ops
+
+
+class _NoMemo(dict):
+    """A memo that never stores, so every lookup recomputes."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestPairingActionMemo:
+    """The pairing and action memos live on the shared phase-space preset."""
+
+    def test_memoized_results_match_unmemoized_reference(self):
+        ops = _memo_ops(seed=7)
+        get_preset.cache_clear()
+        for basis in Basis:
+            cold = get_preset(basis, Sector.PHASESPACE)
+            cold._pair_cache = _NoMemo()
+            cold._action_cache = _NoMemo()
+        expected = [op(a, b, ctx) for op, a, b, ctx in ops]
+        get_preset.cache_clear()
+        first = [op(a, b, ctx) for op, a, b, ctx in ops]
+        again = [op(a, b, ctx) for op, a, b, ctx in ops]
+        assert all(get_preset(b, Sector.PHASESPACE)._pair_cache for b in Basis)
+        for (op, a, b, ctx), want, got_first, got_again in zip(ops, expected, first, again):
+            where = f"{op.__name__}({a.render()}, {b.render()}) {ctx.tag()}"
+            assert got_first == want and got_again == want, where
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [PairingContext(b, conv) for b in Basis for conv in Convention],
+        ids=lambda c: c.tag(),
+    )
+    def test_multi_term_action_is_normal_form_of_summed_action(self, ctx):
+        preset = ctx.preset
+        paired = 1 if ctx.convention is Convention.LEFT else 0
+        rng = random.Random(11)
+        for _ in range(8):
+            p = Element(
+                {
+                    Monomial(_word(rng, _PS, 0, 2), rng.randint(-2, 2)): sc(rng.randint(1, 3))
+                    for _ in range(3)
+                }
+            )
+            x = Element(
+                {Monomial(_word(rng, _XS, 1, 3)): sc(0, rng.randint(1, 3)) for _ in range(3)}
+            )
+            summed = Element.zero()
+            for legs, s in coproduct(x, preset).items():
+                coeff = pair(p, Element.term(legs[paired], Scalar.one()), ctx)
+                summed = summed + Element.term(legs[1 - paired], coeff * s)
+            assert left_action(p, x, ctx) == preset.normal_form(summed)
+
+    def test_override_copy_starts_cold(self):
+        base = CTX_B.preset
+        left_action(gen(Gen.P1), gen(Gen.X0), CTX_B)
+        assert base._pair_cache and base._action_cache
+        pair_ = next(iter(base.rules))
+        copy = base.with_rule_override(pair_, base.rules[pair_])
+        assert not copy._pair_cache and not copy._action_cache
 
 
 class TestDerivation:

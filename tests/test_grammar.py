@@ -3,7 +3,7 @@
 import pytest
 
 from kappahopf.elements import Gen, Monomial, Element
-from kappahopf import presets
+from kappahopf import grammar, presets
 from kappahopf.errors import ParseError, ResourceLimitError, SectorError
 from kappahopf.grammar import eval_text, infer_sector, parse
 from kappahopf.hopf import antipode
@@ -111,6 +111,37 @@ class TestEval:
             infer_sector(parse("x0 N1"))
         with pytest.raises(SectorError):
             infer_sector(parse("[x0, x1]"), Sector.POINCARE)
+
+    @pytest.mark.parametrize(
+        "base, n, sector",
+        [
+            ("x0", 1000, Sector.PHASESPACE),
+            ("2 P1 q", 37, Sector.POINCARE),
+            ("x0 P1", 9, Sector.PHASESPACE),
+            ("N1 q^-1", 6, Sector.POINCARE),
+        ],
+    )
+    def test_single_term_power_matches_sequential_product(self, base, n, sector):
+        preset = get_preset(Basis.BICROSS, sector)
+        element = eval_text(base).as_element()
+        expect = Element.one()
+        for _ in range(n):
+            expect = preset.multiply(expect, element)
+        assert eval_text(f"({base})^{n}").as_element() == expect
+
+    def test_single_term_power_caches_few_words(self):
+        preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
+        before = sum(len(word) for word in preset._nf_cache)
+        eval_text("x3^1000")
+        # n successive products would cache x3^k for every k <= 1000
+        assert sum(len(word) for word in preset._nf_cache) - before < 4000
+
+    @pytest.mark.parametrize("expression", ["P1^4097", "(P1 + P2)^4097", "D(P1)^4097"])
+    def test_power_above_limit_is_typed(self, expression):
+        assert grammar.MAX_POWER == 4096
+        assert eval_text("P1^4096").render() == "P1^4096"
+        with pytest.raises(ResourceLimitError, match="exponent 4097"):
+            eval_text(expression)
 
     def test_shared_preset_recovers_after_recursion_limit(self):
         preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
