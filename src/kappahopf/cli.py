@@ -89,36 +89,76 @@ def cmd_eval(args) -> int:
 # -- suites -----------------------------------------------------------------------
 
 
-def _corrupted(preset, pair_text: str):
-    """Replace one relation-table entry, adding i*hbar to its correction."""
-    hi_name, lo_name = (s.strip() for s in pair_text.split(","))
+_BOTH = (Sector.POINCARE, Sector.PHASESPACE)
+# the preset sectors each suite checks; basis-map builds its own presets
+_SUITE_SECTORS = {
+    "axioms": _BOTH,
+    "jacobi": _BOTH,
+    "casimir": (Sector.POINCARE,),
+    "phasespace": (Sector.PHASESPACE,),
+    "basis-map": (),
+    "all": _BOTH,
+}
+
+
+def _selected_bases(args):
+    return [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
+
+
+def _corrupt_pair(args):
+    """The (hi, lo) pair named by --corrupt-rule, or None without the flag.
+
+    A pair with no relation-table entry in any preset the suite selects would
+    corrupt nothing and let the suite pass, so it is an error.
+    """
+    text = args.corrupt_rule
+    if text is None:
+        return None
+    names = [s.strip() for s in text.split(",")]
+    if len(names) != 2:
+        raise KappaHopfError(f"--corrupt-rule expects HI,LO, got {text!r}")
     try:
-        hi, lo = GEN_BY_NAME[hi_name], GEN_BY_NAME[lo_name]
+        pair = GEN_BY_NAME[names[0]], GEN_BY_NAME[names[1]]
     except KeyError as exc:
         raise KappaHopfError(f"unknown generator in --corrupt-rule: {exc}") from exc
-    if (hi, lo) not in preset.rules:
+    selected = [
+        get_preset(basis, sector)
+        for basis in _selected_bases(args)
+        for sector in _SUITE_SECTORS[args.suite]
+    ]
+    if not any(pair in preset.rules for preset in selected):
+        raise KappaHopfError(
+            f"--corrupt-rule {names[0]},{names[1]} names no relation-table entry "
+            f"in the presets that suite {args.suite} checks"
+        )
+    return pair
+
+
+def _corrupted(preset, pair):
+    """Replace one relation-table entry, adding i*hbar to its correction; a
+    preset without that entry is returned unchanged."""
+    if pair not in preset.rules:
         return preset
-    bad = preset.rules[(hi, lo)] + Element.from_scalar(Scalar.term(0, 1, hbar=1))
-    return preset.with_rule_override((hi, lo), bad)
+    bad = preset.rules[pair] + Element.from_scalar(Scalar.term(0, 1, hbar=1))
+    return preset.with_rule_override(pair, bad)
 
 
-def _suite_presets(args, *sectors):
-    """(basis, preset) for each selected basis and sector; with --corrupt-rule,
-    each preset is corrupted once and all checks of the suite share that copy."""
-    corrupt = args.corrupt_rule
-    bases = [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
-    for basis in bases:
+def _suite_presets(args, pair, *sectors):
+    """(basis, preset) for each selected basis and sector; with a corrupt
+    pair, each preset is corrupted once and all checks of the suite share
+    that copy."""
+    for basis in _selected_bases(args):
         for sector in sectors:
             preset = get_preset(basis, sector)
-            yield basis, _corrupted(preset, corrupt) if corrupt else preset
+            yield basis, _corrupted(preset, pair) if pair else preset
 
 
 def cmd_suite(args) -> int:
     out_format = _resolve_format(args)
-    both = (Sector.POINCARE, Sector.PHASESPACE)
+    pair = _corrupt_pair(args)
     reports = []
     if args.suite in ("axioms", "all"):
-        for _, p in _suite_presets(args, *both):
+        for _, p in _suite_presets(args, pair, *_BOTH):
             reports += [
                 check_coassociativity(p),
                 check_counit_axiom(p),
@@ -126,15 +166,16 @@ def cmd_suite(args) -> int:
                 check_coproduct_homomorphism(p),
             ]
     if args.suite in ("jacobi", "all"):
-        reports += [check_jacobi(p) for _, p in _suite_presets(args, *both)]
+        reports += [check_jacobi(p) for _, p in _suite_presets(args, pair, *_BOTH)]
     if args.suite in ("casimir", "all"):
         reports += [
-            check_centrality(b, p) for b, p in _suite_presets(args, Sector.POINCARE)
+            check_centrality(b, p)
+            for b, p in _suite_presets(args, pair, Sector.POINCARE)
         ]
     if args.suite in ("phasespace", "all"):
         reports += [
             derive_phase_space_relations(b, Convention.LEFT, p)
-            for b, p in _suite_presets(args, Sector.PHASESPACE)
+            for b, p in _suite_presets(args, pair, Sector.PHASESPACE)
         ]
     basis_map = None
     if args.suite in ("basis-map", "all"):
@@ -314,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt-rule",
         default=None,
         metavar="HI,LO",
-        help="negative-control fixture: perturb one relation-table entry",
+        help=(
+            "negative-control fixture: perturb one relation-table entry; a pair "
+            "with no entry in the presets the suite checks exits 2"
+        ),
     )
     p_suite.set_defaults(func=cmd_suite)
 

@@ -22,6 +22,8 @@ Pairings and actions are memoized per monomial pair on the shared phase-space
 preset, keyed by (convention, momentum monomial, position monomial).  The
 cross product reads monomial actions from that memo directly; `pair` and
 `left_action` sum the memoized values over the terms of their arguments.
+Each public call looks the preset up once and passes it down, so a context
+still sees a fresh preset after `get_preset.cache_clear()`.
 """
 
 from __future__ import annotations
@@ -112,25 +114,31 @@ def pair(p: Element, x: Element, ctx: PairingContext) -> Scalar:
     """Duality pairing <p, x>, bilinear over both arguments."""
     _check_momentum_element(p)
     _check_position_element(x)
+    preset = ctx.preset
     terms: dict = {}
     for pm, pc in p.items():
         for xm, xc in x.items():
-            for triple, coeff in (_pair_mono(pm, xm, ctx) * pc * xc)._terms.items():
+            for triple, coeff in (_pair_mono(pm, xm, ctx, preset) * pc * xc)._terms.items():
                 _accumulate_scalar(terms, triple, coeff)
     return _wrap_scalar(terms)
 
 
-def _pair_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
-    """<pm, xm>, memoized per (convention, pm, xm) on the phase-space preset."""
-    memo = ctx.preset._pair_cache
+def _pair_mono(
+    pm: Monomial, xm: Monomial, ctx: PairingContext, preset: AlgebraPreset
+) -> Scalar:
+    """<pm, xm>, memoized per (convention, pm, xm) on preset, the phase-space
+    preset that the public caller resolved once from ctx."""
+    memo = preset._pair_cache
     key = (ctx.convention, pm, xm)
     s = memo.get(key)
     if s is None:
-        s = memo[key] = _pair_mono_fresh(pm, xm, ctx)
+        s = memo[key] = _pair_mono_fresh(pm, xm, ctx, preset)
     return s
 
 
-def _pair_mono_fresh(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
+def _pair_mono_fresh(
+    pm: Monomial, xm: Monomial, ctx: PairingContext, preset: AlgebraPreset
+) -> Scalar:
     # <p, 1> = eps(p) ; <1, x> = eps(x)
     if not xm.word:
         return Scalar.one() if not pm.word else Scalar.zero()
@@ -138,8 +146,8 @@ def _pair_mono_fresh(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
         if len(xm.word) == 1:
             return _q_pairing(pm.qexp, xm.word[0])
         # group-like split over the position product (both conventions agree)
-        left = _pair_mono(pm, Monomial(xm.word[:1]), ctx)
-        right = _pair_mono(pm, Monomial(xm.word[1:]), ctx)
+        left = _pair_mono(pm, Monomial(xm.word[:1]), ctx, preset)
+        right = _pair_mono(pm, Monomial(xm.word[1:]), ctx, preset)
         return left * right
     if len(pm.word) == 1 and pm.qexp == 0 and len(xm.word) == 1:
         return _base_pairing(pm.word[0], xm.word[0])
@@ -152,13 +160,13 @@ def _pair_mono_fresh(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Scalar:
             return Scalar.zero()
         return _base_pairing(g, xm.word[0])
     # general case: split the position product through the momentum coproduct
-    dp = coproduct(Element.term(pm, Scalar.one()), ctx.preset)
+    dp = coproduct(Element.term(pm, Scalar.one()), preset)
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
     if ctx.convention is Convention.RIGHT:
         head, tail = tail, head
     terms: dict = {}
     for (u, v), s in dp.items():
-        product = _pair_mono(u, head, ctx) * _pair_mono(v, tail, ctx) * s
+        product = _pair_mono(u, head, ctx, preset) * _pair_mono(v, tail, ctx, preset) * s
         for triple, coeff in product._terms.items():
             _accumulate_scalar(terms, triple, coeff)
     return _wrap_scalar(terms)
@@ -168,17 +176,19 @@ def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
     """Module-algebra action p |> x = <p, x_(2)> x_(1) (LEFT convention)."""
     _check_momentum_element(p)
     _check_position_element(x)
+    preset = ctx.preset
     acc: dict[Monomial, Scalar] = {}
     for pm, pc in p.items():
         for xm, xc in x.items():
-            accumulate(acc, _act_mono(pm, xm, ctx).items(), pc * xc)
+            accumulate(acc, _act_mono(pm, xm, ctx, preset).items(), pc * xc)
     return Element._wrap(acc)
 
 
-def _act_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Element:
-    """pm |> xm in normal form, memoized per (convention, pm, xm) on the
-    phase-space preset."""
-    preset = ctx.preset
+def _act_mono(
+    pm: Monomial, xm: Monomial, ctx: PairingContext, preset: AlgebraPreset
+) -> Element:
+    """pm |> xm in normal form, memoized per (convention, pm, xm) on preset,
+    as in `_pair_mono`."""
     key = (ctx.convention, pm, xm)
     acted = preset._action_cache.get(key)
     if acted is None:
@@ -186,7 +196,7 @@ def _act_mono(pm: Monomial, xm: Monomial, ctx: PairingContext) -> Element:
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
         for legs, s in coproduct(Element.term(xm, Scalar.one()), preset).items():
-            coeff = _pair_mono(pm, legs[paired], ctx)
+            coeff = _pair_mono(pm, legs[paired], ctx, preset)
             if not coeff.is_zero:
                 accumulate(acc, [(legs[1 - paired], coeff * s)])
         acted = preset._action_cache[key] = preset.normal_form(Element._wrap(acc))
@@ -217,17 +227,24 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
     preset = ctx.preset
     preset.check_admissible(a)
     preset.check_admissible(b)
-    acc: dict[Monomial, Scalar] = {}
+    return Element._wrap(_cross_product_into({}, a, b, ctx, preset, 1))
+
+
+def _cross_product_into(
+    acc: dict, a: Element, b: Element, ctx: PairingContext, preset, sign: int
+) -> dict:
+    """acc += sign * (a b) in the cross product, in place; sign is +1 or -1
+    and is folded into ca * cb once per pair of operand terms."""
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
         left = Element.term(xa, Scalar.one())
         dpa = coproduct(Element.term(pa, Scalar.one()), preset).items()
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
-            cab = ca * cb
+            cab = ca * cb if sign > 0 else -(ca * cb)
             for (u, v), s in dpa:
                 # both factors are position elements of the checked operands
-                xpart = preset._product(left, _act_mono(u, xb, ctx))
+                xpart = preset._product(left, _act_mono(u, xb, ctx, preset))
                 # momentum sector is commutative: merge words, add q powers
                 pword = tuple(sorted(v.word + pb.word))
                 pq = v.qexp + pb.qexp
@@ -236,11 +253,17 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
                     for xm, xc in xpart.items()
                 )
                 accumulate(acc, moved, cab * s)
-    return Element._wrap(acc)
+    return acc
 
 
 def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
-    return cross_multiply(a, b, ctx) - cross_multiply(b, a, ctx)
+    """[a, b] in the cross product: both products accumulated in place into
+    one dict, the second with sign -1."""
+    preset = ctx.preset
+    preset.check_admissible(a)
+    preset.check_admissible(b)
+    acc = _cross_product_into({}, a, b, ctx, preset, 1)
+    return Element._wrap(_cross_product_into(acc, b, a, ctx, preset, -1))
 
 
 # -- derivation of the phase-space relation table ------------------------------

@@ -186,7 +186,13 @@ class LinearCombination:
         return self._like(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        """One accumulate pass of other's negated terms into a copy of self."""
+        if self._shape() != other._shape():
+            raise ValueError("cannot subtract values of different rank")
+        if not other._terms:
+            return self
+        negated = ((k, -c) for k, c in other._terms.items())
+        return self._like(accumulate(dict(self._terms), negated))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self._terms.items()})

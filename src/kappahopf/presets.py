@@ -363,16 +363,25 @@ class AlgebraPreset:
         return self._product(a, b)
 
     def _product(self, a: Element, b: Element) -> Element:
-        """Normal form of a * b for operands already checked admissible."""
+        """Normal form of a * b for operands already checked admissible,
+        accumulated in place into a fresh dict by `_product_into`."""
+        return Element._wrap(self._product_into({}, a, b, 1))
+
+    def _product_into(self, acc: dict, a: Element, b: Element, sign: int) -> dict:
+        """acc += sign * a * b in normal form, in place; sign is +1 or -1.
+
+        The sign is folded into the coefficient c1 * c2 once per operand-term
+        pair, so a commutator or a longer signed sum of products fills one
+        dict with no intermediate value negated or copied.
+        """
         self._steps = 0
-        acc: dict[Monomial, Scalar] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                c12 = c1 * c2
+                c12 = c1 * c2 if sign > 0 else -(c1 * c2)
                 for word2, qc in self._q_past_word(m1.qexp, m2.word):
                     nf = self._nf_word(m1.word + word2)
                     _shifted_accumulate(acc, nf, m1.qexp + m2.qexp, c12 * qc)
-        return Element._wrap(acc)
+        return acc
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
         """Normal form of m1 * m2, memoized per monomial pair.
@@ -393,9 +402,12 @@ class AlgebraPreset:
         return cached
 
     def commutator(self, a: Element, b: Element) -> Element:
+        """[a, b] = ab - ba, both products accumulated in place into one dict,
+        the second with sign -1."""
         self.check_admissible(a)
         self.check_admissible(b)
-        return self._product(a, b) - self._product(b, a)
+        acc = self._product_into({}, a, b, 1)
+        return Element._wrap(self._product_into(acc, b, a, -1))
 
 
 def _shifted_accumulate(acc: dict, nf: Element, shift: int, factor: Scalar) -> dict:

@@ -159,16 +159,61 @@ class TestSuites:
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "41d86e8ecf37aaea"
 
     @pytest.mark.parametrize(
-        "pair, digest",
-        [("P1,x2", "77ed4fee8969adea"), ("P2,P1", "f9095f57bb305a3f")],
+        "rule, digest",
+        [
+            # both corrupt a zero rule, the pair where a commuting run must stop
+            ("P1,x2", "77ed4fee8969adea"),
+            ("P2,P1", "f9095f57bb305a3f"),
+            # Lorentz and boost-momentum corruptions: their residuals are the
+            # signed sums of the Jacobi, homomorphism and commutator checks
+            ("N2,N1 --basis standard", "d552b4223af81361"),
+            ("P1,N1 --basis bicross", "d8892586b634f187"),
+            ("N3,M1", "9f90e04ef610bf26"),
+        ],
     )
-    def test_corrupted_suite_json_golden_digest(self, capsys, pair, digest):
-        # both corrupt a zero rule, the pair where a commuting run must stop
+    def test_corrupted_suite_json_golden_digest(self, capsys, rule, digest):
         code, out, _ = run_cli(
-            capsys, "suite", "all", "--corrupt-rule", pair, "--format", "json"
+            capsys, "suite", "all", "--corrupt-rule", *rule.split(), "--format", "json"
         )
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("all", "--corrupt-rule", "N1,P1"),
+            ("all", "--corrupt-rule", "N1,P1", "--basis", "bicross"),
+            ("all", "--corrupt-rule", "x0,P0"),
+            # P1,x2 is a phase-space entry; casimir checks only Poincare presets
+            ("casimir", "--corrupt-rule", "P1,x2"),
+            ("basis-map", "--corrupt-rule", "P1,N1"),
+        ],
+        ids=" ".join,
+    )
+    def test_corrupt_rule_without_entry_exits_two(self, capsys, argv):
+        # such a pair corrupts nothing, so the suite would pass unperturbed
+        code, out, err = run_cli(capsys, "suite", *argv)
+        assert code == 2
+        assert out == ""
+        assert "names no relation-table entry" in err
+        pair = argv[argv.index("--corrupt-rule") + 1]
+        assert pair in err
+
+    @pytest.mark.parametrize("text", ["P1", "P1,N1,M1", "Q1,P1"])
+    def test_malformed_corrupt_rule_exits_two(self, capsys, text):
+        code, _, err = run_cli(capsys, "suite", "all", "--corrupt-rule", text)
+        assert code == 2
+        assert err.startswith("error:") and "--corrupt-rule" in err
+
+    def test_corrupt_rule_in_one_sector_only(self, capsys):
+        # P1,N1 has an entry in the Poincare presets only; the phase-space
+        # presets run uncorrupted and the Poincare checks fail
+        code, out, _ = run_cli(
+            capsys, "suite", "all", "--corrupt-rule", "P1,N1", "--basis", "bicross"
+        )
+        assert code == 1
+        assert "bicross/poincare jacobi: FAIL" in out
+        assert "bicross/phasespace jacobi: PASS" in out
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "suite", "all", "--format", "json")

@@ -15,6 +15,7 @@ from kappahopf.crossproduct import (
     check_module_algebra_law,
     check_pairing_well_defined,
     check_representation_law,
+    cross_commutator,
     cross_multiply,
     derive_phase_space_relations,
     derived_relation_elements,
@@ -194,6 +195,24 @@ class TestCrossMultiply:
         rhs = cross_multiply(a, cross_multiply(b, c, ctx), ctx)
         assert lhs == rhs
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [PairingContext(b, conv) for b in Basis for conv in Convention],
+        ids=lambda c: c.tag(),
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_commutator_is_difference_of_products(self, ctx, data):
+        preset = ctx.preset
+        words = st.lists(st.sampled_from(preset.generators), max_size=2).map(tuple)
+        monos = st.builds(Monomial, words, st.integers(-1, 1))
+        coeffs = st.sampled_from([Scalar.one(), Scalar.i(), sc(-2, 0, hbar=1)])
+        elems = st.dictionaries(monos, coeffs, min_size=1, max_size=2).map(Element)
+        a = preset.normal_form(data.draw(elems))
+        b = preset.normal_form(data.draw(elems))
+        expected = cross_multiply(a, b, ctx) - cross_multiply(b, a, ctx)
+        assert cross_commutator(a, b, ctx) == expected
+
     def test_normal_order_precondition_enforced(self):
         raw = Element.term(Monomial((Gen.P1, Gen.X1)), Scalar.one())
         with pytest.raises(PairingError):
@@ -306,6 +325,28 @@ class TestPairingActionMemo:
                 coeff = pair(p, Element.term(legs[paired], Scalar.one()), ctx)
                 summed = summed + Element.term(legs[1 - paired], coeff * s)
             assert left_action(p, x, ctx) == preset.normal_form(summed)
+
+    def test_one_preset_lookup_per_public_call(self, monkeypatch):
+        import kappahopf.crossproduct as crossproduct
+
+        calls = []
+
+        def counting_get_preset(basis, sector):
+            calls.append((basis, sector))
+            return get_preset(basis, sector)
+
+        monkeypatch.setattr(crossproduct, "get_preset", counting_get_preset)
+        get_preset.cache_clear()
+        p = gen(Gen.P1) + Element.q_power(-2)
+        p = p + Element.term(Monomial((Gen.P0, Gen.P2)), sc(3))
+        x = gen(Gen.X0) + Element.term(Monomial((Gen.X1, Gen.X0, Gen.X2)), sc(0, 1))
+        mixed = Element.term(Monomial((Gen.X0, Gen.X1, Gen.P1, Gen.P2), 1), sc(2)) + p
+        for ctx in (CTX_B, PairingContext(Basis.STANDARD, Convention.RIGHT)):
+            # cold memos: every monomial result is computed, recursively
+            for op, a, b in ((pair, p, x), (left_action, p, x), (cross_multiply, mixed, x)):
+                calls.clear()
+                op(a, b, ctx)
+                assert calls == [(ctx.basis, Sector.PHASESPACE)], op.__name__
 
     def test_override_copy_starts_cold(self):
         base = CTX_B.preset

@@ -233,6 +233,15 @@ def test_multiplication_bilinear(preset, data):
     assert preset.multiply(c, a + b) == preset.multiply(c, a) + preset.multiply(c, b)
 
 
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_commutator_is_difference_of_products(preset, data):
+    a = data.draw(elements_for(preset))
+    b = data.draw(elements_for(preset))
+    assert preset.commutator(a, b) == preset.multiply(a, b) - preset.multiply(b, a)
+
+
 # -- differential check against a plain reference engine ---------------------------
 
 
