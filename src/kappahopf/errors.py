@@ -23,14 +23,15 @@ class SectorError(KappaHopfError, ValueError):
 
 
 class NonTerminationError(KappaHopfError, RuntimeError):
-    """Rewriting exceeded the step cap; carries the offending monomial."""
+    """A rewrite rule whose correction does not weigh less than the word it
+    replaces, so termination is not proven; raised when a preset is built and
+    carries the offending correction monomial."""
 
-    def __init__(self, monomial, steps):
+    def __init__(self, monomial, replaced):
         self.monomial = monomial
-        self.steps = steps
         super().__init__(
-            f"normal ordering did not reach a fixpoint after {steps} rewrite "
-            f"steps (offending monomial: {monomial!r})"
+            f"rewriting may not terminate: correction {monomial!r} of the rule "
+            f"for {replaced} does not weigh less than {replaced}"
         )
 
 

@@ -40,17 +40,7 @@ class KinematicParams:
     Pvec: float = 0.0
 
     def __post_init__(self):
-        # every chained comparison is false for nan as well as for inf; one
-        # expression on the fields is the cheapest test for the per-row
-        # construction in sweeps, and the loops below only name the culprit
-        if (
-            0 < self.kappa < math.inf
-            and 0 < self.c < math.inf
-            and 0 < self.hbar < math.inf
-            and 0 <= self.M < math.inf
-            and 0 <= self.Pvec < math.inf
-        ):
-            return
+        # every chained comparison is false for nan as well as for inf
         for name in ("kappa", "c", "hbar"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -232,18 +222,28 @@ def nonrel_bound(M: float, kappa: float, hbar: float = 1.0) -> float:
 
     dp dx > (hbar/4) [1 + (1 + M/2 kappa)^2] > (hbar/2)(1 + M/2 kappa)
     """
-    if M < 0:
-        raise ParameterError(f"M must be nonnegative, got {M}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be strictly positive, got {kappa}")
-    v = 1.0 + M / (2.0 * kappa)
-    return 0.25 * hbar * (1.0 + v * v)
+    return nonrel_chain(M, kappa, hbar)[0]
 
 
 def nonrel_chain(M: float, kappa: float, hbar: float = 1.0) -> tuple[float, float]:
     """(middle, right) of the nonrelativistic inequality chain."""
+    if not M >= 0:
+        raise ParameterError(f"M must be nonnegative, got {M}")
+    if not kappa > 0:
+        raise ParameterError(f"kappa must be strictly positive, got {kappa}")
     v = 1.0 + M / (2.0 * kappa)
     return 0.25 * hbar * (1.0 + v * v), 0.5 * hbar * v
+
+
+def _check_kappa_c(kappa: float, c: float) -> None:
+    """The estimates divide by a multiple of kappa^2 c^2: kappa and c must be
+    positive, and kappa^2 c^2 must neither underflow nor overflow."""
+    try:
+        if kappa > 0 and c > 0 and kappa**2 * c**2 > 0:
+            return
+    except OverflowError:
+        pass
+    raise ParameterError(f"kappa^2 c^2 must be a positive double, got kappa={kappa}, c={c}")
 
 
 def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) -> float:
@@ -254,6 +254,7 @@ def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) ->
     """
     if delta_p < 0:
         raise ParameterError(f"delta_p must be nonnegative, got {delta_p}")
+    _check_kappa_c(kappa, c)
     if delta_p > kappa * c:
         warnings.warn(
             f"delta_p = {delta_p} exceeds kappa*c = {kappa * c}; "
@@ -275,6 +276,7 @@ def sqrt_bound_estimate(
     (hbar/2) sqrt(1 + (<P>^2 + dp^2 + M^2 c^2) / 4 kappa^2 c^2),
     of which `modified_bound` is the quadratic (upper) approximation.
     """
+    _check_kappa_c(kappa, c)
     u = (exp_P**2 + delta_p**2 + (M * c) ** 2) / (4.0 * kappa**2 * c**2)
     return 0.5 * hbar * math.sqrt(1.0 + u)
 

@@ -21,9 +21,12 @@ moves left past the whole run of greater letters it commutes with in one
 step: those are the swaps the leftmost-first order would take next.  Normal
 forms are memoized per word, as the normal form of word * q^0: q^a already
 sits at the right end, so word * q^a has the same normal form with a added
-to every q-exponent, which callers add as they accumulate.  The tables are
-PBW-like; termination and confluence are certified empirically by the Jacobi
-and associativity suites rather than proven.
+to every q-exponent, which callers add as they accumulate.  Termination is
+proven by weight descent, checked when a preset is built: a boost weighs 2,
+every other letter 1 and q nothing; every correction and q-transport extra
+weighs less than what it replaces, and a swap removes one inversion, so each
+rewrite lowers (weight, inversions).  Confluence is still certified by the
+Jacobi suite, until `suite confluence` lands.
 """
 
 from __future__ import annotations
@@ -220,23 +223,26 @@ def _q_rules(sector: Sector) -> dict[Gen, tuple[Scalar, tuple[Gen, ...]]]:
 
 # -- preset ------------------------------------------------------------------
 
-DEFAULT_STEP_CAP = 10**6
+
+def _weight(word: tuple[Gen, ...]) -> int:
+    """The termination weight: a boost weighs 2, every other letter 1."""
+    return len(word) + sum(g in BOOSTS for g in word)
 
 
 class AlgebraPreset:
     """One basis/sector choice with its rewrite table and memoized engine."""
 
-    def __init__(self, basis: Basis, sector: Sector, rules, qrules, step_cap=DEFAULT_STEP_CAP):
+    def __init__(self, basis: Basis, sector: Sector, rules, qrules):
         self.basis = basis
         self.sector = sector
         self.rules = rules
         self.qrules = qrules
-        self.step_cap = step_cap
         if sector is Sector.POINCARE:
             self.generators = ROTATIONS + BOOSTS + (Gen.P0,) + SPATIAL_P
         else:
             self.generators = (Gen.X0,) + SPATIAL_X + (Gen.P0,) + SPATIAL_P
         self.allowed = frozenset(self.generators)
+        self._check_terminates()
         # the pairs whose rule is zero; built from this instance's own rules,
         # so a `with_rule_override` copy gets its own set
         self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
@@ -251,7 +257,6 @@ class AlgebraPreset:
         self._coproduct_cache: dict = {}
         self._pair_cache: dict = {}
         self._action_cache: dict = {}
-        self._steps = 0
 
     def __repr__(self) -> str:
         return f"AlgebraPreset({self.basis.value}, {self.sector.value})"
@@ -262,7 +267,23 @@ class AlgebraPreset:
             raise KeyError(f"no rule for pair {pair}")
         rules = dict(self.rules)
         rules[pair] = element
-        return AlgebraPreset(self.basis, self.sector, rules, self.qrules, self.step_cap)
+        return AlgebraPreset(self.basis, self.sector, rules, self.qrules)
+
+    def _check_terminates(self):
+        """Raise unless every out-of-order pair of generators has a rule and
+        every correction and q-rule extra weighs less than what it replaces."""
+        for hi in self.generators:
+            for lo in self.generators:
+                if hi > lo and (hi, lo) not in self.rules:
+                    raise SectorError(f"no rule for {hi.render()} {lo.render()} in {self!r}")
+        for (hi, lo), rule in self.rules.items():
+            self.check_admissible(rule)
+            for mono in rule.monomials():
+                if _weight(mono.word) >= _weight((hi, lo)):
+                    raise NonTerminationError(mono, f"{hi.render()} {lo.render()}")
+        for g, (_, extra) in self.qrules.items():
+            if _weight(extra) >= _weight((g,)):
+                raise NonTerminationError(Monomial(extra), f"q {g.render()}")
 
     # -- admissibility -------------------------------------------------------
 
@@ -304,8 +325,6 @@ class AlgebraPreset:
         q-exponent with `_shifted_accumulate`."""
         cached = self._nf_cache.get(word)
         if cached is not None:
-            if cached is _IN_PROGRESS:
-                raise NonTerminationError(Monomial(word), self._steps)
             return cached
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
@@ -314,44 +333,30 @@ class AlgebraPreset:
             result = Element._wrap({_tuple_new(Monomial, (word, 0)): _ONE})
             self._nf_cache[word] = result
             return result
-        self._nf_cache[word] = _IN_PROGRESS
-        try:
-            self._steps += 1
-            if self._steps > self.step_cap:
-                raise NonTerminationError(Monomial(word), self._steps)
-            hi, lo = word[i], word[i + 1]
-            if (hi, lo) in self._commuting:
-                # word[:i + 1] is sorted, so the leftmost-first order would go
-                # on swapping lo left past every greater letter it commutes with
-                j = i
-                while j and word[j - 1] > lo and (word[j - 1], lo) in self._commuting:
-                    j -= 1
-                result = self._nf_word(word[:j] + (lo,) + word[j : i + 1] + word[i + 2 :])
-            else:
-                left, right = word[:i], word[i + 2 :]
-                rule = self.rules.get((hi, lo))
-                if rule is None:
-                    raise SectorError(
-                        f"no rewrite rule for pair ({hi.render()}, {lo.render()}) in "
-                        f"the {self.sector.value} sector"
+        hi, lo = word[i], word[i + 1]
+        if (hi, lo) in self._commuting:
+            # word[:i + 1] is sorted, so the leftmost-first order would go
+            # on swapping lo left past every greater letter it commutes with
+            j = i
+            while j and word[j - 1] > lo and (word[j - 1], lo) in self._commuting:
+                j -= 1
+            result = self._nf_word(word[:j] + (lo,) + word[j : i + 1] + word[i + 2 :])
+        else:
+            left, right = word[:i], word[i + 2 :]
+            acc = dict(self._nf_word(left + (lo, hi) + right)._terms)
+            for (cword, cqexp), ccoeff in self.rules[hi, lo].items():
+                # splice: left * cword * q^cqexp * right
+                for rword, rcoeff in self._q_past_word(cqexp, right):
+                    _shifted_accumulate(
+                        acc, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
                     )
-                acc = dict(self._nf_word(left + (lo, hi) + right)._terms)
-                for (cword, cqexp), ccoeff in rule.items():
-                    # splice: left * cword * q^cqexp * right
-                    for rword, rcoeff in self._q_past_word(cqexp, right):
-                        _shifted_accumulate(
-                            acc, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
-                        )
-                result = Element._wrap(acc)
-        except Exception:
-            self._nf_cache.pop(word, None)
-            raise
+            result = Element._wrap(acc)
+        # cached only once complete, so an error above leaves no entry
         self._nf_cache[word] = result
         return result
 
     def normal_form(self, e: Element) -> Element:
         self.check_admissible(e)
-        self._steps = 0
         acc: dict[Monomial, Scalar] = {}
         for (word, qexp), coeff in e.items():
             _shifted_accumulate(acc, self._nf_word(word), qexp, coeff)
@@ -374,7 +379,6 @@ class AlgebraPreset:
         pair, so a commutator or a longer signed sum of products fills one
         dict with no intermediate value negated or copied.
         """
-        self._steps = 0
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 c12 = c1 * c2 if sign > 0 else -(c1 * c2)
@@ -419,8 +423,6 @@ def _shifted_accumulate(acc: dict, nf: Element, shift: int, factor: Scalar) -> d
     return accumulate(acc, shifted, factor)
 
 
-# marks a word whose normal form is being computed, to catch rewrite cycles
-_IN_PROGRESS = object()
 _ONE = Scalar.one()
 # unchecked Monomial constructor, only for words spliced from admissible pieces
 _tuple_new = tuple.__new__
@@ -432,15 +434,9 @@ def get_preset(basis: Basis, sector: Sector) -> AlgebraPreset:
     basis = Basis(basis)
     sector = Sector(sector)
     if sector is Sector.POINCARE:
-        rules = {}
-        rules.update(_lorentz_rules(basis))
-        rules.update(_momentum_lorentz_rules(basis))
-        rules.update(_momentum_rules())
+        rules = {**_lorentz_rules(basis), **_momentum_lorentz_rules(basis), **_momentum_rules()}
     else:
-        rules = {}
-        rules.update(_position_rules())
-        rules.update(_phase_rules(basis))
-        rules.update(_momentum_rules())
+        rules = {**_position_rules(), **_phase_rules(basis), **_momentum_rules()}
     return AlgebraPreset(basis, sector, rules, _q_rules(sector))
 
 

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from kappahopf import cli
 from kappahopf.cli import main
 from kappahopf.elements import Element, Gen
+from kappahopf.presets import Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
 
 
@@ -204,6 +206,19 @@ class TestSuites:
         code, _, err = run_cli(capsys, "suite", "all", "--corrupt-rule", text)
         assert code == 2
         assert err.startswith("error:") and "--corrupt-rule" in err
+
+    def test_every_corrupted_rule_builds(self):
+        # the `+i hbar` corruption adds a constant, which passes the
+        # construction-time weight check, so every negative control runs
+        counts = []
+        for basis in Basis:
+            for sector in Sector:
+                preset = get_preset(basis, sector)
+                for pair, rule in preset.rules.items():
+                    copy = cli._corrupted(preset, pair)
+                    assert copy is not preset and copy.rules[pair] != rule
+                counts.append(len(preset.rules))
+        assert counts == [45, 28, 45, 28]
 
     def test_corrupt_rule_in_one_sector_only(self, capsys):
         # P1,N1 has an entry in the Poincare presets only; the phase-space

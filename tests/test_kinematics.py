@@ -211,6 +211,37 @@ class TestLimits:
             mid, right = nonrel_chain(ratio, 1.0)
             assert mid > right > 0.5
 
+    def test_nonrel_bound_is_chain_middle(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            M, kappa = rng.uniform(0.0, 10.0), 10 ** rng.uniform(-6, 12)
+            v = 1.0 + M / (2.0 * kappa)
+            # the closed form, evaluated apart from nonrel_chain
+            assert nonrel_bound(M, kappa) == 0.25 * (1.0 + v * v)
+            assert nonrel_chain(M, kappa)[0] == nonrel_bound(M, kappa)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: nonrel_chain(1.0, 0.0),
+            lambda: nonrel_bound(1.0, 0.0),
+            lambda: nonrel_bound(math.nan, 1.0),
+            lambda: nonrel_chain(-1.0, 1.0),
+            lambda: nonrel_bound(1.0, math.nan),
+            lambda: modified_bound(1.0, 0.0, 1.0),
+            lambda: modified_bound(1.0, 1.0, -1.0),
+            lambda: modified_bound(1.0, math.nan, 1.0),
+            lambda: sqrt_bound_estimate(1.0, 0.0, 1.0),
+            lambda: sqrt_bound_estimate(1.0, 1.0, 0.0),
+            # kappa^2 c^2 underflows to zero, or kappa^2 overflows
+            lambda: modified_bound(1.0, 1e-200, 1.0),
+            lambda: sqrt_bound_estimate(1.0, 1e200, 1.0),
+        ],
+    )
+    def test_invalid_estimate_parameters_are_typed(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
     def test_modified_bound_examples(self):
         assert modified_bound(0.0, 1.0, 1.0) == 0.5
         assert modified_bound(1.0, 1.0, 1.0) == 0.5625

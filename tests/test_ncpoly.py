@@ -83,14 +83,61 @@ class TestNormalForm:
         with pytest.raises(SectorError):
             Monomial((Gen.X1, Gen.N1))
 
-    def test_step_cap_diagnostic(self):
-        tiny = AlgebraPreset(PB.basis, PB.sector, PB.rules, PB.qrules, step_cap=1)
-        heavy = Element.term(
-            Monomial((Gen.P1, Gen.P2, Gen.X1, Gen.X2)), Scalar.one()
-        )
-        with pytest.raises(NonTerminationError) as err:
-            tiny.normal_form(heavy)
-        assert err.value.monomial is not None
+
+
+class TestTermination:
+    """Rewriting terminates by weight descent, checked when a preset is built:
+    a boost weighs 2, every other letter 1, q nothing."""
+
+    @pytest.mark.parametrize(
+        "preset, pair, word",
+        [
+            (PB, (Gen.P1, Gen.X1), (Gen.X1, Gen.P1, Gen.P2)),
+            # equal weight: a swap that a rule writes as its own correction
+            (PB, (Gen.P1, Gen.X1), (Gen.X1, Gen.P1)),
+            (POB, (Gen.N2, Gen.N1), (Gen.P1, Gen.P2, Gen.M3, Gen.P3)),
+            (POS, (Gen.P1, Gen.N1), (Gen.N1, Gen.P2)),
+        ],
+        ids=["heavier", "equal", "equal-boosts", "equal-boost-momentum"],
+    )
+    def test_override_not_lowering_weight_raises(self, preset, pair, word):
+        correction = Monomial(word, 1)
+        bad = preset.rules[pair] + Element.term(correction, Scalar.one())
+        with pytest.raises(NonTerminationError, match=correction.render()) as err:
+            preset.with_rule_override(pair, bad)
+        assert err.value.monomial == correction
+
+    def test_override_lowering_weight_builds(self):
+        # M3 P1 weighs 2 + 1 less than N2 N1, which weighs 4
+        lighter = Element.term(Monomial((Gen.M3, Gen.P1)), Scalar.one())
+        copy = POB.with_rule_override((Gen.N2, Gen.N1), lighter)
+        raw = Element.term(Monomial((Gen.N2, Gen.N1)), Scalar.one())
+        assert copy.normal_form(raw) == Element.term(
+            Monomial((Gen.N1, Gen.N2)), Scalar.one()
+        ) + Element.term(Monomial((Gen.M3, Gen.P1)), Scalar.one())
+
+    @pytest.mark.parametrize(
+        "preset, gen_, extra",
+        [(POB, Gen.N1, (Gen.P1, Gen.P2)), (PB, Gen.X0, (Gen.X1,))],
+        ids=["boost", "x0"],
+    )
+    def test_qrule_extra_not_lowering_weight_raises(self, preset, gen_, extra):
+        lam = preset.qrules[gen_][0]
+        qrules = {**preset.qrules, gen_: (lam, extra)}
+        with pytest.raises(NonTerminationError, match=f"q {gen_.render()}") as err:
+            AlgebraPreset(preset.basis, preset.sector, preset.rules, qrules)
+        assert err.value.monomial == Monomial(extra)
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS, ids=repr)
+    def test_missing_rule_raises_at_construction(self, preset):
+        pair = next(iter(preset.rules))
+        rules = {p: r for p, r in preset.rules.items() if p != pair}
+        with pytest.raises(SectorError, match="no rule for"):
+            AlgebraPreset(preset.basis, preset.sector, rules, preset.qrules)
+
+    def test_inadmissible_correction_raises_at_construction(self):
+        with pytest.raises(SectorError, match="M1 is not admissible"):
+            PB.with_rule_override((Gen.P1, Gen.X1), gen(Gen.M1))
 
 
 class TestMultiply:
