@@ -20,8 +20,9 @@ law holds (see `select_convention`).
 
 Pairings and actions are memoized per monomial pair on the shared phase-space
 preset, keyed by (convention, momentum monomial, position monomial).  The
-cross product reads monomial actions from that memo directly; `pair` and
-`left_action` sum the memoized values over the terms of their arguments.
+cross product reads monomial actions from that memo, and every monomial
+coproduct in place from `hopf.coproduct_monomial`, without copying; `pair`
+and `left_action` sum the memoized values over the terms of their arguments.
 Each public call looks the preset up once and passes it down, so a context
 still sees a fresh preset after `get_preset.cache_clear()`.
 """
@@ -43,7 +44,7 @@ from .elements import (
     accumulate,
 )
 from .errors import PairingError
-from .hopf import TensorElement, coproduct
+from .hopf import TensorElement, coproduct, coproduct_monomial
 from .presets import AlgebraPreset, Basis, Sector, get_preset
 from .reports import (
     BasisMapCandidate,
@@ -90,30 +91,20 @@ def _q_pairing(a: int, x: Gen) -> Scalar:
     return _base_pairing(Gen.P0, x) * Scalar.term(Fraction(a, 2), 0, kappa=-1, c=-1)
 
 
-def _check_momentum_element(p: Element):
-    for mono in p.monomials():
-        for g in mono.word:
-            if g not in MOMENTA:
-                raise PairingError(
-                    f"pairing expects a momentum-sector element, found {g.render()}"
-                )
-
-
-def _check_position_element(x: Element):
-    for mono in x.monomials():
-        if mono.qexp != 0:
-            raise PairingError("position-sector elements cannot carry q powers")
-        for g in mono.word:
-            if g not in POSITIONS:
-                raise PairingError(
-                    f"pairing expects a position-sector element, found {g.render()}"
-                )
+def _check_pairing_operands(p: Element, x: Element):
+    """p must be a momentum-sector element, x a position-sector one with no q."""
+    for e, letters, sector in ((p, MOMENTA, "momentum"), (x, POSITIONS, "position")):
+        for word, qexp in e.monomials():
+            if qexp and letters is POSITIONS:
+                raise PairingError("position-sector elements cannot carry q powers")
+            if not letters.issuperset(word):
+                g = next(g for g in word if g not in letters).render()
+                raise PairingError(f"pairing expects a {sector}-sector element, found {g}")
 
 
 def pair(p: Element, x: Element, ctx: PairingContext) -> Scalar:
     """Duality pairing <p, x>, bilinear over both arguments."""
-    _check_momentum_element(p)
-    _check_position_element(x)
+    _check_pairing_operands(p, x)
     preset = ctx.preset
     terms: dict = {}
     for pm, pc in p.items():
@@ -160,7 +151,7 @@ def _pair_mono_fresh(
             return Scalar.zero()
         return _base_pairing(g, xm.word[0])
     # general case: split the position product through the momentum coproduct
-    dp = coproduct(Element.term(pm, Scalar.one()), preset)
+    dp = coproduct_monomial(pm, preset)
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
     if ctx.convention is Convention.RIGHT:
         head, tail = tail, head
@@ -174,8 +165,7 @@ def _pair_mono_fresh(
 
 def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
     """Module-algebra action p |> x = <p, x_(2)> x_(1) (LEFT convention)."""
-    _check_momentum_element(p)
-    _check_position_element(x)
+    _check_pairing_operands(p, x)
     preset = ctx.preset
     acc: dict[Monomial, Scalar] = {}
     for pm, pc in p.items():
@@ -195,7 +185,7 @@ def _act_mono(
         # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
-        for legs, s in coproduct(Element.term(xm, Scalar.one()), preset).items():
+        for legs, s in coproduct_monomial(xm, preset).items():
             coeff = _pair_mono(pm, legs[paired], ctx, preset)
             if not coeff.is_zero:
                 accumulate(acc, [(legs[1 - paired], coeff * s)])
@@ -238,7 +228,7 @@ def _cross_product_into(
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
         left = Element.term(xa, Scalar.one())
-        dpa = coproduct(Element.term(pa, Scalar.one()), preset).items()
+        dpa = coproduct_monomial(pa, preset).items()
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
             cab = ca * cb if sign > 0 else -(ca * cb)

@@ -117,6 +117,7 @@ class Monomial(tuple):
 
 
 UNIT_MONOMIAL = Monomial()
+_ONE = Scalar.one()
 
 
 def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
@@ -125,20 +126,21 @@ def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
     Every coeff must be nonzero.  A key whose sum cancels is removed, so acc
     never holds a zero coefficient and can be wrapped as it is.
     """
-    if factor is not None and factor.is_zero:
-        return acc
+    if factor is not None:
+        if not factor._terms:
+            return acc
+        if factor is not _ONE:
+            items = [(key, coeff * factor) for key, coeff in items]
     for key, coeff in items:
-        if factor is not None:
-            coeff = coeff * factor
         prev = acc.get(key)
         if prev is None:
             acc[key] = coeff
         else:
             total = prev + coeff
-            if total.is_zero:
-                del acc[key]
-            else:
+            if total._terms:
                 acc[key] = total
+            else:
+                del acc[key]
     return acc
 
 

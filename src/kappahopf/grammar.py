@@ -17,9 +17,10 @@ INT is a run of ASCII digits 0-9; a literal past the interpreter's
 str-to-int digit limit raises ResourceLimitError.  Division is defined for
 invertible right factors only: rationals, single-term scalars, and scalar
 multiples of q powers.  A power of an element or tensor with generators in it
-takes an exponent of at most MAX_POWER; a larger one raises
-ResourceLimitError before any product is formed.  `parse(render(e))`
-evaluates back to `e` for every normal-form element the engine produces.
+takes an exponent of at most MAX_POWER, and a product at most MAX_POWER
+factors; more raises ResourceLimitError before any product is formed.
+`parse(render(e))` evaluates back to `e` for every normal-form element the
+engine produces.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .crossproduct import Convention, PairingContext, left_action, pair
 from .elements import GEN_BY_NAME, Monomial, Element
@@ -43,8 +45,7 @@ _KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
 MAX_POWER = 4096
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER | IDENT | one of _SYMBOLS | EOF
     text: str
     line: int
@@ -332,7 +333,7 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
     if kind == "num":
         return Value("scalar", Scalar.gaussian(node[1]))
     if kind == "sym":
-        return _eval_symbol(node[1])
+        return _SYMBOL_VALUES[node[1]]
     if kind == "neg":
         v = _eval(node[1], ctx, preset)
         return Value(v.kind, -v.data)
@@ -352,12 +353,19 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
                 a, b = Value("element", a.as_element()), Value("element", b.as_element())
             a = Value(a.kind, a.data + b.data if op == "add" else a.data - b.data)
         return a
-    if kind == "mul":
-        return _mul(_eval(node[1], ctx, preset), _eval(node[2], ctx, preset), preset)
-    if kind == "div":
-        a = _eval(node[1], ctx, preset)
-        b = _eval(node[2], ctx, preset)
-        return _mul(a, _invert(b), preset)
+    if kind in ("mul", "div"):
+        # a left-deep chain as well, its factors bounded like a power's exponent
+        spine = []
+        while node[0] in ("mul", "div"):
+            spine.append(node)
+            node = node[1]
+        if len(spine) >= MAX_POWER:
+            raise ResourceLimitError(f"a product has more than {MAX_POWER} factors")
+        a = _eval(node, ctx, preset)
+        for op, _, rhs in reversed(spine):
+            b = _eval(rhs, ctx, preset)
+            a = _mul(a, b if op == "mul" else _invert(b), preset)
+        return a
     if kind == "pow":
         return _pow(_eval(node[1], ctx, preset), node[2], preset)
     if kind == "comm":
@@ -384,18 +392,13 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
     raise AssertionError(f"unhandled node kind {kind!r}")
 
 
-def _eval_symbol(name: str) -> Value:
-    if name == "i":
-        return Value("scalar", Scalar.i())
-    if name == "hbar":
-        return Value("scalar", Scalar.term(1, 0, hbar=1))
-    if name == "kappa":
-        return Value("scalar", Scalar.term(1, 0, kappa=1))
-    if name == "c":
-        return Value("scalar", Scalar.term(1, 0, c=1))
-    if name == "q":
-        return Value("element", Element.q_power(1))
-    return Value("element", Element.generator(GEN_BY_NAME[name]))
+# one shared value per symbol: values and their data are never mutated
+_SYMBOL_VALUES = {
+    "i": Value("scalar", Scalar.i()),
+    **{name: Value("scalar", Scalar.term(1, **{name: 1})) for name in ("hbar", "kappa", "c")},
+    "q": Value("element", Element.q_power(1)),
+    **{name: Value("element", Element.generator(g)) for name, g in GEN_BY_NAME.items()},
+}
 
 
 def _mul(a: Value, b: Value, preset: AlgebraPreset) -> Value:
@@ -489,8 +492,8 @@ def eval_text(
 
     The parser, the evaluator and the rewrite engine all recurse, so deep
     nesting and long words are bounded by the interpreter's recursion limit;
-    reaching it raises ResourceLimitError.  Sums are parsed and evaluated in
-    a loop, so the number of terms is not bounded by it.
+    reaching it raises ResourceLimitError.  Sums and products are parsed and
+    evaluated in a loop, so the number of terms or factors is not bounded by it.
     """
     try:
         node = parse(source)

@@ -14,7 +14,9 @@ relations, and breaks the momentum-basis transformation, so it is rejected.
 Once a preset is fixed, so are its structure maps: the coproduct of each
 monomial and each monomial-by-monomial slot product are memoized on the
 `AlgebraPreset` instance, so a `with_rule_override` copy never sees the
-results of the preset it was copied from.
+results of the preset it was copied from.  `coproduct_monomial` builds a
+coproduct by leading letter, Delta(g w) = Delta(g) Delta(w), from the longest
+memoized suffix and hands out the memo entry, which callers read in place.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .elements import (
     Element,
     accumulate,
 )
-from .presets import AlgebraPreset, Basis, Sector, _eps, get_preset
+from .presets import AlgebraPreset, Basis, Sector, _eps, _tuple_new, get_preset
 from .reports import CheckEntry, CheckReport
 from .scalars import Scalar
 
@@ -266,23 +268,36 @@ def _coproducts(basis: Basis) -> dict[Gen, TensorElement]:
 def coproduct(e: Element, preset: AlgebraPreset) -> TensorElement:
     """Algebra-homomorphic extension of the generator coproducts; Delta(q) = q (x) q."""
     preset.check_admissible(e)
-    memo = preset._coproduct_cache
     acc: dict[tuple[Monomial, ...], Scalar] = {}
     for mono, coeff in e.items():
-        t = memo.get(mono)
-        if t is None:
-            t = _coproduct_monomial(mono, preset)
-            memo[mono] = t
-        accumulate(acc, t.items(), coeff)
+        accumulate(acc, coproduct_monomial(mono, preset).items(), coeff)
     return TensorElement._wrap(acc, 2)
 
 
-def _coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
+def coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
+    """Delta(mono), the memo entry itself: callers only read it.
+
+    A miss adds one entry per letter left of the longest memoized suffix, so
+    products nest to the right as in a fold over the reversed word; a letter
+    from outside the sector fails in the checked `multiply` first."""
+    memo = preset._coproduct_cache
+    t = memo.get(mono)
+    if t is not None:
+        return t
+    word, qexp = mono
+    for i in range(1, len(word) + 1):
+        t = memo.get(_tuple_new(Monomial, (word[i:], qexp)))
+        if t is not None:
+            break
+    else:
+        i = len(word)
+        q = _tuple_new(Monomial, ((), qexp))
+        t = memo[q] = TensorElement._wrap({(q, q): Scalar.one()}, 2)
     table = _coproducts(preset.basis)
-    q = Monomial((), mono.qexp)
-    t = TensorElement(2, {(q, q): Scalar.one()})
-    for g in reversed(mono.word):
-        t = tensor_multiply(table[g], t, preset)
+    while i:
+        i -= 1
+        t = tensor_multiply(table[word[i]], t, preset)
+        memo[_tuple_new(Monomial, (word[i:], qexp))] = t
     return t
 
 
@@ -322,12 +337,13 @@ def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset, sign: i
     """acc += sign * (coproduct on one slot of t), in place; sign is +1 or -1."""
     if t.rank != 2:
         raise ValueError("slot coproduct expects a rank-2 tensor")
+    # the memo reads are unchecked, and a hand-built tensor may be out of sector
+    preset.check_admissible(Element._wrap({key[slot]: c for key, c in t.items()}))
     for key, coeff in t.items():
         other = key[1 - slot]
-        dt = coproduct(Element.term(key[slot], Scalar.one()), preset)
         split = (
             ((a, b, other) if slot == 0 else (other, a, b), s)
-            for (a, b), s in dt.items()
+            for (a, b), s in coproduct_monomial(key[slot], preset).items()
         )
         accumulate(acc, split, coeff if sign > 0 else -coeff)
     return acc

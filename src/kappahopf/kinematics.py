@@ -231,6 +231,7 @@ def nonrel_chain(M: float, kappa: float, hbar: float = 1.0) -> tuple[float, floa
         raise ParameterError(f"M must be nonnegative, got {M}")
     if not kappa > 0:
         raise ParameterError(f"kappa must be strictly positive, got {kappa}")
+    _check_dp_hbar(0.0, hbar)
     v = 1.0 + M / (2.0 * kappa)
     return 0.25 * hbar * (1.0 + v * v), 0.5 * hbar * v
 
@@ -246,14 +247,21 @@ def _check_kappa_c(kappa: float, c: float) -> None:
     raise ParameterError(f"kappa^2 c^2 must be a positive double, got kappa={kappa}, c={c}")
 
 
+def _check_dp_hbar(delta_p: float, hbar: float) -> None:
+    """delta_p finite and >= 0, hbar finite and > 0; nan fails both tests."""
+    if not 0 <= delta_p < math.inf:
+        raise ParameterError(f"delta_p must be nonnegative and finite, got {delta_p}")
+    if not 0 < hbar < math.inf:
+        raise ParameterError(f"hbar must be strictly positive and finite, got {hbar}")
+
+
 def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) -> float:
     """String-motivated modified bound dp dx > (hbar/2)(1 + dp^2 / 8 kappa^2 c^2).
 
     Valid in the regime <P>^2 + M^2 c^2 << kappa^2 c^2 with dp <= kappa c;
     outside it a warning is issued and the value still computed.
     """
-    if delta_p < 0:
-        raise ParameterError(f"delta_p must be nonnegative, got {delta_p}")
+    _check_dp_hbar(delta_p, hbar)
     _check_kappa_c(kappa, c)
     if delta_p > kappa * c:
         warnings.warn(
@@ -276,6 +284,7 @@ def sqrt_bound_estimate(
     (hbar/2) sqrt(1 + (<P>^2 + dp^2 + M^2 c^2) / 4 kappa^2 c^2),
     of which `modified_bound` is the quadratic (upper) approximation.
     """
+    _check_dp_hbar(delta_p, hbar)
     _check_kappa_c(kappa, c)
     u = (exp_P**2 + delta_p**2 + (M * c) ** 2) / (4.0 * kappa**2 * c**2)
     return 0.5 * hbar * math.sqrt(1.0 + u)

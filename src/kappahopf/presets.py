@@ -288,13 +288,13 @@ class AlgebraPreset:
     # -- admissibility -------------------------------------------------------
 
     def check_admissible(self, e: Element):
-        for mono in e.monomials():
-            for g in mono.word:
-                if g not in self.allowed:
-                    raise SectorError(
-                        f"generator {g.render()} is not admissible in the "
-                        f"{self.sector.value} sector"
-                    )
+        for word, _ in e.monomials():
+            if not self.allowed.issuperset(word):
+                g = next(g for g in word if g not in self.allowed)
+                raise SectorError(
+                    f"generator {g.render()} is not admissible in the "
+                    f"{self.sector.value} sector"
+                )
 
     # -- q transport ---------------------------------------------------------
 
@@ -379,12 +379,11 @@ class AlgebraPreset:
         pair, so a commutator or a longer signed sum of products fills one
         dict with no intermediate value negated or copied.
         """
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+        for (w1, q1), c1 in a.items():
+            for (w2, q2), c2 in b.items():
                 c12 = c1 * c2 if sign > 0 else -(c1 * c2)
-                for word2, qc in self._q_past_word(m1.qexp, m2.word):
-                    nf = self._nf_word(m1.word + word2)
-                    _shifted_accumulate(acc, nf, m1.qexp + m2.qexp, c12 * qc)
+                for word2, qc in self._q_past_word(q1, w2):
+                    _shifted_accumulate(acc, self._nf_word(w1 + word2), q1 + q2, c12 * qc)
         return acc
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
@@ -415,12 +414,23 @@ class AlgebraPreset:
 
 
 def _shifted_accumulate(acc: dict, nf: Element, shift: int, factor: Scalar) -> dict:
-    """accumulate factor * nf * q^shift into acc; nf is a normal form of some
-    word * q^0, and shifting every q-exponent keeps its terms distinct."""
-    if shift == 0:
-        return accumulate(acc, nf.items(), factor)
-    shifted = ((_tuple_new(Monomial, (w, q + shift)), c) for (w, q), c in nf.items())
-    return accumulate(acc, shifted, factor)
+    """accumulate factor * nf * q^shift into acc, factor nonzero; nf is the
+    normal form of some word * q^0, and the shift keeps its terms distinct."""
+    for mono, coeff in nf._terms.items():
+        if shift:
+            mono = _tuple_new(Monomial, (mono[0], mono[1] + shift))
+        if factor is not _ONE:
+            coeff = coeff * factor
+        prev = acc.get(mono)
+        if prev is None:
+            acc[mono] = coeff
+        else:
+            total = prev + coeff
+            if total._terms:
+                acc[mono] = total
+            else:
+                del acc[mono]
+    return acc
 
 
 _ONE = Scalar.one()

@@ -112,6 +112,12 @@ class TestEval:
         expected = Element.generator(Gen.P1).scaled(Scalar.rational(total))
         assert out.strip() == expected.render() == f"({total}) P1"
 
+    def test_long_product_evaluates(self, capsys):
+        # a product of juxtaposed factors is evaluated in a loop as well
+        code, out, err = run_cli(capsys, "eval", " ".join(["P1"] * 1500))
+        assert (code, err) == (0, "")
+        assert out.strip() == "P1^1500"
+
 
 class TestSuites:
     def test_all_passes(self, capsys):

@@ -85,12 +85,13 @@ class TestPairing:
         assert pair(Element.one(), Element.one(), CTX_B) == Scalar.one()
 
     def test_sector_validation(self):
-        with pytest.raises(PairingError):
-            pair(gen(Gen.X1), gen(Gen.X1), CTX_B)
-        with pytest.raises(PairingError):
-            pair(gen(Gen.P1), gen(Gen.P1), CTX_B)
-        with pytest.raises(PairingError):
-            pair(gen(Gen.P1), Element.q_power(1), CTX_B)
+        for op in (pair, left_action):
+            with pytest.raises(PairingError, match="momentum-sector element, found x1"):
+                op(gen(Gen.X1), gen(Gen.X1), CTX_B)
+            with pytest.raises(PairingError, match="position-sector element, found P1"):
+                op(gen(Gen.P1), gen(Gen.P1), CTX_B)
+            with pytest.raises(PairingError, match="cannot carry q powers"):
+                op(gen(Gen.P1), Element.q_power(1), CTX_B)
 
     @pytest.mark.parametrize("ctx", [CTX_B, CTX_S], ids=["bicross", "standard"])
     def test_well_defined_on_relations(self, ctx):

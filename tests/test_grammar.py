@@ -143,6 +143,12 @@ class TestEval:
         with pytest.raises(ResourceLimitError, match="exponent 4097"):
             eval_text(expression)
 
+    def test_product_above_limit_is_typed(self):
+        # every partial product of a chain of generators is a memoized word
+        assert eval_text(" ".join(["2"] * 4096)).data == Scalar.rational(2**4096)
+        with pytest.raises(ResourceLimitError, match="more than 4096 factors"):
+            eval_text(" ".join(["P1"] * 4097))
+
     def test_shared_preset_recovers_after_recursion_limit(self):
         preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
         with pytest.raises(ResourceLimitError):

@@ -1,13 +1,17 @@
 """Coalgebra structure maps, Hopf axiom suites, Casimir centrality."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kappahopf.cli import main
 from kappahopf.elements import Gen, Monomial, Element
+from kappahopf.errors import SectorError
 from kappahopf.hopf import (
     TensorElement,
+    _coproducts,
     _subjects,
     antipode,
     casimir,
@@ -18,6 +22,7 @@ from kappahopf.hopf import (
     check_counit_axiom,
     check_jacobi,
     coproduct,
+    coproduct_monomial,
     coproduct_slot,
     counit,
     tensor_commutator,
@@ -400,3 +405,91 @@ class TestStructureMapMemo:
             fresh._product_cache.clear()
             expected = coproduct(e, fresh)
             assert got_first == expected and got_again == expected, e.render()
+
+
+# one corrupted rule per preset: a perturbed table need not be associative, so
+# the coproduct of a word may depend on how its products nest
+CORRUPTIONS = {
+    PB: (Gen.P1, Gen.X2),
+    PS: (Gen.P2, Gen.X0),
+    POB: (Gen.N2, Gen.N1),
+    POS: (Gen.P1, Gen.N1),
+}
+
+
+def _fold_coproduct(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
+    """Delta(mono) with no coproduct memo: q (x) q, then table[g] times it for
+    each letter g of the reversed word."""
+    table = _coproducts(preset.basis)
+    q = Monomial((), mono.qexp)
+    t = TensorElement(2, {(q, q): Scalar.one()})
+    for g in reversed(mono.word):
+        t = tensor_multiply(table[g], t, preset)
+    return t
+
+
+def _memo_words(preset: AlgebraPreset, pair) -> list[Monomial]:
+    """Words of length 1 to 4, among them the corrupted pair inside longer words."""
+    rng = random.Random(5)
+    gens = preset.generators
+    words = [(g,) for g in gens] + [pair, (gens[0],) + pair, pair + pair]
+    for length in (2, 3, 4):
+        words += [tuple(rng.choices(gens, k=length)) for _ in range(12)]
+    return [Monomial(w, rng.choice((-1, 0, 2))) for w in words]
+
+
+class TestCoproductMemo:
+    """`coproduct_monomial` builds suffixes through the memo and hands out the
+    memo entries themselves."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["table", "corrupted"])
+    @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+    def test_matches_fold_in_either_fill_order(self, preset, corrupt):
+        pair = CORRUPTIONS[preset]
+
+        def fresh():
+            if not corrupt:
+                return AlgebraPreset(preset.basis, preset.sector, preset.rules, preset.qrules)
+            perturb = Element.from_scalar(Scalar.term(0, 1, hbar=1))
+            return preset.with_rule_override(pair, preset.rules[pair] + perturb)
+
+        words = _memo_words(preset, pair)
+        forward, backward, folded = fresh(), fresh(), fresh()
+        got_forward = [coproduct_monomial(m, forward) for m in words]
+        got_backward = [coproduct_monomial(m, backward) for m in reversed(words)][::-1]
+        for m, a, b in zip(words, got_forward, got_backward):
+            expected = _fold_coproduct(m, folded)
+            assert a == expected and b == expected, m.render()
+            assert a.render() == b.render() == expected.render()
+            # a hit returns the entry itself
+            assert coproduct_monomial(m, forward) is a
+
+    def test_out_of_sector_monomials_still_raise(self):
+        preset = AlgebraPreset(PB.basis, PB.sector, PB.rules, PB.qrules)
+        p1, n1 = Monomial((Gen.P1,)), Monomial((Gen.N1,))
+        m1n1 = Monomial((Gen.M1, Gen.N1))
+        for mono, bad in ((n1, "N1"), (m1n1, "M1")):
+            message = f"generator {bad} is not admissible in the phasespace sector"
+            with pytest.raises(SectorError, match=message):
+                coproduct(Element.term(mono, Scalar.one()), preset)
+            for slot in (0, 1):
+                key = (mono, p1) if slot == 0 else (p1, mono)
+                with pytest.raises(SectorError, match=message):
+                    coproduct_slot(t2((*key, Scalar.one())), slot, preset)
+        lorentz = {Gen.N1, Gen.M1}
+        assert not any(lorentz & set(m.word) for m in preset._coproduct_cache)
+
+    def test_suite_all_leaves_memo_entries_unchanged(self, capsys):
+        assert main(["suite", "all"]) == 0
+        presets = [get_preset(b, s) for b in Basis for s in Sector]
+        before = [
+            {m: (t, dict(t.items())) for m, t in p._coproduct_cache.items()} for p in presets
+        ]
+        assert all(before)
+        # the second run reads every entry in place
+        assert main(["suite", "all"]) == 0
+        capsys.readouterr()
+        for p, entries in zip(presets, before):
+            for m, (t, terms) in entries.items():
+                assert p._coproduct_cache[m] is t
+                assert dict(t.items()) == terms, m.render()

@@ -242,6 +242,23 @@ class TestLimits:
         with pytest.raises(ParameterError):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: modified_bound(math.nan, 1.0, 1.0), "delta_p"),
+            (lambda: sqrt_bound_estimate(math.nan, 1.0, 1.0), "delta_p"),
+            (lambda: nonrel_bound(1.0, 1.0, hbar=math.nan), "hbar"),
+            (lambda: modified_bound(1.0, 1.0, 1.0, hbar=-1.0), "hbar"),
+            (lambda: sqrt_bound_estimate(-1.0, 1.0, 1.0), "delta_p"),
+            (lambda: modified_bound(math.inf, 1.0, 1.0), "delta_p"),
+            (lambda: sqrt_bound_estimate(1.0, 1.0, 1.0, hbar=math.inf), "hbar"),
+            (lambda: nonrel_chain(1.0, 1.0, hbar=0.0), "hbar"),
+        ],
+    )
+    def test_spread_and_hbar_are_checked(self, call, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            call()
+
     def test_modified_bound_examples(self):
         assert modified_bound(0.0, 1.0, 1.0) == 0.5
         assert modified_bound(1.0, 1.0, 1.0) == 0.5625
