@@ -30,6 +30,7 @@ from .hopf import (
     check_jacobi,
 )
 from .kinematics import (
+    MAX_POINTS,
     KinematicParams,
     bounds_bicross,
     bounds_standard,
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--var", choices=["kappa", "M", "P"], required=True)
     p_s.add_argument("--from", type=float, required=True, dest="start")
     p_s.add_argument("--to", type=float, required=True, dest="stop")
-    p_s.add_argument("--points", type=int, default=10)
+    p_s.add_argument("--points", type=int, default=10, help=f"2 to {MAX_POINTS}")
     p_s.add_argument(
         "--quantity", choices=["mass-shell", "bound"], default="mass-shell"
     )

@@ -11,11 +11,11 @@ with s^2 = (P^2/c^2 + M^2) / 4 kappa^2.  Note the dimensionally consistent
 s^2: the variant (P^2 + M^2) / 4 kappa^2 c^2 found in some writeups does not
 satisfy the mass-shell condition unless c = 1.
 
-The closed forms for q and for the mass-shell residual live in one place,
-the float helpers `_shell_q` and `_shell_residual`.  `mass_shell_exp` and
-`check_mass_shell` wrap them for a `KinematicParams`; `sweep_rows` calls them
-directly on plain floats per row, without building a `KinematicParams` or a
-`BoundSet`, so its rows are the per-point values float for float.
+The closed forms for q and the mass-shell residual are written once, in the
+row loop `_shell_rows` on plain floats; a kappa sweep computes the
+kappa-invariant root sqrt(P^2/c^2 + M^2) once.  `sweep_rows` runs it over a
+log grid and `mass_shell_exp` and `check_mass_shell` on one point, so a sweep
+row equals the per-point values float for float.
 
 Everything runs in double precision; no arbitrary-precision floats.
 """
@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .elements import Element
-from .errors import IncompleteStateError, ParameterError
+from .errors import IncompleteStateError, ParameterError, ResourceLimitError
 from .presets import AlgebraPreset
 
 
@@ -55,43 +55,14 @@ class KinematicParams:
                 )
 
 
-def _overflow(kappa: float, c: float, M: float, P: float) -> ParameterError:
-    return ParameterError(
-        f"mass shell overflows double precision at kappa={kappa}, "
-        f"c={c}, M={M}, P={P}"
-    )
-
-
-def _shell_q(kappa: float, c: float, M: float, P: float) -> float:
-    """On-shell q on plain floats; the one site of the closed form."""
-    try:
-        s = math.sqrt((P / c) ** 2 + M**2) / (2 * kappa)
-    except OverflowError:
-        raise _overflow(kappa, c, M, P) from None
-    q = s + math.sqrt(1.0 + s * s)
-    if q == math.inf:
-        raise _overflow(kappa, c, M, P)
-    return q
-
-
-def _shell_residual(kappa: float, c: float, M: float, P: float, q: float) -> float:
-    """Mass-shell residual at q on plain floats."""
-    try:
-        lhs = (kappa * (q - 1.0 / q)) ** 2 - (P / c) ** 2
-    except OverflowError:
-        raise _overflow(kappa, c, M, P) from None
-    return lhs - M**2
-
-
 def mass_shell_exp(params: KinematicParams) -> float:
     """On-shell value of q = exp(P0 / 2 kappa c); always >= 1."""
-    return _shell_q(params.kappa, params.c, params.M, params.Pvec)
+    return _shell_rows("kappa", [params.kappa], params, "q")[0]["value"]
 
 
 def check_mass_shell(params: KinematicParams) -> float:
     """Residual of the mass-shell condition at the closed-form q."""
-    kappa, c, M, P = params.kappa, params.c, params.M, params.Pvec
-    return _shell_residual(kappa, c, M, P, _shell_q(kappa, c, M, P))
+    return _shell_rows("kappa", [params.kappa], params, "mass-shell")[0]["residual"]
 
 
 class ExpectationAssignment:
@@ -293,13 +264,73 @@ def sqrt_bound_estimate(
 # -- sweeps (CLI backend) --------------------------------------------------------
 
 
+# the most points a sweep takes: its grid and rows are built in full
+MAX_POINTS = 10**5
+
+
 def log_grid(lo: float, hi: float, n: int) -> list[float]:
     if not (lo > 0 and hi > 0):
         raise ParameterError("log grid bounds must be positive")
     if n < 2:
         raise ParameterError(f"a log grid needs at least 2 points, got {n}")
+    if n > MAX_POINTS:
+        raise ResourceLimitError(f"a log grid takes at most {MAX_POINTS} points, got {n}")
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return [lo * ratio**i for i in range(n)]
+
+
+def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: str) -> list[dict]:
+    """Rows of `sweep_rows` over grid, or with quantity "q" rows whose residual
+    is None and not computed.  Row i is checked and evaluated before row i+1
+    is touched, and the row body calls no Python function."""
+    # base was validated when it was built; only the swept value needs a check
+    kappa, c, hbar, M, P = base.kappa, base.c, base.hbar, base.M, base.Pvec
+    field = "Pvec" if var == "P" else var
+    sweep_kappa, sweep_m = var == "kappa", var == "M"
+    residual, bound = quantity == "mass-shell", quantity == "bound"
+    sqrt, inf = math.sqrt, math.inf
+    half = 0.5 * hbar
+    root = None
+    rows = []
+    append = rows.append
+    for value in grid:
+        if not 0 < value < inf:
+            # grid points are never negative; KinematicParams raises the
+            # usual error for inf, nan or a zero kappa and accepts M = P = 0
+            replace(base, **{field: value})
+        if sweep_kappa:
+            kappa = value
+        elif sweep_m:
+            M = value
+            root = None
+        else:
+            P = value
+            root = None
+        try:
+            if root is None:
+                # independent of kappa: a kappa sweep computes it at its first row
+                p2 = (P / c) ** 2
+                m2 = M**2
+                root = sqrt(p2 + m2)
+            s = root / (2 * kappa)
+            q = val = s + sqrt(1.0 + s * s)
+            if q == inf:
+                raise OverflowError
+            res = None
+            if residual:
+                res = (kappa * (q - 1.0 / q)) ** 2 - p2 - m2
+            elif bound:
+                # bounds_standard(hbar, kappa, c, exp_q=q).momentum_position
+                val = half * abs(q)
+                res = val - half
+        except OverflowError:
+            raise ParameterError(
+                f"mass shell overflows double precision at kappa={kappa}, "
+                f"c={c}, M={M}, P={P}"
+            ) from None
+        append({"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P,
+                "value": val, "residual": res})
+    return rows
 
 
 def sweep_rows(
@@ -321,38 +352,4 @@ def sweep_rows(
     grid = log_grid(lo, hi, n)
     if quantity not in ("mass-shell", "bound"):
         raise ParameterError(f"unknown sweep quantity {quantity!r}")
-    bound = quantity == "bound"
-    # base was validated when it was built; only the swept value needs a check
-    kappa, c, hbar, M, P = base.kappa, base.c, base.hbar, base.M, base.Pvec
-    field = "Pvec" if var == "P" else var
-    rows = []
-    for value in grid:
-        if not 0 < value < math.inf:
-            # grid points are never negative; KinematicParams raises the
-            # usual error for inf, nan or a zero kappa and accepts M = P = 0
-            replace(base, **{field: value})
-        if var == "kappa":
-            kappa = value
-        elif var == "M":
-            M = value
-        else:
-            P = value
-        q = _shell_q(kappa, c, M, P)
-        if bound:
-            # bounds_standard(hbar, kappa, c, exp_q=q).momentum_position
-            val = 0.5 * hbar * abs(q)
-            res = val - 0.5 * hbar
-        else:
-            val, res = q, _shell_residual(kappa, c, M, P, q)
-        rows.append(
-            {
-                "kappa": kappa,
-                "c": c,
-                "hbar": hbar,
-                "M": M,
-                "P": P,
-                "value": val,
-                "residual": res,
-            }
-        )
-    return rows
+    return _shell_rows(var, grid, base, quantity)

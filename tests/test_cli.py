@@ -242,6 +242,19 @@ class TestSuites:
         assert out1 == out2
 
 
+SWEEP_GOLDEN_FLAGS = {
+    "kappa": ("--from", "1", "--to", "1e12", "--points", "13", "--M", "1", "--P", "2"),
+    "M": (
+        "--from", "1e-3", "--to", "1e3", "--points", "7",
+        "--kappa", "2.5", "--c", "3", "--hbar", "0.25", "--P", "7",
+    ),
+    "P": (
+        "--from", "1e8", "--to", "1e-8", "--points", "5",
+        "--kappa", "1e3", "--c", "2.99792458e8", "--hbar", "1.054571817e-34", "--M", "5e-3",
+    ),
+}
+
+
 class TestNumeric:
     def test_mass_shell_golden_point(self, capsys):
         code, out, _ = run_cli(
@@ -344,6 +357,49 @@ class TestNumeric:
         assert code == 2
         assert out == ""
         assert "at least 2 points, got -3" in err
+
+    def test_sweep_rejects_too_many_points(self, capsys):
+        # refused before the grid is allocated
+        code, out, err = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10",
+            "--points", "1000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a log grid takes at most 100000 points, got 1000000000000\n"
+
+    @pytest.mark.parametrize(
+        "var, quantity, out_format, digest",
+        [
+            ("kappa", "mass-shell", "csv", "561ab56238e690ea"),
+            ("kappa", "mass-shell", "json", "4cb9b60335806e97"),
+            ("kappa", "mass-shell", "text", "145ad3e67e079134"),
+            ("kappa", "bound", "csv", "a837b6f18b6fc80a"),
+            ("kappa", "bound", "json", "fe83251e38829f9f"),
+            ("kappa", "bound", "text", "5428036983d4f2eb"),
+            ("M", "mass-shell", "csv", "a26dabec110b6685"),
+            ("M", "mass-shell", "json", "9be255e9ff7ea8ee"),
+            ("M", "mass-shell", "text", "2078b9f8aebb2bb0"),
+            ("M", "bound", "csv", "cccd2d64bca7cc5e"),
+            ("M", "bound", "json", "9b6576d19fc322a4"),
+            ("M", "bound", "text", "82267ba4f0ee613f"),
+            ("P", "mass-shell", "csv", "8c3cd965316e7c04"),
+            ("P", "mass-shell", "json", "4ccd0822a33d614b"),
+            ("P", "mass-shell", "text", "5d03d852155655ab"),
+            ("P", "bound", "csv", "c8c2dd74ddeb4ab4"),
+            ("P", "bound", "json", "41d748b486a5b81e"),
+            ("P", "bound", "text", "ad79f91998a5641d"),
+        ],
+    )
+    def test_sweep_golden_digest(self, capsys, var, quantity, out_format, digest):
+        # every output format, swept variable and quantity, byte for byte
+        code, out, _ = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", var, *SWEEP_GOLDEN_FLAGS[var],
+            "--quantity", quantity, "--format", out_format,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_sweep_rejects_single_point(self, capsys):
         code, out, err = run_cli(

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappahopf.elements import Gen, Element
-from kappahopf.errors import IncompleteStateError, ParameterError
+from kappahopf.errors import IncompleteStateError, ParameterError, ResourceLimitError
 from kappahopf.kinematics import (
+    MAX_POINTS,
     ExpectationAssignment,
     KinematicParams,
     bounds_bicross,
@@ -322,33 +323,68 @@ class TestSweeps:
         with pytest.raises(ParameterError):
             sweep_rows("hbar", 1.0, 2.0, 3, KinematicParams(kappa=1.0), "mass-shell")
 
+    def test_points_limit(self):
+        assert len(log_grid(1.0, 10.0, MAX_POINTS)) == MAX_POINTS
+        with pytest.raises(ResourceLimitError) as err:
+            sweep_rows("kappa", 1.0, 10.0, MAX_POINTS + 1, KinematicParams(kappa=1.0))
+        assert str(err.value) == f"a log grid takes at most {MAX_POINTS} points, got {MAX_POINTS + 1}"
+
+
+# Frozen per-point copies of the closed forms for q and the residual, with
+# their overflow mapping; written apart from `kinematics._shell_rows`, they
+# are the oracle for the sweep and for the point functions.
+def _frozen_overflow(kappa, c, M, P):
+    return ParameterError(
+        f"mass shell overflows double precision at kappa={kappa}, "
+        f"c={c}, M={M}, P={P}"
+    )
+
+
+def _frozen_shell_q(kappa, c, M, P):
+    try:
+        s = math.sqrt((P / c) ** 2 + M**2) / (2 * kappa)
+    except OverflowError:
+        raise _frozen_overflow(kappa, c, M, P) from None
+    q = s + math.sqrt(1.0 + s * s)
+    if q == math.inf:
+        raise _frozen_overflow(kappa, c, M, P)
+    return q
+
+
+def _frozen_shell_residual(kappa, c, M, P, q):
+    try:
+        lhs = (kappa * (q - 1.0 / q)) ** 2 - (P / c) ** 2
+    except OverflowError:
+        raise _frozen_overflow(kappa, c, M, P) from None
+    return lhs - M**2
+
 
 def _reference_rows(var, lo, hi, n, base, quantity):
-    """Sweep rows built point by point from the public per-point functions."""
+    """Sweep rows built point by point from KinematicParams and the frozen
+    closed forms."""
     field = "Pvec" if var == "P" else var
     rows = []
     for value in log_grid(lo, hi, n):
         params = dataclasses.replace(base, **{field: value})
-        q = mass_shell_exp(params)
+        kappa, c, hbar, M, P = params.kappa, params.c, params.hbar, params.M, params.Pvec
+        q = _frozen_shell_q(kappa, c, M, P)
         if quantity == "mass-shell":
-            val, res = q, check_mass_shell(params)
+            val, res = q, _frozen_shell_residual(kappa, c, M, P, q)
         else:
-            val = bounds_standard(
-                params.hbar, params.kappa, params.c, exp_q=q
-            ).momentum_position
-            res = val - 0.5 * params.hbar
+            val = 0.5 * hbar * abs(q)
+            res = val - 0.5 * hbar
         rows.append(
-            {
-                "kappa": params.kappa,
-                "c": params.c,
-                "hbar": params.hbar,
-                "M": params.M,
-                "P": params.Pvec,
-                "value": val,
-                "residual": res,
-            }
+            {"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P, "value": val, "residual": res}
         )
     return rows
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the text of the ParameterError it raises."""
+    try:
+        return call(*args)
+    except ParameterError as exc:
+        return ("ParameterError", str(exc))
 
 
 SWEEP_BASES = [
@@ -360,7 +396,8 @@ SWEEP_BASES = [
 
 class TestSweepMatchesPointwise:
     """sweep_rows evaluates rows on plain floats; each must equal, float for
-    float, the row built from KinematicParams and the per-point functions."""
+    float, the row built from KinematicParams and the frozen closed forms,
+    and the per-point functions must give those forms' values."""
 
     @pytest.mark.parametrize("quantity", ["mass-shell", "bound"])
     @pytest.mark.parametrize("var", ["kappa", "M", "P"])
@@ -372,6 +409,15 @@ class TestSweepMatchesPointwise:
     def test_grid(self, var, quantity, base, lo, hi, n):
         expected = _reference_rows(var, lo, hi, n, base, quantity)
         assert sweep_rows(var, lo, hi, n, base, quantity) == expected
+        field = "Pvec" if var == "P" else var
+        for row, value in zip(expected, log_grid(lo, hi, n)):
+            params = dataclasses.replace(base, **{field: value})
+            q = mass_shell_exp(params)
+            if quantity == "mass-shell":
+                assert (row["value"], row["residual"]) == (q, check_mass_shell(params))
+            else:
+                bounds = bounds_standard(params.hbar, params.kappa, params.c, exp_q=q)
+                assert row["value"] == bounds.momentum_position
 
     @pytest.mark.parametrize("quantity", ["mass-shell", "bound"])
     @pytest.mark.parametrize("var", ["M", "P"])
@@ -396,6 +442,61 @@ class TestSweepMatchesPointwise:
         base = KinematicParams(kappa=kappa, c=c, hbar=hbar, M=0.0 if zero_m else M, Pvec=P)
         expected = _reference_rows(var, lo, hi, n, base, quantity)
         assert sweep_rows(var, lo, hi, n, base, quantity) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        var=st.sampled_from(["kappa", "M", "P"]),
+        quantity=st.sampled_from(["mass-shell", "bound"]),
+        exps=st.lists(st.floats(-300, 300), min_size=7, max_size=7),
+        n=st.integers(2, 6),
+        zero_m=st.booleans(),
+    )
+    def test_random_full_range(self, var, quantity, exps, n, zero_m):
+        # overflow, underflow to zero and inf end points all occur here; the
+        # sweep must raise the reference's first error, in row order
+        kappa, c, hbar, M, P, lo, hi = (10.0**e for e in exps)
+        base = KinematicParams(kappa=kappa, c=c, hbar=hbar, M=0.0 if zero_m else M, Pvec=P)
+        args = (var, lo, hi, n, base, quantity)
+        assert _outcome(sweep_rows, *args) == _outcome(_reference_rows, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exps=st.lists(st.floats(-300, 300), min_size=4, max_size=4), zero_m=st.booleans())
+    def test_point_functions(self, exps, zero_m):
+        kappa, c, M, P = (10.0**e for e in exps)
+        M = 0.0 if zero_m else M
+        params = KinematicParams(kappa=kappa, c=c, M=M, Pvec=P)
+        q = _outcome(_frozen_shell_q, kappa, c, M, P)
+        assert _outcome(mass_shell_exp, params) == q
+        residual = q if isinstance(q, tuple) else _outcome(
+            _frozen_shell_residual, kappa, c, M, P, q
+        )
+        assert _outcome(check_mass_shell, params) == residual
+
+    def test_q_without_residual(self):
+        # q is finite here but the residual's square overflows, so only
+        # check_mass_shell may raise
+        params = KinematicParams(kappa=4.170858320864619e169, M=1.3407807929942582e154)
+        assert mass_shell_exp(params) == _frozen_shell_q(4.170858320864619e169, 1.0, params.M, 0.0)
+        with pytest.raises(ParameterError, match="mass shell overflows double precision"):
+            check_mass_shell(params)
+
+    def test_overflow_precedes_later_invalid_point(self):
+        # row 0 overflows before row 1 (kappa = inf) is checked
+        base = KinematicParams(kappa=1.0, M=1e200)
+        with pytest.raises(ParameterError) as err:
+            sweep_rows("kappa", 1e-200, math.inf, 3, base, "mass-shell")
+        assert str(err.value) == (
+            "mass shell overflows double precision at kappa=1e-200, c=1.0, "
+            "M=1e+200, P=0.0"
+        )
+
+    def test_invalid_point_precedes_overflow(self):
+        # M^2 overflows at every kappa, but row 0 (kappa = inf) fails its
+        # check before anything is computed
+        base = KinematicParams(kappa=1.0, M=1e200)
+        with pytest.raises(ParameterError) as err:
+            sweep_rows("kappa", math.inf, 1.0, 3, base, "mass-shell")
+        assert str(err.value) == "kappa must be strictly positive and finite, got inf"
 
     def test_overflowing_kappa_grid(self):
         base = KinematicParams(kappa=1.0, M=1e200)
