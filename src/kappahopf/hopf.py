@@ -17,13 +17,17 @@ monomial and each monomial-by-monomial slot product are memoized on the
 results of the preset it was copied from.  `coproduct_monomial` builds a
 coproduct by leading letter, Delta(g w) = Delta(g) Delta(w), from the longest
 memoized suffix and hands out the memo entry, which callers read in place.
+Every slotwise product goes through the one in-place kernel `_slots_into`.
+A tensor commutator is telescoped over slots, so term pairs whose slots
+commute add nothing, and a Jacobi sum adds monomial commutators [m, c], each
+taken once per check: identities of bilinear maps, exact for any rule table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations
 
 from .elements import (
     BOOSTS,
@@ -101,43 +105,68 @@ def _tensor_sort_key(key: tuple[Monomial, ...]):
 
 
 def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
-    """Slotwise product, no braiding; each slot normalized by the preset.
-
-    The terms are accumulated in place into a fresh dict by
-    `_tensor_product_into`.
-    """
-    return TensorElement._wrap(_tensor_product_into({}, a, b, preset, 1), a.rank)
-
-
-def _tensor_product_into(
-    acc: dict, a: TensorElement, b: TensorElement, preset, sign: int
-) -> dict:
-    """acc += sign * a * b slotwise, in place; sign is +1 or -1 and is folded
-    into the coefficient ca * cb once per pair of tensor terms."""
+    """Slotwise product, no braiding; each slot normalized by the preset."""
     if a.rank != b.rank:
         raise ValueError("tensor ranks differ")
+    acc: dict[tuple[Monomial, ...], Scalar] = {}
+    mul = preset.multiply_monomials
     for key_a, ca in a.items():
         for key_b, cb in b.items():
-            cab = ca * cb if sign > 0 else -(ca * cb)
-            accumulate(acc, _slot_products(key_a, key_b, cab, preset))
-    return acc
-
-
-def _slot_products(key_a, key_b, coeff: Scalar, preset: AlgebraPreset):
-    """Terms of coeff * (key_a . key_b), each slot a memoized monomial product."""
-    slots = [preset.multiply_monomials(ma, mb).items() for ma, mb in zip(key_a, key_b)]
-    for combo in iproduct(*slots):
-        c = coeff
-        for _, s in combo:
-            c = c * s
-        yield tuple(m for m, _ in combo), c
+            _slots_into(acc, [mul(x, y)._terms for x, y in zip(key_a, key_b)], ca * cb)
+    return TensorElement._wrap(acc, a.rank)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
-    """[a, b] = ab - ba, both slotwise products accumulated in place into one
-    dict, the second with sign -1."""
-    acc = _tensor_product_into({}, a, b, preset, 1)
-    return TensorElement._wrap(_tensor_product_into(acc, b, a, preset, -1), a.rank)
+    """[a, b] = ab - ba, telescoped over slots into one dict."""
+    return TensorElement._wrap(_tensor_commutator_into({}, a, b, preset, 1, {}), a.rank)
+
+
+def _tensor_commutator_into(acc: dict, a, b, preset, sign: int, brackets: dict) -> dict:
+    """acc += sign * [a, b] slotwise, in place; sign is +1 or -1.
+
+    For a pair of terms with slot products X_i = a_i b_i and Y_i = b_i a_i,
+    X_1 (x) .. X_r - Y_1 (x) .. Y_r is the sum over slots i of
+    Y_1 (x) .. Y_(i-1) (x) (X_i - Y_i) (x) X_(i+1) (x) .. X_r, so a slot that
+    commutes adds nothing.  brackets memoizes X_i - Y_i per monomial pair; a
+    caller may share it between calls on one preset.
+    """
+    if a.rank != b.rank:
+        raise ValueError("tensor ranks differ")
+    mul = preset.multiply_monomials
+    for key_a, ca in a.items():
+        for key_b, cb in b.items():
+            cab = ca * cb if sign > 0 else -(ca * cb)
+            for i, (x, y) in enumerate(zip(key_a, key_b)):
+                d = brackets.get((x, y))
+                if d is None:
+                    xy, yx = mul(x, y), mul(y, x)
+                    d = brackets[x, y] = {} if xy == yx else (xy - yx)._terms
+                if d:
+                    slots = [mul(v, u)._terms for u, v in zip(key_a[:i], key_b[:i])] + [d]
+                    slots += [mul(u, v)._terms for u, v in zip(key_a[i + 1 :], key_b[i + 1 :])]
+                    _slots_into(acc, slots, cab)
+    return acc
+
+
+def _slots_into(acc: dict, slots: list[dict], coeff: Scalar):
+    """acc += coeff * (slots[0] (x) slots[1] (x) ..) in place, for canonical
+    slot term dicts and a nonzero coeff."""
+    heads = [((), coeff)]
+    for slot in slots[:-1]:
+        heads = [(key + (m,), c * s) for key, c in heads for m, s in slot.items()]
+    last = slots[-1].items()
+    for head, c in heads:
+        for m, s in last:
+            key, cs = head + (m,), c * s
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = cs
+            else:
+                total = prev + cs
+                if total._terms:
+                    acc[key] = total
+                else:
+                    del acc[key]
 
 
 # -- generator tables ----------------------------------------------------------
@@ -451,12 +480,11 @@ def _homomorphism_pairs(preset: AlgebraPreset) -> list[tuple[str, Element, Eleme
 
 def check_coproduct_homomorphism(preset: AlgebraPreset) -> CheckReport:
     report = CheckReport(_preset_tag(preset), "coproduct-homomorphism")
+    brackets: dict = {}
     for name, a, b in _homomorphism_pairs(preset):
-        # Delta([a, b]) - [Delta a, Delta b] = Delta([a, b]) - Da Db + Db Da,
-        # all three accumulated into one dict
+        # Delta([a, b]) - [Delta a, Delta b], both accumulated into one dict
         da, db = coproduct(a, preset), coproduct(b, preset)
-        acc = _tensor_product_into({}, da, db, preset, -1)
-        _tensor_product_into(acc, db, da, preset, 1)
+        acc = _tensor_commutator_into({}, da, db, preset, -1, brackets)
         accumulate(acc, coproduct(preset.commutator(a, b), preset).items())
         diff = TensorElement._wrap(acc, 2)
         report.entries.append(CheckEntry(name, diff.is_zero, diff.render()))
@@ -504,31 +532,33 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on all generator triples, q included.
 
     This is the confluence certificate for the relation tables: a consistent
-    PBW-like table normalizes every Jacobi sum to zero.  The six products of
-    the three outer commutators of a triple are accumulated in place with a
-    sign into one dict, and [c, a] = -[a, c] only flips the signs of its two.
+    PBW-like table normalizes every Jacobi sum to zero.  Each inner commutator
+    is taken once per pair, [c, a] as -[a, c].  An outer commutator [x, c] is
+    added as the sum of coeff * [m, c] over the terms of x, each monomial
+    commutator [m, c] taken once per call and skipped when zero; the three
+    outer commutators of a triple are added with a sign into one dict.
     """
     report = CheckReport(_preset_tag(preset), "jacobi")
     subjects = _subjects(preset)
-    n = len(subjects)
-    # each inner commutator once per pair; [c, a] is taken as -[a, c]
     inner = {
         (i, j): preset.commutator(subjects[i][1], subjects[j][1])
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i, j in combinations(range(len(subjects)), 2)
     }
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                (na, a), (nb, b), (nc, c) = subjects[i], subjects[j], subjects[k]
-                # inner commutators of admissible subjects are admissible
-                acc: dict[Monomial, Scalar] = {}
-                outer = ((inner[i, j], c, 1), (inner[j, k], a, 1), (inner[i, k], b, -1))
-                for x, y, sign in outer:
-                    preset._product_into(acc, x, y, sign)
-                    preset._product_into(acc, y, x, -sign)
-                total = Element._wrap(acc)
-                report.entries.append(
-                    CheckEntry(f"({na}, {nb}, {nc})", total.is_zero, total.render())
-                )
+    brackets: dict[tuple[Monomial, int], dict] = {}
+    for i, j, k in combinations(range(len(subjects)), 3):
+        acc: dict[Monomial, Scalar] = {}
+        for pair, t, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            c = subjects[t][1]
+            for m, coeff in inner[pair].items():
+                bracket = brackets.get((m, t))
+                if bracket is None:
+                    # inner commutators of admissible subjects are admissible
+                    e = Element._wrap({m: Scalar.one()})
+                    bracket = preset._product_into({}, e, c, 1)
+                    bracket = brackets[m, t] = preset._product_into(bracket, c, e, -1)
+                if bracket:
+                    accumulate(acc, bracket.items(), coeff if sign > 0 else -coeff)
+        total = Element._wrap(acc)
+        names = ", ".join(subjects[t][0] for t in (i, j, k))
+        report.entries.append(CheckEntry(f"({names})", total.is_zero, total.render()))
     return report

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 from .elements import Element
@@ -275,8 +276,17 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
         raise ParameterError(f"a log grid needs at least 2 points, got {n}")
     if n > MAX_POINTS:
         raise ResourceLimitError(f"a log grid takes at most {MAX_POINTS} points, got {n}")
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return [lo * ratio**i for i in range(n)]
+    span = hi / lo
+    if span < math.inf:
+        ratio = span ** (1.0 / (n - 1))
+        with suppress(OverflowError):
+            grid = [lo * ratio**i for i in range(n)]
+            if grid[-1] < math.inf:
+                return grid
+    # hi / lo or a power of the ratio overflows: step in log space as
+    # lo^(1-t) hi^t, both factors between 1 and an end point, which is exact
+    last = n - 1
+    return [lo ** ((last - i) / last) * hi ** (i / last) for i in range(n)]
 
 
 def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: str) -> list[dict]:

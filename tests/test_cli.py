@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -400,6 +401,19 @@ class TestNumeric:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_sweep_between_end_points_past_the_float_range(self, capsys):
+        # 1e10 / 1e-300 overflows, but every grid point is a finite double
+        code, out, _ = run_cli(
+            capsys,
+            "numeric", "sweep", "--var", "M", "--from", "1e-300", "--to", "1e10",
+            "--points", "3", "--format", "json",
+        )
+        assert code == 0
+        masses = [row["M"] for row in json.loads(out)]
+        assert len(masses) == 3 and all(0 < m < float("inf") for m in masses)
+        assert abs(masses[0] - 1e-300) <= 4 * math.ulp(1e-300)
+        assert abs(masses[-1] - 1e10) <= 4 * math.ulp(1e10)
 
     def test_sweep_rejects_single_point(self, capsys):
         code, out, err = run_cli(

@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kappahopf import cli
 from kappahopf.cli import main
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf.errors import SectorError
 from kappahopf.hopf import (
     TensorElement,
     _coproducts,
+    _homomorphism_pairs,
     _subjects,
     antipode,
     casimir,
@@ -185,6 +188,89 @@ def test_tensor_commutator_is_difference_of_products(preset, data):
     s, t = data.draw(_tensors_for(preset)), data.draw(_tensors_for(preset))
     expected = tensor_multiply(s, t, preset) - tensor_multiply(t, s, preset)
     assert tensor_commutator(s, t, preset) == expected
+
+
+def _rank3_tensors_for(preset):
+    """Small hand-built rank-3 tensors over preset's generators."""
+    words = st.lists(st.sampled_from(preset.generators), max_size=2).map(tuple)
+    monos = st.builds(Monomial, words, st.integers(-1, 1))
+    coeffs = st.sampled_from([Scalar.one(), Scalar.i(), Scalar.term(-2, 0, kappa=-1)])
+    keys = st.tuples(monos, monos, monos)
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=2).map(
+        lambda terms: TensorElement(3, terms)
+    )
+
+
+def _naive_tensor_product(s, t, preset):
+    """Slot by slot: each slot through `multiply`, the slot results combined
+    by nested loops and the term pairs summed with `+`."""
+    total = TensorElement(s.rank)
+    for key_s, cs in s.items():
+        for key_t, ct in t.items():
+            terms = {(): cs * ct}
+            for ms, mt in zip(key_s, key_t):
+                slot = preset.multiply(
+                    Element.term(ms, Scalar.one()), Element.term(mt, Scalar.one())
+                )
+                terms = {k + (m,): c * sc for k, c in terms.items() for m, sc in slot.items()}
+            total = total + TensorElement(s.rank, terms)
+    return total
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_rank3_tensor_product_and_commutator_match_naive(preset, data):
+    s, t = data.draw(_rank3_tensors_for(preset)), data.draw(_rank3_tensors_for(preset))
+    st_, ts = _naive_tensor_product(s, t, preset), _naive_tensor_product(t, s, preset)
+    assert tensor_multiply(s, t, preset) == st_
+    assert tensor_commutator(s, t, preset) == st_ - ts
+
+
+def _direct_homomorphism(preset):
+    """Delta[a,b] - Delta a Delta b + Delta b Delta a, each product in full."""
+    entries = []
+    for name, a, b in _homomorphism_pairs(preset):
+        da, db = coproduct(a, preset), coproduct(b, preset)
+        diff = (
+            coproduct(preset.commutator(a, b), preset)
+            - tensor_multiply(da, db, preset)
+            + tensor_multiply(db, da, preset)
+        )
+        entries.append((name, diff.is_zero, diff.render()))
+    return entries
+
+
+def _direct_jacobi(preset):
+    """The six products of the three outer commutators of each triple."""
+    m = preset.multiply
+    entries = []
+    for (na, a), (nb, b), (nc, c) in combinations(_subjects(preset), 3):
+        ab, bc, ca = preset.commutator(a, b), preset.commutator(b, c), preset.commutator(c, a)
+        total = m(ab, c) - m(c, ab) + m(bc, a) - m(a, bc) + m(ca, b) - m(b, ca)
+        entries.append((f"({na}, {nb}, {nc})", total.is_zero, total.render()))
+    return entries
+
+
+def _entries(report):
+    return [(e.subject, e.passed, e.residual) for e in report.entries]
+
+
+def test_homomorphism_and_jacobi_match_direct_forms_on_every_corruption():
+    # the telescoped tensor commutators and the per-monomial Jacobi brackets
+    # are bilinear identities, so they hold for any rule table, consistent or
+    # not; every `--corrupt-rule` copy gives the same reports as the sums of
+    # full products
+    count = 0
+    for basis in Basis:
+        for sector in Sector:
+            preset = get_preset(basis, sector)
+            for pair in preset.rules:
+                bad = cli._corrupted(preset, pair)
+                assert _entries(check_coproduct_homomorphism(bad)) == _direct_homomorphism(bad)
+                assert _entries(check_jacobi(bad)) == _direct_jacobi(bad)
+                count += 1
+    assert count == 146
 
 
 class TestAxiomSuites:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +323,34 @@ class TestSweeps:
     def test_invalid_variable(self):
         with pytest.raises(ParameterError):
             sweep_rows("hbar", 1.0, 2.0, 3, KinematicParams(kappa=1.0), "mass-shell")
+
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(1e-3, 1e3, 10), (1.0, 1e12, 13), (0.1, 10.0, 3), (5.0, 0.2, 7), (1e-300, 1e-10, 4)],
+    )
+    def test_log_grid_with_finite_ratio_keeps_its_floats(self, lo, hi, n):
+        ratio = (hi / lo) ** (1.0 / (n - 1))
+        assert log_grid(lo, hi, n) == [lo * ratio**i for i in range(n)]
+
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [
+            # hi / lo overflows
+            (1e-300, 1e10, 3),
+            (1e-300, 1e300, 3),
+            (1e-10, 1e300, 5),
+            # hi / lo is finite, but ratio**(n-1) or lo * ratio**(n-1) is not
+            (1.0, sys.float_info.max, 5),
+            (1.5, sys.float_info.max, 2),
+        ],
+    )
+    def test_log_grid_steps_in_log_space_past_the_float_range(self, lo, hi, n):
+        grid = log_grid(lo, hi, n)
+        assert len(grid) == n
+        assert all(0 < x < math.inf for x in grid)
+        assert grid == sorted(grid)
+        assert abs(grid[0] - lo) <= 4 * math.ulp(lo)
+        assert abs(grid[-1] - hi) <= 4 * math.ulp(hi)
 
     def test_points_limit(self):
         assert len(log_grid(1.0, 10.0, MAX_POINTS)) == MAX_POINTS
