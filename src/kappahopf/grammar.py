@@ -25,10 +25,10 @@ engine produces.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .crossproduct import Convention, PairingContext, left_action, pair
 from .elements import GEN_BY_NAME, Monomial, Element
@@ -39,77 +39,42 @@ from .scalars import Scalar
 
 # -- lexer ---------------------------------------------------------------------
 
-_SYMBOLS = ("|>", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "<", ">", "|")
 _KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
 # largest exponent of an element or tensor power with generators in it
 MAX_POWER = 4096
 
+# whitespace (\s is str.isspace), then one token: a run of ASCII digits, a run
+# of word characters (\w is str.isalnum or "_"), a symbol, or any other
+# character, which is an error.  ASCII digits only: str.isdigit also accepts
+# digits that int() rejects (superscripts) or reads silently (other scripts).
+# A word run must start on str.isalpha or "_", which no class of `re` spells,
+# so `tokenize` checks its first character.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|(\|>|[-+*/^()\[\],<>|])|(\S))")
 
-class Token(NamedTuple):
-    kind: str  # NUMBER | IDENT | one of _SYMBOLS | EOF
-    text: str
-    line: int
-    column: int
 
-
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, then EOF; kind is NUMBER, IDENT or the
+    symbol itself, and offset indexes source."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        # ASCII digits only: str.isdigit also accepts digits that int() rejects
-        # (superscripts) or reads silently (other scripts)
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("NUMBER", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("|>", i):
-            tokens.append(Token("|>", "|>", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*/^()[],<>|":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character", line, col, found=ch)
-    tokens.append(Token("EOF", "", line, col))
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        text, offset = m[group], m.start(group)
+        if group == 1:
+            tokens.append(("NUMBER", text, offset))
+        elif group == 3:
+            tokens.append((text, text, offset))
+        elif group == 2 and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(("IDENT", text, offset))
+        else:
+            line, column = _position(source, offset)
+            raise ParseError("unexpected character", line, column, found=text[0])
+    tokens.append(("EOF", "", len(source)))
     return tokens
 
 
-def _int_literal(tok: Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:
-        # past the interpreter's limit on str-to-int conversion
-        raise ResourceLimitError(
-            f"integer literal of {len(tok.text)} digits at line {tok.line}, "
-            f"column {tok.column} is too long"
-        ) from None
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of source[offset]; only a newline starts a line."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # -- parse tree ------------------------------------------------------------------
@@ -120,46 +85,58 @@ def _int_literal(tok: Token) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str, names: set[str]):
+        self.source = source
+        self.tokens = tokenize(source)
         self.pos = 0
+        self.names = names  # every symbol accepted, for sector inference
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok, **detail) -> ParseError:
+        return ParseError(message, *_position(self.source, tok[2]), **detail)
 
-    def advance(self) -> Token:
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                "syntax error", tok.line, tok.column, expected={kind}, found=tok.text
-            )
-        return self.advance()
+    def expect(self, kind: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise self.error("syntax error", tok, expected={kind}, found=tok[1])
+        return tok
+
+    def int_literal(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # past the interpreter's limit on str-to-int conversion
+            line, column = _position(self.source, tok[2])
+            raise ResourceLimitError(
+                f"integer literal of {len(tok[1])} digits at line {line}, "
+                f"column {column} is too long"
+            ) from None
 
     def parse(self):
         node = self.action()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(
-                "trailing input", tok.line, tok.column, expected={"EOF"}, found=tok.text
-            )
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            raise self.error("trailing input", tok, expected={"EOF"}, found=tok[1])
         return node
 
     def action(self):
         node = self.sum()
-        if self.peek().kind == "|>":
+        if self.peek() == "|>":
             self.advance()
             return ("action", node, self.action())
         return node
 
     def sum(self):
         node = self.product()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+        while self.peek() in ("+", "-"):
+            op = self.advance()[0]
             rhs = self.product()
             node = ("add" if op == "+" else "sub", node, rhs)
         return node
@@ -168,16 +145,15 @@ class _Parser:
 
     def product(self):
         negate = False
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
             negate = True
         node = self.power()
         while True:
-            kind = self.peek().kind
+            kind = self.peek()
             if kind in ("*", "/"):
-                op = self.advance().kind
-                rhs = self.power()
-                node = ("mul" if op == "*" else "div", node, rhs)
+                self.advance()
+                node = ("mul" if kind == "*" else "div", node, self.power())
             elif kind in self._ATOM_STARTS:
                 node = ("mul", node, self.power())
             else:
@@ -186,69 +162,62 @@ class _Parser:
 
     def power(self):
         node = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.advance()
             sign = 1
-            if self.peek().kind == "-":
+            if self.peek() == "-":
                 self.advance()
                 sign = -1
-            tok = self.expect("NUMBER")
-            node = ("pow", node, sign * _int_literal(tok))
+            node = ("pow", node, sign * self.int_literal(self.expect("NUMBER")))
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return ("num", Fraction(_int_literal(tok)))
-        if tok.kind == "(":
-            self.advance()
+        tok = self.advance()
+        kind = tok[0]
+        if kind == "NUMBER":
+            return ("num", Fraction(self.int_literal(tok)))
+        if kind == "(":
             node = self.action()
             self.expect(")")
             return node
-        if tok.kind == "[":
-            self.advance()
+        if kind == "[":
             a = self.action()
             self.expect(",")
             b = self.action()
             self.expect("]")
             return ("comm", a, b)
-        if tok.kind == "<":
-            self.advance()
+        if kind == "<":
             a = self.action()
             self.expect("|")
             b = self.action()
             self.expect(">")
             return ("pair", a, b)
-        if tok.kind == "IDENT":
-            self.advance()
-            name = tok.text
+        if kind == "IDENT":
+            name = tok[1]
             if name in ("D", "S", "eps"):
                 self.expect("(")
                 inner = self.action()
                 self.expect(")")
                 return {"D": "cop", "S": "anti", "eps": "counit"}[name], inner
-            if name in _KEYWORDS or name in GEN_BY_NAME:
+            if name in _KEYWORDS:
+                self.names.add(name)
                 return ("sym", name)
-            raise ParseError(
-                "unknown symbol",
-                tok.line,
-                tok.column,
-                expected=sorted(_KEYWORDS),
-                found=name,
-            )
-        raise ParseError(
+            raise self.error("unknown symbol", tok, expected=sorted(_KEYWORDS), found=name)
+        raise self.error(
             "syntax error",
-            tok.line,
-            tok.column,
+            tok,
             expected=sorted(self._ATOM_STARTS),
-            found=tok.text or "end of input",
+            found=tok[1] or "end of input",
         )
 
 
-def parse(source: str):
-    """Parse an expression; raises ParseError with line/column on bad input."""
-    return _Parser(tokenize(source)).parse()
+def parse(source: str, names: set[str] | None = None):
+    """Parse an expression; raises ParseError with line/column on bad input.
+
+    If a set is given as names, every symbol the parse tree holds is added to
+    it, so `evaluate` can infer the sector without walking the tree.
+    """
+    return _Parser(source, set() if names is None else names).parse()
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -268,7 +237,12 @@ def symbols_used(node) -> set[str]:
 
 
 def infer_sector(node, explicit: Sector | None = None) -> Sector:
-    names = symbols_used(node)
+    return _sector_of(symbols_used(node), explicit)
+
+
+def _sector_of(names, explicit: Sector | None) -> Sector:
+    """The sector that admits every symbol named, or SectorError: the one
+    admissibility gate of evaluation, so products skip their own checks."""
     has_x = any(n.startswith("x") for n in names)
     has_lorentz = any(n[0] in "MN" for n in names if n in GEN_BY_NAME)
     if explicit is not None:
@@ -290,9 +264,6 @@ class EvalContext:
     basis: Basis = Basis.BICROSS
     sector: Sector | None = None
     convention: Convention = Convention.LEFT
-
-    def preset_for(self, node) -> AlgebraPreset:
-        return get_preset(self.basis, infer_sector(node, self.sector))
 
     @property
     def pairing(self) -> PairingContext:
@@ -321,11 +292,14 @@ class Value:
         return self.data.render()
 
 
-def evaluate(node, ctx: EvalContext, preset: AlgebraPreset | None = None) -> Value:
-    """Evaluate a parse tree to a normal-form value."""
-    if preset is None:
-        preset = ctx.preset_for(node)
-    return _eval(node, ctx, preset)
+def evaluate(node, ctx: EvalContext, names: set[str] | None = None) -> Value:
+    """Evaluate a parse tree to a normal-form value.
+
+    names is the set `parse` filled for node; without it the tree is walked.
+    """
+    if names is None:
+        names = symbols_used(node)
+    return _eval(node, ctx, get_preset(ctx.basis, _sector_of(names, ctx.sector)))
 
 
 def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
@@ -371,7 +345,8 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
     if kind == "comm":
         a = _eval(node[1], ctx, preset).as_element()
         b = _eval(node[2], ctx, preset).as_element()
-        return Value("element", preset.commutator(a, b))
+        acc = preset._product_into({}, a, b, 1)
+        return Value("element", Element._wrap(preset._product_into(acc, b, a, -1)))
     if kind == "cop":
         e = _eval(node[1], ctx, preset).as_element()
         return Value("tensor", coproduct(e, preset))
@@ -416,7 +391,7 @@ def _mul(a: Value, b: Value, preset: AlgebraPreset) -> Value:
         return Value("element", b.data.scaled(a.data))
     if b.kind == "scalar":
         return Value("element", a.data.scaled(b.data))
-    return Value("element", preset.multiply(a.data, b.data))
+    return Value("element", preset._product(a.data, b.data))
 
 
 def _invert(v: Value) -> Value:
@@ -456,11 +431,11 @@ def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
     if v.kind == "element":
         if len(terms) == 1:
             # one term: O(log n) products, so O(log n) memoized words
-            return Value("element", _power(v.data, n, Element.one(), preset.multiply))
+            return Value("element", _power(v.data, n, Element.one(), preset._product))
         # several terms: squaring multiplies ever longer sums by themselves
         out = Element.one()
         for _ in range(n):
-            out = preset.multiply(out, v.data)
+            out = preset._product(out, v.data)
         return Value("element", out)
     out_t = v.data
     if n == 0:
@@ -490,15 +465,18 @@ def eval_text(
 ) -> Value:
     """Parse and evaluate in one step.
 
-    The parser, the evaluator and the rewrite engine all recurse, so deep
+    The symbols the parser accepts pick the sector (or are checked against the
+    given one); that is the only admissibility check, since every value built
+    from them lies in that sector, so products, powers and commutators run
+    unchecked.  The parser, the evaluator and the rewrite engine all recurse, so deep
     nesting and long words are bounded by the interpreter's recursion limit;
     reaching it raises ResourceLimitError.  Sums and products are parsed and
     evaluated in a loop, so the number of terms or factors is not bounded by it.
     """
     try:
-        node = parse(source)
-        ctx = EvalContext(Basis(basis), sector, convention)
-        return evaluate(node, ctx)
+        names: set[str] = set()
+        node = parse(source, names)
+        return evaluate(node, EvalContext(Basis(basis), sector, convention), names)
     except RecursionError:
         raise ResourceLimitError(
             "expression is too deeply nested or too long to evaluate "

@@ -230,7 +230,12 @@ def _weight(word: tuple[Gen, ...]) -> int:
 
 
 class AlgebraPreset:
-    """One basis/sector choice with its rewrite table and memoized engine."""
+    """One basis/sector choice with its rewrite table and memoized engine.
+
+    The public products check that their operands are admissible; `_product`
+    and `_product_into` are for callers that already know it.  The normal-form
+    memo holds plain term dicts, which nothing may change.
+    """
 
     def __init__(self, basis: Basis, sector: Sector, rules, qrules):
         self.basis = basis
@@ -246,7 +251,9 @@ class AlgebraPreset:
         # the pairs whose rule is zero; built from this instance's own rules,
         # so a `with_rule_override` copy gets its own set
         self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
-        self._nf_cache: dict[tuple[Gen, ...], Element] = {}
+        # word -> normal form of word * q^0 as a plain term dict, read in
+        # place and never mutated; a commuting run's words share one dict
+        self._nf_cache: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
         self._qpast_cache: dict = {}
         # structure-map memos: monomial products (`multiply_monomials`),
         # coproducts (`hopf.coproduct`), and, on a phase-space preset, the
@@ -320,9 +327,10 @@ class AlgebraPreset:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _nf_word(self, word: tuple[Gen, ...]) -> Element:
-        """Normal form of word * q^0, memoized per word; callers add their
-        q-exponent with `_shifted_accumulate`."""
+    def _nf_word(self, word: tuple[Gen, ...]) -> dict[Monomial, Scalar]:
+        """Terms of the normal form of word * q^0, memoized per word; the dict
+        is the memo's own, so callers read it and add their q-exponent with
+        `_shifted_accumulate`, and copy it before changing it."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -330,8 +338,7 @@ class AlgebraPreset:
             if word[i] > word[i + 1]:
                 break
         else:
-            result = Element._wrap({_tuple_new(Monomial, (word, 0)): _ONE})
-            self._nf_cache[word] = result
+            result = self._nf_cache[word] = {_tuple_new(Monomial, (word, 0)): _ONE}
             return result
         hi, lo = word[i], word[i + 1]
         if (hi, lo) in self._commuting:
@@ -343,14 +350,13 @@ class AlgebraPreset:
             result = self._nf_word(word[:j] + (lo,) + word[j : i + 1] + word[i + 2 :])
         else:
             left, right = word[:i], word[i + 2 :]
-            acc = dict(self._nf_word(left + (lo, hi) + right)._terms)
+            result = dict(self._nf_word(left + (lo, hi) + right))
             for (cword, cqexp), ccoeff in self.rules[hi, lo].items():
                 # splice: left * cword * q^cqexp * right
                 for rword, rcoeff in self._q_past_word(cqexp, right):
                     _shifted_accumulate(
-                        acc, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
+                        result, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
                     )
-            result = Element._wrap(acc)
         # cached only once complete, so an error above leaves no entry
         self._nf_cache[word] = result
         return result
@@ -413,10 +419,11 @@ class AlgebraPreset:
         return Element._wrap(self._product_into(acc, b, a, -1))
 
 
-def _shifted_accumulate(acc: dict, nf: Element, shift: int, factor: Scalar) -> dict:
-    """accumulate factor * nf * q^shift into acc, factor nonzero; nf is the
-    normal form of some word * q^0, and the shift keeps its terms distinct."""
-    for mono, coeff in nf._terms.items():
+def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict:
+    """accumulate factor * nf * q^shift into acc, factor nonzero; nf holds the
+    terms of the normal form of some word * q^0, and the shift keeps them
+    distinct."""
+    for mono, coeff in nf.items():
         if shift:
             mono = _tuple_new(Monomial, (mono[0], mono[1] + shift))
         if factor is not _ONE:

@@ -19,6 +19,8 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+_MIXED = "expression mixes position and Lorentz generators; no sector admits it"
+
 
 class TestEval:
     def test_phase_space_commutator(self, capsys):
@@ -48,6 +50,26 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "[x0, x1]", "--sector", "poincare")
         assert code == 2
         assert "poincare" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["x0 N1"], _MIXED),
+            (["[x0, N1]"], _MIXED),
+            (["(x0 + N1)^2"], _MIXED),
+            (
+                ["--sector", "poincare", "x0 P1"],
+                "position generators are not admissible in the poincare sector",
+            ),
+            (
+                ["--sector", "phasespace", "[N1, P1]"],
+                "Lorentz generators are not admissible in the phasespace sector",
+            ),
+        ],
+    )
+    def test_sector_errors_are_pinned(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_division_by_zero_is_typed(self, capsys):
         code, out, err = run_cli(capsys, "eval", "1/0")

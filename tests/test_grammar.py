@@ -1,11 +1,12 @@
 """Expression grammar: parsing, evaluation, rendering round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf import grammar
 from kappahopf.errors import ParseError, ResourceLimitError, SectorError
-from kappahopf.grammar import eval_text, infer_sector, parse
+from kappahopf.grammar import eval_text, infer_sector, parse, tokenize
 from kappahopf.hopf import antipode
 from kappahopf.presets import Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
@@ -51,6 +52,90 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x0 ? x1")
         assert err.value.found == "?"
+
+_MIXED = "expression mixes position and Lorentz generators; no sector admits it"
+
+
+def _char_loop_tokens(source):
+    """The character-loop lexer the regex lexer replaced, frozen as an oracle:
+    (kind, text, line, column) per token, then EOF."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            tokens.append(("NUMBER", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("IDENT", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if source.startswith("|>", i):
+            tokens.append(("|>", "|>", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "+-*/^()[],<>|":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError("unexpected character", line, col, found=ch)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+_FRAGMENTS = [
+    "P1", "x0", "N2", "M3", "q", "hbar", "kappa", "eps", "D", "S", "i", "c", "12",
+    "0", "|>", "|", ">", "<", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",",
+    " ", "  ", "\n", "\t", "\u00e9", "_", "\u00b2", "\u0663", "e\u0301", "\u00a0",
+]
+_SOURCES = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
+    st.text(alphabet=sorted(set("".join(_FRAGMENTS) + "?$")), max_size=40),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SOURCES)
+def test_tokenize_matches_character_loop_lexer(source):
+    try:
+        expect = _char_loop_tokens(source)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            tokenize(source)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            str(exc),
+            exc.line,
+            exc.column,
+        )
+        return
+    got = []
+    for kind, text, offset in tokenize(source):
+        line = source.count("\n", 0, offset) + 1
+        column = offset - source.rfind("\n", 0, offset)
+        got.append((kind, text, line, column))
+    assert got == expect
 
 
 class TestEval:
@@ -103,6 +188,21 @@ class TestEval:
         with pytest.raises(SectorError):
             eval_text("x0 / x1")
 
+    @pytest.mark.parametrize(
+        "source, sector, message",
+        [
+            ("x0 N1", None, _MIXED),
+            ("[x0, N1]", None, _MIXED),
+            ("(x0 + N1)^2", None, _MIXED),
+            ("x0 P1", Sector.POINCARE, "position generators are not admissible in the poincare sector"),
+            ("[N1, P1]", Sector.PHASESPACE, "Lorentz generators are not admissible in the phasespace sector"),
+        ],
+    )
+    def test_sector_errors_are_pinned(self, source, sector, message):
+        with pytest.raises(SectorError) as err:
+            eval_text(source, Basis.BICROSS, sector)
+        assert type(err.value) is SectorError and str(err.value) == message
+
     def test_sector_inference(self):
         assert infer_sector(parse("[x0, P1]")) is Sector.PHASESPACE
         assert infer_sector(parse("[N1, P1]")) is Sector.POINCARE
@@ -153,8 +253,18 @@ class TestEval:
         preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
         with pytest.raises(ResourceLimitError):
             eval_text("P1^1500 x0")
-        assert all(isinstance(v, Element) for v in preset._nf_cache.values())
+        # memo values are plain term dicts, Monomial -> nonzero Scalar, and a
+        # sample of them matches a cold preset's normal form of the same word
+        memo = preset._nf_cache
+        for terms in memo.values():
+            assert type(terms) is dict
+            for mono, coeff in terms.items():
+                assert type(mono) is Monomial and type(coeff) is Scalar and not coeff.is_zero
         fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.PHASESPACE)
+        sample = sorted(memo, key=lambda word: (len(word), word))
+        for word in sample[:: max(1, len(sample) // 40)]:
+            want = fresh.normal_form(Element.term(Monomial(word), Scalar.one()))
+            assert Element._wrap(memo[word]) == want, word
         p1_40 = Element.term(Monomial((Gen.P1,) * 40), Scalar.one())
         expect = fresh.multiply(p1_40, Element.generator(Gen.X0))
         got = eval_text("P1^40 x0").as_element()
