@@ -56,7 +56,9 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) per token, then EOF; kind is NUMBER, IDENT or the
     symbol itself, and offset indexes source."""
     tokens = []
-    for m in _TOKEN.finditer(source):
+    # lex only up to the last non-space: past it `\s*` could only fail, and
+    # each retry of the search would rescan the trailing run (quadratic)
+    for m in _TOKEN.finditer(source, 0, len(source.rstrip())):
         group = m.lastindex
         text, offset = m[group], m.start(group)
         if group == 1:
@@ -215,7 +217,7 @@ def parse(source: str, names: set[str] | None = None):
     """Parse an expression; raises ParseError with line/column on bad input.
 
     If a set is given as names, every symbol the parse tree holds is added to
-    it, so `evaluate` can infer the sector without walking the tree.
+    it: the set `evaluate` takes to infer the sector without walking the tree.
     """
     return _Parser(source, set() if names is None else names).parse()
 
@@ -292,13 +294,12 @@ class Value:
         return self.data.render()
 
 
-def evaluate(node, ctx: EvalContext, names: set[str] | None = None) -> Value:
+def evaluate(node, ctx: EvalContext, names: set[str]) -> Value:
     """Evaluate a parse tree to a normal-form value.
 
-    names is the set `parse` filled for node; without it the tree is walked.
+    names must be the set `parse` filled for node: it picks the sector, the
+    one admissibility check before products run unchecked.
     """
-    if names is None:
-        names = symbols_used(node)
     return _eval(node, ctx, get_preset(ctx.basis, _sector_of(names, ctx.sector)))
 
 
@@ -345,8 +346,7 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
     if kind == "comm":
         a = _eval(node[1], ctx, preset).as_element()
         b = _eval(node[2], ctx, preset).as_element()
-        acc = preset._product_into({}, a, b, 1)
-        return Value("element", Element._wrap(preset._product_into(acc, b, a, -1)))
+        return Value("element", preset._commutator(a, b))
     if kind == "cop":
         e = _eval(node[1], ctx, preset).as_element()
         return Value("tensor", coproduct(e, preset))

@@ -415,6 +415,10 @@ class AlgebraPreset:
         the second with sign -1."""
         self.check_admissible(a)
         self.check_admissible(b)
+        return self._commutator(a, b)
+
+    def _commutator(self, a: Element, b: Element) -> Element:
+        """[a, b] for operands already checked admissible."""
         acc = self._product_into({}, a, b, 1)
         return Element._wrap(self._product_into(acc, b, a, -1))
 

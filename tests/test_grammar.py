@@ -1,5 +1,7 @@
 """Expression grammar: parsing, evaluation, rendering round trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,20 @@ def test_tokenize_matches_character_loop_lexer(source):
         column = offset - source.rfind("\n", 0, offset)
         got.append((kind, text, line, column))
     assert got == expect
+
+
+def test_trailing_whitespace_lexes_in_linear_time():
+    # a search that retries `\s*` at each trailing position is quadratic:
+    # 10^4 trailing spaces alone took seconds that way
+    source = "[x0, P1] +" + " \t\n" * 10_000
+    t0 = time.perf_counter()
+    tokens = tokenize(source)
+    elapsed = time.perf_counter() - t0
+    assert tokens[-1] == ("EOF", "", len(source))
+    assert elapsed < 1.0
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.column) == (10_001, 1)
 
 
 class TestEval:
