@@ -25,6 +25,36 @@ coproduct in place from `hopf.coproduct_monomial`, without copying; `pair`
 and `left_action` sum the memoized values over the terms of their arguments.
 Each public call looks the preset up once and passes it down, so a context
 still sees a fresh preset after `get_preset.cache_clear()`.
+
+Letter-count rule.  Write #g(w) for the number of letters g in a word w.
+For a momentum monomial p and a position word x (in any order),
+
+    <p, x> = 0   unless #P_k(p) == #x_k(x) for k = 1..3 and #P0(p) <= #x0(x),
+    p |> x = 0   if #P_k(p) > #x_k(x) for some k, or #P0(p) > #x0(x).
+
+Proof, in either convention, from three facts.  (1) The base pairings: P_k
+pairs only with x_k, P0 and every power of q only with x0, and <p, 1> is
+eps(p), zero unless p has no letter.  (2) Momentum coproducts keep every
+letter: each generator coproduct puts the letter in exactly one leg, next to
+q powers, and momenta and q commute, so the slot products never rewrite;
+every term u (x) v of Delta(p) has #g(u) + #g(v) = #g(p) for each momentum
+letter g.  (3) Position rewriting never adds a letter: x_k x0 = x0 x_k +
+(i hbar / kappa c) x_k drops an x0, the x_k commute, and positions are
+primitive, so every term y1 (x) y2 of Delta(x) has #x_k(y1) + #x_k(y2) ==
+#x_k(x) and #x0(y1) + #x0(y2) <= #x0(x).  The pairing recursion splits x
+into a head letter and a tail word, with no rewriting, and pairs them with
+the legs of Delta(p) by (2); induction on the length of x with (1) as the
+base gives the pairing rule, q absorbing any extra x0.  The action pairs p
+with one leg of Delta(x), which by (3) has at most as many letters of each
+kind as x, so the pairing rule gives the action rule.  Facts (1)-(3) hold on
+the shared `get_preset` phase-space presets, the only ones pairings and
+actions run on: a `with_rule_override` copy enters this module only as the
+relation table that `derive_phase_space_relations` compares against.
+
+The rule runs only on a memo miss, after the lookup, so a hit costs one dict
+lookup as before; when it fires, `_pair_mono` and `_act_mono` return zero with
+no coproduct, recursion or normal form and store nothing, and the cross
+product skips a zero action before its position product.
 """
 
 from __future__ import annotations
@@ -45,7 +75,14 @@ from .elements import (
 )
 from .errors import PairingError
 from .hopf import TensorElement, coproduct, coproduct_monomial
-from .presets import AlgebraPreset, Basis, Sector, get_preset
+from .presets import (
+    AlgebraPreset,
+    Basis,
+    Sector,
+    _shifted_accumulate,
+    _tuple_new,
+    get_preset,
+)
 from .reports import (
     BasisMapCandidate,
     BasisMapReport,
@@ -91,6 +128,35 @@ def _q_pairing(a: int, x: Gen) -> Scalar:
     return _base_pairing(Gen.P0, x) * Scalar.term(Fraction(a, 2), 0, kappa=-1, c=-1)
 
 
+# P_mu pairs only with x_mu; x0 needs no entry, since q absorbs extra x0s
+_DUAL = {
+    Gen.P0: Gen.X0, Gen.P1: Gen.X1, Gen.P2: Gen.X2, Gen.P3: Gen.X3,
+    Gen.X1: Gen.P1, Gen.X2: Gen.P2, Gen.X3: Gen.P3,
+}
+_ZERO = Scalar.zero()
+_NO_ACTION = Element.zero()
+
+
+def _vanishes(pword: tuple, xword: tuple, exact: bool) -> bool:
+    """The letter-count rule: True if p |> x (exact false) or <p, x> (exact
+    true) is zero by letter counts alone, for p of word pword, x of word xword.
+
+    p |> x is zero if some P_mu occurs more often in p than x_mu in x, that is
+    #P_k(p) > #x_k(x) for some k = 1..3 or #P0(p) > #x0(x).  <p, x> is zero
+    then too, and also if some x_k occurs more often in x than P_k in p: it is
+    zero unless #P_k(p) == #x_k(x) for k = 1..3 and #P0(p) <= #x0(x).  See the
+    module docstring for the proof.
+    """
+    for g in pword:
+        if pword.count(g) > xword.count(_DUAL[g]):
+            return True
+    if exact:
+        for x in xword:
+            if x is not Gen.X0 and xword.count(x) > pword.count(_DUAL[x]):
+                return True
+    return False
+
+
 def _check_pairing_operands(p: Element, x: Element):
     """p must be a momentum-sector element, x a position-sector one with no q."""
     for e, letters, sector in ((p, MOMENTA, "momentum"), (x, POSITIONS, "position")):
@@ -123,6 +189,8 @@ def _pair_mono(
     key = (ctx.convention, pm, xm)
     s = memo.get(key)
     if s is None:
+        if _vanishes(pm[0], xm[0], True):
+            return _ZERO
         s = memo[key] = _pair_mono_fresh(pm, xm, ctx, preset)
     return s
 
@@ -130,9 +198,11 @@ def _pair_mono(
 def _pair_mono_fresh(
     pm: Monomial, xm: Monomial, ctx: PairingContext, preset: AlgebraPreset
 ) -> Scalar:
-    # <p, 1> = eps(p) ; <1, x> = eps(x)
+    """<pm, xm> for a pair the letter-count rule let through, so pm has no
+    more letters than xm: none if xm is empty, at most one if xm is a letter."""
+    # <p, 1> = eps(p) and p is a pure q power
     if not xm.word:
-        return Scalar.one() if not pm.word else Scalar.zero()
+        return Scalar.one()
     if not pm.word:
         if len(xm.word) == 1:
             return _q_pairing(pm.qexp, xm.word[0])
@@ -140,16 +210,10 @@ def _pair_mono_fresh(
         left = _pair_mono(pm, Monomial(xm.word[:1]), ctx, preset)
         right = _pair_mono(pm, Monomial(xm.word[1:]), ctx, preset)
         return left * right
-    if len(pm.word) == 1 and pm.qexp == 0 and len(xm.word) == 1:
-        return _base_pairing(pm.word[0], xm.word[0])
     if len(xm.word) == 1:
-        # split the momentum product against the primitive position generator:
-        # <g * rest, x> = <g, x> eps(rest) + eps(g) <rest, x>; eps(g) = 0 and
-        # eps(rest) = 1 exactly when rest is a pure q power
-        g, rest_word = pm.word[0], pm.word[1:]
-        if rest_word:
-            return Scalar.zero()
-        return _base_pairing(g, xm.word[0])
+        # pm = g q^a: <g q^a, x> = <g, x> eps(q^a) + eps(g) <q^a, x>, and
+        # eps(q^a) = 1, eps(g) = 0
+        return _base_pairing(pm.word[0], xm.word[0])
     # general case: split the position product through the momentum coproduct
     dp = coproduct_monomial(pm, preset)
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
@@ -182,14 +246,18 @@ def _act_mono(
     key = (ctx.convention, pm, xm)
     acted = preset._action_cache.get(key)
     if acted is None:
-        # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
+        if _vanishes(pm[0], xm[0], False):
+            return _NO_ACTION
+        # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror;
+        # the legs are position words of an admissible coproduct
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
         for legs, s in coproduct_monomial(xm, preset).items():
             coeff = _pair_mono(pm, legs[paired], ctx, preset)
-            if not coeff.is_zero:
-                accumulate(acc, [(legs[1 - paired], coeff * s)])
-        acted = preset._action_cache[key] = preset.normal_form(Element._wrap(acc))
+            if coeff._terms:
+                word, qexp = legs[1 - paired]
+                _shifted_accumulate(acc, preset._nf_word(word), qexp, coeff * s)
+        acted = preset._action_cache[key] = Element._wrap(acc)
     return acted
 
 
@@ -205,7 +273,11 @@ def _split_phase_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
             "cross product operands must be in x-before-P normal order, got "
             + m.render()
         )
-    return Monomial(m.word[:cut]), Monomial(m.word[cut:], m.qexp)
+    # slices of an admissible word: no Lorentz letter, so no check needed
+    return (
+        _tuple_new(Monomial, (m.word[:cut], 0)),
+        _tuple_new(Monomial, (m.word[cut:], m.qexp)),
+    )
 
 
 def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
@@ -233,13 +305,16 @@ def _cross_product_into(
             xb, pb = _split_phase_monomial(mb)
             cab = ca * cb if sign > 0 else -(ca * cb)
             for (u, v), s in dpa:
+                acted = _act_mono(u, xb, ctx, preset)
+                if not acted._terms:
+                    continue
                 # both factors are position elements of the checked operands
-                xpart = preset._product(left, _act_mono(u, xb, ctx, preset))
+                xpart = preset._product(left, acted)
                 # momentum sector is commutative: merge words, add q powers
                 pword = tuple(sorted(v.word + pb.word))
                 pq = v.qexp + pb.qexp
                 moved = (
-                    (Monomial(xm.word + pword, xm.qexp + pq), xc)
+                    (_tuple_new(Monomial, (xm[0] + pword, xm[1] + pq)), xc)
                     for xm, xc in xpart.items()
                 )
                 accumulate(acc, moved, cab * s)

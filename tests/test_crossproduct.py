@@ -1,5 +1,6 @@
 """Duality pairing, left action, cross product, derivation, basis map."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from kappahopf.crossproduct import (
     pair,
     select_convention,
 )
-from kappahopf.elements import Gen, Monomial, Element
+from kappahopf.elements import Gen, Monomial, Element, accumulate
 from kappahopf.errors import PairingError
 from kappahopf.hopf import coproduct
 from kappahopf.presets import Basis, Sector, classical_limit, get_preset
@@ -351,11 +352,107 @@ class TestPairingActionMemo:
 
     def test_override_copy_starts_cold(self):
         base = CTX_B.preset
-        left_action(gen(Gen.P1), gen(Gen.X0), CTX_B)
+        left_action(gen(Gen.P1), gen(Gen.X1), CTX_B)
         assert base._pair_cache and base._action_cache
         pair_ = next(iter(base.rules))
         copy = base.with_rule_override(pair_, base.rules[pair_])
         assert not copy._pair_cache and not copy._action_cache
+
+
+def _frozen_base_pairing(p, x):
+    if p is Gen.P0 and x is Gen.X0:
+        return Scalar.term(0, 1, hbar=1)
+    if p - Gen.P0 == x - Gen.X0 and x is not Gen.X0:
+        return Scalar.term(0, -1, hbar=1)
+    return Scalar.zero()
+
+
+def _frozen_pair(pm, xm, ctx, preset):
+    """The pairing recursion as it stood before the letter-count rule, frozen
+    as an oracle and memo-free: every sub-pairing is recomputed."""
+    if not xm.word:
+        return Scalar.one() if not pm.word else Scalar.zero()
+    if not pm.word:
+        if len(xm.word) == 1:
+            if pm.qexp == 0:
+                return Scalar.zero()
+            return _frozen_base_pairing(Gen.P0, xm.word[0]) * Scalar.term(
+                Fraction(pm.qexp, 2), 0, kappa=-1, c=-1
+            )
+        left = _frozen_pair(pm, Monomial(xm.word[:1]), ctx, preset)
+        right = _frozen_pair(pm, Monomial(xm.word[1:]), ctx, preset)
+        return left * right
+    if len(pm.word) == 1 and pm.qexp == 0 and len(xm.word) == 1:
+        return _frozen_base_pairing(pm.word[0], xm.word[0])
+    if len(xm.word) == 1:
+        if pm.word[1:]:
+            return Scalar.zero()
+        return _frozen_base_pairing(pm.word[0], xm.word[0])
+    dp = coproduct(Element.term(pm, Scalar.one()), preset)
+    head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
+    if ctx.convention is Convention.RIGHT:
+        head, tail = tail, head
+    total = Scalar.zero()
+    for (u, v), s in dp.items():
+        total = total + _frozen_pair(u, head, ctx, preset) * _frozen_pair(v, tail, ctx, preset) * s
+    return total
+
+
+# every momentum monomial of degree <= 3 with q^-2..q^2, every raw position
+# word of length <= 3
+_SWEEP_P = [
+    Monomial(word, a)
+    for n in range(4)
+    for word in itertools.combinations_with_replacement(_PS, n)
+    for a in range(-2, 3)
+]
+_SWEEP_X = [Monomial(word) for n in range(4) for word in itertools.product(_XS, repeat=n)]
+
+
+def _letter_counts(word, letters):
+    return [word.count(g) for g in letters]
+
+
+class TestLetterCountRule:
+    """The letter-count rule in `_pair_mono` and `_act_mono` against the
+    frozen recursion, on every pair of small monomials."""
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [PairingContext(b, conv) for b in Basis for conv in Convention],
+        ids=lambda c: c.tag(),
+    )
+    def test_rule_matches_frozen_recursion(self, ctx):
+        get_preset.cache_clear()
+        preset = ctx.preset
+        one = Scalar.one()
+        frozen = {
+            (pm, xm): _frozen_pair(pm, xm, ctx, preset) for pm in _SWEEP_P for xm in _SWEEP_X
+        }
+        paired = 1 if ctx.convention is Convention.LEFT else 0
+        for xm in _SWEEP_X:
+            x = Element.term(xm, one)
+            legs = list(coproduct(x, preset).items())
+            for pm in _SWEEP_P:
+                p = Element.term(pm, one)
+                where = f"{pm.render()} | {xm.render()} {ctx.tag()}"
+                assert pair(p, x, ctx) == frozen[pm, xm], where
+                # the legs of a coproduct are normal words no longer than xm
+                summed = {}
+                for leg, s in legs:
+                    coeff = frozen[pm, leg[paired]]
+                    if not coeff.is_zero:
+                        accumulate(summed, [(leg[1 - paired], coeff * s)])
+                assert left_action(p, x, ctx) == preset.normal_form(Element(summed)), where
+        # the rule fires on every miss it covers, so no memo entry breaks it
+        for _, pm, xm in preset._pair_cache:
+            n = _letter_counts(pm.word, _PS)
+            m = _letter_counts(xm.word, _XS)
+            assert n[1:] == m[1:] and n[0] <= m[0], (pm, xm)
+        for _, pm, xm in preset._action_cache:
+            n = _letter_counts(pm.word, _PS)
+            m = _letter_counts(xm.word, _XS)
+            assert all(a <= b for a, b in zip(n, m)), (pm, xm)
 
 
 class TestDerivation:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kappahopf.errors import DivisionByZeroError, ParameterError
 from kappahopf.scalars import GaussianRational, Scalar
@@ -122,15 +122,39 @@ def test_canonicalization_idempotent(a):
     assert all(not g.is_zero for _, g in a.items())
 
 
+def _abs_addends(s, vals):
+    """Sum of |t| over the float addends t that `to_complex` adds up for s."""
+    return sum(abs(Scalar({triple: g}).to_complex(*vals)) for triple, g in s.items())
+
+
 @given(scalars, scalars)
 @settings(max_examples=60)
+# cancels in a * b: |fprod - fa*fb| = 4.7e-14 here, above 1e-14 * |fa*fb|
+@example(
+    a=Scalar.rational(2) - Scalar.term(1, 0, kappa=2),
+    b=Scalar.term(2, Fraction(5, 2), hbar=-2, kappa=1, c=1)
+    - Scalar.term(2, Fraction(5, 2), hbar=2, kappa=2, c=2),
+)
 def test_to_complex_is_ring_homomorphism(a, b):
+    """Error bound, with u = 2^-53.  Each float addend of `to_complex` takes
+    roundings worth at most 10u (three powers of up to 2u each, two products,
+    a division and a scaling), and a sum of n <= 9 addends adds (n - 1)u times
+    S, the sum of their absolute values; with sqrt(2) for the two complex
+    components, |to_complex(s) - s| <= 30u S(s).  The addends of a + b and of
+    a * b are those of a and b and sums of their products, so S(a + b) <=
+    S(a) + S(b) and S(a * b) <= S(a) S(b); the sum then differs from fa + fb
+    by at most 61u (S(a) + S(b)) and the product from fa * fb by at most
+    93u S(a) S(b).  Under cancellation |fa * fb| is far below S(a) S(b), so a
+    bound relative to it is not valid; 128u leaves a margin over these
+    first-order sums."""
     vals = (0.7, 2.3, 1.9)
+    tol = 2.0**-46
     fa, fb = a.to_complex(*vals), b.to_complex(*vals)
+    sa, sb = _abs_addends(a, vals), _abs_addends(b, vals)
     fsum = (a + b).to_complex(*vals)
     fprod = (a * b).to_complex(*vals)
-    assert abs(fsum - (fa + fb)) <= 1e-14 * max(1.0, abs(fa + fb))
-    assert abs(fprod - fa * fb) <= 1e-14 * max(1.0, abs(fa * fb))
+    assert abs(fsum - (fa + fb)) <= tol * (sa + sb)
+    assert abs(fprod - fa * fb) <= tol * sa * sb
 
 
 def test_render_round_trip_shapes():
