@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Checks of the console entry point, from the repository root:
+#
+#   scripts/console_checks.sh                                   # installed `kappahopf`
+#   KAPPAHOPF="python3 -m kappahopf.cli" PYTHONPATH=src scripts/console_checks.sh
+#
+# KAPPAHOPF is the command to run, split on whitespace; temporary files go to
+# RUNNER_TEMP, or to a fresh `mktemp -d` directory when it is unset.
+#
+# The tests call cli.main directly; this runs the command under two hash seeds
+# that must give the same certificate digest, so output that depends on set or
+# dict order fails here every time; then four negative controls whose exit
+# codes must be exact: a corrupted zero rule and a corrupted boost rule each
+# fail the certificate (1), a pair with no relation-table entry is rejected (2)
+# instead of corrupting nothing, and a sweep past kinematics.MAX_POINTS is
+# refused (2) before its grid is allocated; then two lexer errors whose
+# positions must be exact, a bad character on a second line and a superscript
+# digit, which `re` and `str` must classify alike on every supported Python;
+# last, exact values of pairings and actions on both sides of the letter-count
+# rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
+# bases), and a P_k or P0 with no matching position letter gives 0.
+set -e -o pipefail
+
+read -r -a kappahopf <<< "${KAPPAHOPF:-kappahopf}"
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  tmp=$RUNNER_TEMP
+else
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+fi
+
+for hashseed in 0 1; do
+  digest=$(PYTHONHASHSEED=$hashseed "${kappahopf[@]}" suite all --format json | sha256sum | cut -c1-16)
+  test "$digest" = 41d86e8ecf37aaea || { echo "suite all under PYTHONHASHSEED=$hashseed gave digest $digest"; exit 1; }
+done
+"${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 1e12 --points 13 --M 1 --format json \
+  | python3 -c 'import json, sys; rows = json.load(sys.stdin); sys.exit(0 if len(rows) == 13 else f"sweep gave {len(rows)} rows, expected 13")'
+set +e
+"${kappahopf[@]}" suite all --corrupt-rule P1,x2 --format json > /dev/null
+code=$?
+test "$code" -eq 1 || { echo "--corrupt-rule P1,x2 exited $code, expected 1"; exit 1; }
+"${kappahopf[@]}" suite all --corrupt-rule N2,N1 --basis standard --format json > /dev/null
+code=$?
+test "$code" -eq 1 || { echo "--corrupt-rule N2,N1 --basis standard exited $code, expected 1"; exit 1; }
+"${kappahopf[@]}" suite all --corrupt-rule N1,P1 --format json > /dev/null
+code=$?
+test "$code" -eq 2 || { echo "--corrupt-rule N1,P1 exited $code, expected 2"; exit 1; }
+"${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 1000000000000 > /dev/null
+code=$?
+test "$code" -eq 2 || { echo "sweep --points 1000000000000 exited $code, expected 2"; exit 1; }
+"${kappahopf[@]}" eval $'P1 +\n  x0 $' 2> "$tmp/lex.txt"
+code=$?
+test "$code" -eq 2 || { echo "eval of a bad character on line 2 exited $code, expected 2"; exit 1; }
+grep -q "line 2, column 6" "$tmp/lex.txt" || { echo "wrong position: $(cat "$tmp/lex.txt")"; exit 1; }
+"${kappahopf[@]}" eval 'P1^²' 2> "$tmp/lex.txt"
+code=$?
+test "$code" -eq 2 || { echo "eval 'P1^²' exited $code, expected 2"; exit 1; }
+grep -q "unexpected character at line 1, column 4" "$tmp/lex.txt" || { echo "wrong error: $(cat "$tmp/lex.txt")"; exit 1; }
+expect() {
+  out=$("${kappahopf[@]}" eval "${@:2}")
+  test "$out" = "$1" || { echo "eval ${*:2} printed '$out', expected '$1'"; exit 1; }
+}
+expect '-1/4 hbar^2 kappa^-2 c^-2' '<q | x0 x0>'
+expect '(-i hbar) x0' 'P1 |> x1 x0'
+expect '(1/2 hbar^2 kappa^-1 c^-1) + (-i hbar) x0' --basis standard 'P1 |> x1 x0'
+expect 0 '<P1 P2 | x1>'
+expect 0 'P0 |> x1'

@@ -59,7 +59,6 @@ product skips a zero action before its position product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -88,6 +87,8 @@ from .reports import (
     BasisMapReport,
     DerivationEntry,
     DerivationReport,
+    FrozenRecord,
+    Record,
 )
 from .scalars import Scalar, _accumulate as _accumulate_scalar, _wrap as _wrap_scalar
 
@@ -99,10 +100,11 @@ class Convention(str, Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class PairingContext:
-    basis: Basis
-    convention: Convention = Convention.LEFT
+class PairingContext(FrozenRecord):
+    __slots__ = ("basis", "convention")
+
+    def __init__(self, basis: Basis, convention: Convention = Convention.LEFT):
+        self._init(basis, convention)
 
     @property
     def preset(self) -> AlgebraPreset:
@@ -377,13 +379,15 @@ def derived_relation_elements(
 # -- convention selection --------------------------------------------------------
 
 
-@dataclass
-class ConventionEvidence:
-    convention: str
-    pairing_well_defined: bool
-    module_algebra_law: bool
-    representation_law: bool
-    reproduces_table: bool
+class ConventionEvidence(Record):
+    __slots__ = ("convention", "pairing_well_defined", "module_algebra_law",
+                 "representation_law", "reproduces_table")
+
+    def __init__(self, convention: str, pairing_well_defined: bool, module_algebra_law: bool,
+                 representation_law: bool, reproduces_table: bool):
+        self.convention, self.pairing_well_defined = convention, pairing_well_defined
+        self.module_algebra_law, self.representation_law = module_algebra_law, representation_law
+        self.reproduces_table = reproduces_table
 
     @property
     def selected(self) -> bool:
@@ -395,7 +399,7 @@ class ConventionEvidence:
         )
 
     def to_dict(self):
-        return self.__dict__ | {"selected": self.selected}
+        return dict(zip(self.__slots__, self._values()), selected=self.selected)
 
 
 def _momentum_probe_elements() -> list[Element]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossproduct import Convention, PairingContext, left_action, pair
@@ -35,6 +34,7 @@ from .elements import GEN_BY_NAME, Monomial, Element
 from .errors import ParseError, ResourceLimitError, SectorError
 from .hopf import TensorElement, antipode, coproduct, counit, tensor_multiply
 from .presets import AlgebraPreset, Basis, Sector, get_preset
+from .reports import Record
 from .scalars import Scalar
 
 # -- lexer ---------------------------------------------------------------------
@@ -261,11 +261,12 @@ def _sector_of(names, explicit: Sector | None) -> Sector:
     return Sector.PHASESPACE if has_x else Sector.POINCARE
 
 
-@dataclass
-class EvalContext:
-    basis: Basis = Basis.BICROSS
-    sector: Sector | None = None
-    convention: Convention = Convention.LEFT
+class EvalContext(Record):
+    __slots__ = ("basis", "sector", "convention")
+
+    def __init__(self, basis: Basis = Basis.BICROSS, sector: Sector | None = None,
+                 convention: Convention = Convention.LEFT):
+        self.basis, self.sector, self.convention = basis, sector, convention
 
     @property
     def pairing(self) -> PairingContext:

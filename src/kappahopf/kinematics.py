@@ -25,35 +25,26 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, replace
 
 from .elements import Element
 from .errors import IncompleteStateError, ParameterError, ResourceLimitError
 from .presets import AlgebraPreset
+from .reports import FrozenRecord
 
 
-@dataclass(frozen=True)
-class KinematicParams:
-    kappa: float
-    c: float = 1.0
-    hbar: float = 1.0
-    M: float = 0.0
-    Pvec: float = 0.0
+class KinematicParams(FrozenRecord):
+    __slots__ = ("kappa", "c", "hbar", "M", "Pvec")
 
-    def __post_init__(self):
+    def __init__(self, kappa: float, c: float = 1.0, hbar: float = 1.0, M: float = 0.0,
+                 Pvec: float = 0.0):
         # every chained comparison is false for nan as well as for inf
-        for name in ("kappa", "c", "hbar"):
-            value = getattr(self, name)
+        for name, value in (("kappa", kappa), ("c", c), ("hbar", hbar)):
             if not 0 < value < math.inf:
-                raise ParameterError(
-                    f"{name} must be strictly positive and finite, got {value}"
-                )
-        for name in ("M", "Pvec"):
-            value = getattr(self, name)
+                raise ParameterError(f"{name} must be strictly positive and finite, got {value}")
+        for name, value in (("M", M), ("Pvec", Pvec)):
             if not 0 <= value < math.inf:
-                raise ParameterError(
-                    f"{name} must be nonnegative and finite, got {value}"
-                )
+                raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
+        self._init(kappa, c, hbar, M, Pvec)
 
 
 def mass_shell_exp(params: KinematicParams) -> float:
@@ -120,14 +111,14 @@ def robertson_bound(
     return 0.5 * abs(state.expectation(comm, hbar, kappa, c))
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(FrozenRecord):
     """Lower bounds for the four uncertainty products (x0 = c t, E = c p0)."""
 
-    time_position: float
-    momentum_position: float
-    energy_time: float
-    momentum_time: float
+    __slots__ = ("time_position", "momentum_position", "energy_time", "momentum_time")
+
+    def __init__(self, time_position: float, momentum_position: float, energy_time: float,
+                 momentum_time: float):
+        self._init(time_position, momentum_position, energy_time, momentum_time)
 
     def as_dict(self):
         return {
@@ -307,7 +298,8 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
         if not 0 < value < inf:
             # grid points are never negative; KinematicParams raises the
             # usual error for inf, nan or a zero kappa and accepts M = P = 0
-            replace(base, **{field: value})
+            KinematicParams(**{"kappa": base.kappa, "c": c, "hbar": hbar,
+                               "M": base.M, "Pvec": base.Pvec, field: value})
         if sweep_kappa:
             kappa = value
         elif sweep_m:

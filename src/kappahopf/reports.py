@@ -1,15 +1,58 @@
-"""Serializable result records for the verification suites."""
+"""Plain record base classes and the serializable result records for the
+verification suites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """Record whose fields are its `__slots__`: repr and `==` by field value,
+    unhashable since a field may change."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
 
-@dataclass
-class CheckEntry:
-    subject: str
-    passed: bool
-    residual: str = "0"
+class FrozenRecord(Record):
+    """Immutable `Record` hashed by value: assigning or deleting a field
+    raises `AttributeError`."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        # each field is set once, here, past the blocked __setattr__
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked setattr
+        return type(self), self._values()
+
+
+class CheckEntry(Record):
+    __slots__ = ("subject", "passed", "residual")
+
+    def __init__(self, subject: str, passed: bool, residual: str = "0"):
+        self.subject, self.passed, self.residual = subject, passed, residual
 
     def to_dict(self):
         return {
@@ -19,11 +62,12 @@ class CheckEntry:
         }
 
 
-@dataclass
-class CheckReport:
-    preset: str
-    axiom: str
-    entries: list[CheckEntry] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("preset", "axiom", "entries")
+
+    def __init__(self, preset: str, axiom: str, entries: list[CheckEntry] | None = None):
+        self.preset, self.axiom = preset, axiom
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:
@@ -41,12 +85,11 @@ class CheckReport:
         }
 
 
-@dataclass
-class DerivationEntry:
-    pair: str
-    derived: str
-    table: str
-    match: bool
+class DerivationEntry(Record):
+    __slots__ = ("pair", "derived", "table", "match")
+
+    def __init__(self, pair: str, derived: str, table: str, match: bool):
+        self.pair, self.derived, self.table, self.match = pair, derived, table, match
 
     def to_dict(self):
         return {
@@ -57,11 +100,12 @@ class DerivationEntry:
         }
 
 
-@dataclass
-class DerivationReport:
-    basis: str
-    convention: str
-    entries: list[DerivationEntry] = field(default_factory=list)
+class DerivationReport(Record):
+    __slots__ = ("basis", "convention", "entries")
+
+    def __init__(self, basis: str, convention: str, entries: list[DerivationEntry] | None = None):
+        self.basis, self.convention = basis, convention
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:
@@ -79,29 +123,25 @@ class DerivationReport:
         }
 
 
-@dataclass
-class BasisMapCandidate:
-    direction: str
-    sign: int
-    intertwines: bool
-    intertwines_flipped: bool
-    counit_compatible: bool
-    residuals: dict = field(default_factory=dict)
+class BasisMapCandidate(Record):
+    __slots__ = ("direction", "sign", "intertwines", "intertwines_flipped",
+                 "counit_compatible", "residuals")
+
+    def __init__(self, direction: str, sign: int, intertwines: bool, intertwines_flipped: bool,
+                 counit_compatible: bool, residuals: dict | None = None):
+        self.direction, self.sign, self.intertwines = direction, sign, intertwines
+        self.intertwines_flipped, self.counit_compatible = intertwines_flipped, counit_compatible
+        self.residuals = {} if residuals is None else residuals
 
     def to_dict(self):
-        return {
-            "direction": self.direction,
-            "sign": self.sign,
-            "intertwines": self.intertwines,
-            "intertwines_flipped": self.intertwines_flipped,
-            "counit_compatible": self.counit_compatible,
-            "residuals": self.residuals,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
-@dataclass
-class BasisMapReport:
-    candidates: list[BasisMapCandidate]
+class BasisMapReport(Record):
+    __slots__ = ("candidates",)
+
+    def __init__(self, candidates: list[BasisMapCandidate]):
+        self.candidates = candidates
 
     @property
     def passing(self) -> list[BasisMapCandidate]:

@@ -16,11 +16,11 @@ module.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZeroError, ParameterError, ResourceLimitError
+from .reports import FrozenRecord
 
 
 def _frac(x) -> Fraction:
@@ -31,12 +31,13 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(FrozenRecord):
     """Element of Q(i): re + im*i with exact rational parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self._init(re, im)
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":

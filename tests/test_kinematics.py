@@ -1,6 +1,5 @@
 """Numeric kinematics: mass shell, Robertson bound, uncertainty families."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -174,6 +173,35 @@ class TestBoundFamilies:
         assert b.momentum_time == 0.5  # coefficient hbar / 4 kappa c^2
         b2 = bounds_standard(1.0, 1.0, 1.0, exp_q=GOLDEN)
         assert abs(b2.momentum_position - 0.5 * GOLDEN) < 1e-15
+
+    @pytest.mark.parametrize(
+        "basis, bounds", [(Basis.BICROSS, bounds_bicross), (Basis.STANDARD, bounds_standard)]
+    )
+    def test_every_bound_is_robertson_of_its_commutator(self, basis, bounds):
+        # with t = x0 / c and E = c P0: dt dx1 = dx0 dx1 / c, dE dt = dP0 dx0
+        # and dp1 dt = dP1 dx0 / c
+        preset = get_preset(basis, Sector.PHASESPACE)
+        x0, x1, p0, p1 = (Element.generator(g) for g in (Gen.X0, Gen.X1, Gen.P0, Gen.P1))
+        rng = random.Random(16)
+        for _ in range(200):
+            hbar, kappa, c = (10 ** rng.uniform(-3, 3) for _ in range(3))
+            exp_x, exp_p, exp_q = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(1, 3)
+            state = ExpectationAssignment({"x1": exp_x, "P1": exp_p, "q": exp_q})
+
+            def robertson(a, b):
+                return robertson_bound(a, b, preset, state, hbar, kappa, c)
+
+            expected = {
+                "dt_dx": robertson(x0, x1) / c,
+                "dp_dx": robertson(x1, p1),
+                "dE_dt": robertson(x0, p0),
+                "dp_dt": robertson(x0, p1) / c,
+            }
+            extra = {"exp_q": exp_q} if bounds is bounds_standard else {}
+            got = bounds(hbar, kappa, c, exp_x, exp_p, **extra).as_dict()
+            assert got.keys() == expected.keys()
+            for name, value in expected.items():
+                assert math.isclose(got[name], value, rel_tol=1e-14), (name, hbar, kappa, c)
 
     def test_standard_warns_below_one(self):
         with pytest.warns(UserWarning):
@@ -394,7 +422,8 @@ def _reference_rows(var, lo, hi, n, base, quantity):
     field = "Pvec" if var == "P" else var
     rows = []
     for value in log_grid(lo, hi, n):
-        params = dataclasses.replace(base, **{field: value})
+        params = KinematicParams(**{"kappa": base.kappa, "c": base.c, "hbar": base.hbar,
+                                    "M": base.M, "Pvec": base.Pvec, field: value})
         kappa, c, hbar, M, P = params.kappa, params.c, params.hbar, params.M, params.Pvec
         q = _frozen_shell_q(kappa, c, M, P)
         if quantity == "mass-shell":
@@ -440,7 +469,8 @@ class TestSweepMatchesPointwise:
         assert sweep_rows(var, lo, hi, n, base, quantity) == expected
         field = "Pvec" if var == "P" else var
         for row, value in zip(expected, log_grid(lo, hi, n)):
-            params = dataclasses.replace(base, **{field: value})
+            params = KinematicParams(**{"kappa": base.kappa, "c": base.c, "hbar": base.hbar,
+                                        "M": base.M, "Pvec": base.Pvec, field: value})
             q = mass_shell_exp(params)
             if quantity == "mass-shell":
                 assert (row["value"], row["residual"]) == (q, check_mass_shell(params))
@@ -536,7 +566,7 @@ class TestSweepMatchesPointwise:
             "M=1e+200, P=0.0"
         )
         with pytest.raises(ParameterError) as point:
-            mass_shell_exp(dataclasses.replace(base, kappa=1e-200))
+            mass_shell_exp(KinematicParams(1e-200, base.c, base.hbar, base.M, base.Pvec))
         assert str(point.value) == str(err.value)
 
     @pytest.mark.parametrize(
