@@ -13,7 +13,9 @@
 # codes must be exact: a corrupted zero rule and a corrupted boost rule each
 # fail the certificate (1), a pair with no relation-table entry is rejected (2)
 # instead of corrupting nothing, and a sweep past kinematics.MAX_POINTS is
-# refused (2) before its grid is allocated; then two lexer errors whose
+# refused (2) before its grid is allocated; then two inputs that must give a
+# typed error (2, no `internal error`), an --out path in a missing directory and
+# a nan hbar for `numeric bounds --format json`; then two lexer errors whose
 # positions must be exact, a bad character on a second line and a superscript
 # digit, which `re` and `str` must classify alike on every supported Python;
 # last, exact values of pairings and actions on both sides of the letter-count
@@ -48,6 +50,14 @@ test "$code" -eq 2 || { echo "--corrupt-rule N1,P1 exited $code, expected 2"; ex
 "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 1000000000000 > /dev/null
 code=$?
 test "$code" -eq 2 || { echo "sweep --points 1000000000000 exited $code, expected 2"; exit 1; }
+typed_error() {
+  "${kappahopf[@]}" "$@" > /dev/null 2> "$tmp/err.txt"
+  code=$?
+  test "$code" -eq 2 || { echo "$* exited $code, expected 2"; exit 1; }
+  if grep -q "internal error" "$tmp/err.txt"; then echo "$* gave $(cat "$tmp/err.txt")"; exit 1; fi
+}
+typed_error eval P1 --out "$tmp/missing/x.txt"
+typed_error numeric bounds --hbar nan --format json
 "${kappahopf[@]}" eval $'P1 +\n  x0 $' 2> "$tmp/lex.txt"
 code=$?
 test "$code" -eq 2 || { echo "eval of a bad character on line 2 exited $code, expected 2"; exit 1; }

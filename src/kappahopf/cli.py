@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ from .crossproduct import (
     derive_phase_space_relations,
 )
 from .elements import GEN_BY_NAME
-from .errors import KappaHopfError
+from .errors import KappaHopfError, ParameterError
 from .grammar import eval_text
 from .hopf import (
     check_antipode_axiom,
@@ -59,12 +60,16 @@ def _resolve_format(args, default="text", allowed=("text", "json")) -> str:
 
 
 def _emit(text: str, args):
+    text = text if text.endswith("\n") else text + "\n"
     out_path = getattr(args, "out", None)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise KappaHopfError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 # -- eval -----------------------------------------------------------------------
@@ -91,19 +96,31 @@ def cmd_eval(args) -> int:
 
 
 _BOTH = (Sector.POINCARE, Sector.PHASESPACE)
-# the preset sectors each suite checks; basis-map builds its own presets
-_SUITE_SECTORS = {
-    "axioms": _BOTH,
-    "jacobi": _BOTH,
-    "casimir": (Sector.POINCARE,),
-    "phasespace": (Sector.PHASESPACE,),
-    "basis-map": (),
-    "all": _BOTH,
+# each per-preset suite: the preset sectors it checks and the reports it makes
+# for one (basis, preset); `all` runs them in this order, then basis-map,
+# which builds its own presets
+_SUITES = {
+    "axioms": (_BOTH, lambda basis, p: [
+        check_coassociativity(p),
+        check_counit_axiom(p),
+        check_antipode_axiom(p),
+        check_coproduct_homomorphism(p),
+    ]),
+    "jacobi": (_BOTH, lambda basis, p: [check_jacobi(p)]),
+    "casimir": ((Sector.POINCARE,), lambda basis, p: [check_centrality(basis, p)]),
+    "phasespace": ((Sector.PHASESPACE,), lambda basis, p: [
+        derive_phase_space_relations(basis, Convention.LEFT, p)
+    ]),
 }
 
 
 def _selected_bases(args):
     return [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
+
+
+def _selected_suites(args):
+    """The table entries that suite `args.suite` runs, in table order."""
+    return [name for name in _SUITES if args.suite in (name, "all")]
 
 
 def _corrupt_pair(args):
@@ -122,12 +139,12 @@ def _corrupt_pair(args):
         pair = GEN_BY_NAME[names[0]], GEN_BY_NAME[names[1]]
     except KeyError as exc:
         raise KappaHopfError(f"unknown generator in --corrupt-rule: {exc}") from exc
-    selected = [
-        get_preset(basis, sector)
+    if not any(
+        pair in get_preset(basis, sector).rules
         for basis in _selected_bases(args)
-        for sector in _SUITE_SECTORS[args.suite]
-    ]
-    if not any(pair in preset.rules for preset in selected):
+        for name in _selected_suites(args)
+        for sector in _SUITES[name][0]
+    ):
         raise KappaHopfError(
             f"--corrupt-rule {names[0]},{names[1]} names no relation-table entry "
             f"in the presets that suite {args.suite} checks"
@@ -137,92 +154,36 @@ def _corrupt_pair(args):
 
 def _corrupted(preset, pair):
     """Replace one relation-table entry, adding i*hbar to its correction; a
-    preset without that entry is returned unchanged."""
+    preset without that entry, or a pair of None, is returned unchanged."""
     if pair not in preset.rules:
         return preset
     bad = preset.rules[pair] + Element.from_scalar(Scalar.term(0, 1, hbar=1))
     return preset.with_rule_override(pair, bad)
 
 
-def _suite_presets(args, pair, *sectors):
-    """(basis, preset) for each selected basis and sector; with a corrupt
-    pair, each preset is corrupted once and all checks of the suite share
-    that copy."""
-    for basis in _selected_bases(args):
-        for sector in sectors:
-            preset = get_preset(basis, sector)
-            yield basis, _corrupted(preset, pair) if pair else preset
-
-
 def cmd_suite(args) -> int:
     out_format = _resolve_format(args)
     pair = _corrupt_pair(args)
+    presets = {}  # with a corrupt pair, one corrupted copy per (basis, sector)
     reports = []
-    if args.suite in ("axioms", "all"):
-        for _, p in _suite_presets(args, pair, *_BOTH):
-            reports += [
-                check_coassociativity(p),
-                check_counit_axiom(p),
-                check_antipode_axiom(p),
-                check_coproduct_homomorphism(p),
-            ]
-    if args.suite in ("jacobi", "all"):
-        reports += [check_jacobi(p) for _, p in _suite_presets(args, pair, *_BOTH)]
-    if args.suite in ("casimir", "all"):
-        reports += [
-            check_centrality(b, p)
-            for b, p in _suite_presets(args, pair, Sector.POINCARE)
-        ]
-    if args.suite in ("phasespace", "all"):
-        reports += [
-            derive_phase_space_relations(b, Convention.LEFT, p)
-            for b, p in _suite_presets(args, pair, Sector.PHASESPACE)
-        ]
-    basis_map = None
-    if args.suite in ("basis-map", "all"):
-        basis_map = basis_map_check()
-
-    ok = all(r.passed for r in reports)
-    if basis_map is not None:
-        # the check passes when exactly one transformation (up to inversion)
-        # intertwines the two momentum coproducts, and the report names it
-        ok = ok and len(basis_map.transformations) == 1 and basis_map.named is not None
-
+    for name in _selected_suites(args):
+        sectors, make = _SUITES[name]
+        for basis in _selected_bases(args):
+            for sector in sectors:
+                if (basis, sector) not in presets:
+                    presets[basis, sector] = _corrupted(get_preset(basis, sector), pair)
+                reports += make(basis, presets[basis, sector])
+    basis_map = basis_map_check() if args.suite in ("basis-map", "all") else None
+    checked = reports + ([basis_map] if basis_map is not None else [])
+    ok = all(r.passed for r in checked)
     if out_format == "json":
-        payload = {
-            "suite": args.suite,
-            "pass": ok,
-            "reports": [r.to_dict() for r in reports],
-        }
+        payload = {"suite": args.suite, "pass": ok, "reports": [r.to_dict() for r in reports]}
         if basis_map is not None:
             payload["basis_map"] = basis_map.to_dict()
         _emit(json.dumps(payload, ensure_ascii=False), args)
     else:
-        lines = []
-        for r in reports:
-            kind = getattr(r, "axiom", "phase-space derivation")
-            tag = getattr(r, "preset", None) or getattr(r, "basis", "")
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{tag} {kind}: {status} ({len(r.entries)} checks)")
-            for f in r.failures():
-                subject = getattr(f, "subject", None) or getattr(f, "pair", "?")
-                residual = getattr(f, "residual", None)
-                if residual is None:
-                    residual = f"derived {f.derived} != table {f.table}"
-                lines.append(f"  FAIL {subject}: {residual}")
-        if basis_map is not None:
-            n = len(basis_map.transformations)
-            status = "PASS" if (n == 1 and basis_map.named) else "FAIL"
-            lines.append(f"basis-map: {status} ({n} intertwining transformation(s))")
-            if basis_map.named:
-                lines.append(f"  named: {basis_map.named}")
-            for c in basis_map.candidates:
-                lines.append(
-                    f"  candidate {c.direction} sign {c.sign:+d}: "
-                    f"{'intertwines' if c.intertwines else 'fails'}"
-                )
-        lines.append("RESULT: " + ("PASS" if ok else "FAIL"))
-        _emit("\n".join(lines), args)
+        lines = [line for r in checked for line in r.text_lines()]
+        _emit("\n".join(lines + ["RESULT: " + ("PASS" if ok else "FAIL")]), args)
     return 0 if ok else 1
 
 
@@ -266,15 +227,16 @@ def cmd_mass_shell(args) -> int:
 def cmd_bounds(args) -> int:
     out_format = _resolve_format(args, allowed=("text", "json"))
     basis = Basis(args.basis)
+    params = _params_from(args)
+    for flag, value in (("--exp-x", args.exp_x), ("--exp-p", args.exp_p), ("--exp-q", args.exp_q)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{flag} must be finite, got {value}")
     if basis is Basis.BICROSS:
-        bounds = bounds_bicross(args.hbar, args.kappa, args.c, args.exp_x, args.exp_p)
+        bounds = bounds_bicross(params.hbar, params.kappa, params.c, args.exp_x, args.exp_p)
     else:
-        exp_q = args.exp_q
-        if exp_q is None:
-            params = _params_from(args)
-            exp_q = mass_shell_exp(params)
+        exp_q = mass_shell_exp(params) if args.exp_q is None else args.exp_q
         bounds = bounds_standard(
-            args.hbar, args.kappa, args.c, args.exp_x, args.exp_p, exp_q
+            params.hbar, params.kappa, params.c, args.exp_x, args.exp_p, exp_q
         )
     table = bounds.as_dict()
     if out_format == "json":
@@ -345,10 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
-    p_suite.add_argument(
-        "suite",
-        choices=["axioms", "jacobi", "phasespace", "casimir", "basis-map", "all"],
-    )
+    p_suite.add_argument("suite", choices=[*_SUITES, "basis-map", "all"])
     p_suite.add_argument("--basis", choices=["bicross", "standard"], default=None)
     p_suite.add_argument("--format", choices=["text", "json"], default=None)
     p_suite.add_argument("--out", default=None)

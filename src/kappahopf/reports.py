@@ -48,11 +48,40 @@ class FrozenRecord(Record):
         return type(self), self._values()
 
 
+class _SuiteReport(Record):
+    """Report of one check over a preset: its first two fields name it, and
+    `entries` holds one entry per subject, each with its own `passed` and
+    `failure_text()`."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+    def failures(self) -> list:
+        return [e for e in self.entries if not e.passed]
+
+    def to_dict(self):
+        return {name: getattr(self, name) for name in self.__slots__[:2]} | {
+            "pass": self.passed,
+            "entries": [e.to_dict() for e in self.entries],
+        }
+
+    def text_lines(self) -> list[str]:
+        status = "PASS" if self.passed else "FAIL"
+        lines = [f"{self.title}: {status} ({len(self.entries)} checks)"]
+        return lines + [f"  FAIL {e.failure_text()}" for e in self.failures()]
+
+
 class CheckEntry(Record):
     __slots__ = ("subject", "passed", "residual")
 
     def __init__(self, subject: str, passed: bool, residual: str = "0"):
         self.subject, self.passed, self.residual = subject, passed, residual
+
+    def failure_text(self) -> str:
+        return f"{self.subject}: {self.residual}"
 
     def to_dict(self):
         return {
@@ -62,7 +91,7 @@ class CheckEntry(Record):
         }
 
 
-class CheckReport(Record):
+class CheckReport(_SuiteReport):
     __slots__ = ("preset", "axiom", "entries")
 
     def __init__(self, preset: str, axiom: str, entries: list[CheckEntry] | None = None):
@@ -70,19 +99,8 @@ class CheckReport(Record):
         self.entries = [] if entries is None else entries
 
     @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def failures(self) -> list[CheckEntry]:
-        return [e for e in self.entries if not e.passed]
-
-    def to_dict(self):
-        return {
-            "preset": self.preset,
-            "axiom": self.axiom,
-            "pass": self.passed,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+    def title(self) -> str:
+        return f"{self.preset} {self.axiom}"
 
 
 class DerivationEntry(Record):
@@ -90,6 +108,13 @@ class DerivationEntry(Record):
 
     def __init__(self, pair: str, derived: str, table: str, match: bool):
         self.pair, self.derived, self.table, self.match = pair, derived, table, match
+
+    @property
+    def passed(self) -> bool:
+        return self.match
+
+    def failure_text(self) -> str:
+        return f"{self.pair}: derived {self.derived} != table {self.table}"
 
     def to_dict(self):
         return {
@@ -100,7 +125,7 @@ class DerivationEntry(Record):
         }
 
 
-class DerivationReport(Record):
+class DerivationReport(_SuiteReport):
     __slots__ = ("basis", "convention", "entries")
 
     def __init__(self, basis: str, convention: str, entries: list[DerivationEntry] | None = None):
@@ -108,19 +133,8 @@ class DerivationReport(Record):
         self.entries = [] if entries is None else entries
 
     @property
-    def passed(self) -> bool:
-        return all(e.match for e in self.entries)
-
-    def failures(self) -> list[DerivationEntry]:
-        return [e for e in self.entries if not e.match]
-
-    def to_dict(self):
-        return {
-            "basis": self.basis,
-            "convention": self.convention,
-            "pass": self.passed,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+    def title(self) -> str:
+        return f"{self.basis} phase-space derivation"
 
 
 class BasisMapCandidate(Record):
@@ -180,6 +194,22 @@ class BasisMapReport(Record):
         c = t[0]
         arrow = "P_i -> P_i q" if c.sign == 1 else "P_i -> P_i q^-1"
         return f"{c.direction} with {arrow}"
+
+    @property
+    def passed(self) -> bool:
+        """Exactly one transformation (up to inversion) intertwines the two
+        momentum coproducts, and the report names it."""
+        return self.named is not None
+
+    def text_lines(self) -> list[str]:
+        n, status = len(self.transformations), "PASS" if self.passed else "FAIL"
+        lines = [f"basis-map: {status} ({n} intertwining transformation(s))"]
+        if self.passed:
+            lines.append(f"  named: {self.named}")
+        for c in self.candidates:
+            verdict = "intertwines" if c.intertwines else "fails"
+            lines.append(f"  candidate {c.direction} sign {c.sign:+d}: {verdict}")
+        return lines
 
     def to_dict(self):
         return {

@@ -264,6 +264,33 @@ class TestSuites:
         _, out2, _ = run_cli(capsys, "suite", "all", "--format", "json")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            ("all", 0, "e4fea1e60d8748d1"),
+            ("basis-map --basis standard", 0, "6bce0e2f98ac42b3"),
+            ("all --corrupt-rule P1,x2", 1, "75c78bdde8fc25dd"),
+            ("jacobi --corrupt-rule N2,N1 --basis standard", 1, "c415415454e45f93"),
+        ],
+    )
+    def test_suite_text_golden_digest(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(capsys, "suite", *argv.split(), "--format", "text")
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("basis", [(), ("--basis", "bicross"), ("--basis", "standard")],
+                             ids=["both", "bicross", "standard"])
+    def test_all_is_the_union_of_the_suites(self, capsys, basis):
+        def payload(suite):
+            code, out, _ = run_cli(capsys, "suite", suite, *basis, "--format", "json")
+            assert code == 0
+            return json.loads(out)
+
+        everything = payload("all")
+        parts = [payload(s) for s in ("axioms", "jacobi", "casimir", "phasespace")]
+        assert everything["reports"] == [r for part in parts for r in part["reports"]]
+        assert everything["basis_map"] == payload("basis-map")["basis_map"]
+
 
 SWEEP_GOLDEN_FLAGS = {
     "kappa": ("--from", "1", "--to", "1e12", "--points", "13", "--M", "1", "--P", "2"),
@@ -276,6 +303,18 @@ SWEEP_GOLDEN_FLAGS = {
         "--kappa", "1e3", "--c", "2.99792458e8", "--hbar", "1.054571817e-34", "--M", "5e-3",
     ),
 }
+
+# `numeric bounds` inputs rejected in either basis, and the start of each error
+BAD_BOUNDS = [
+    (("--hbar", "-1"), "hbar must be strictly positive and finite, got -1.0"),
+    (("--kappa", "-1", "--exp-x", "1"), "kappa must be strictly positive"),
+    (("--basis", "standard", "--exp-q", "2", "--hbar", "-1"), "hbar must be"),
+    (("--hbar", "nan", "--format", "json"), "hbar must be strictly positive and finite, got nan"),
+    (("--exp-x", "inf"), "--exp-x must be finite, got inf"),
+    (("--basis", "standard", "--exp-p", "nan"), "--exp-p must be finite, got nan"),
+    (("--basis", "standard", "--exp-q", "inf"), "--exp-q must be finite, got inf"),
+    (("--M", "-1"), "M must be nonnegative and finite, got -1.0"),
+]
 
 
 class TestNumeric:
@@ -316,6 +355,14 @@ class TestNumeric:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: 2 kappa c^2 underflows double precision")
+
+    @pytest.mark.parametrize(
+        "argv, message", BAD_BOUNDS, ids=[" ".join(argv) for argv, _ in BAD_BOUNDS]
+    )
+    def test_bounds_rejects_invalid_inputs(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "numeric", "bounds", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_sweep_csv_limit(self, capsys):
         code, out, _ = run_cli(
@@ -457,6 +504,18 @@ class TestNumeric:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("kappa,c,hbar,M,P,value,residual")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "P1"), ("suite", "casimir", "--basis", "bicross")],
+        ids=["eval", "suite"],
+    )
+    def test_unwritable_out_file_is_typed(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert not target.exists()
 
     def test_format_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KAPPA_HOPF_FORMAT", "json")
