@@ -1,0 +1,47 @@
+"""Print the size of the package source, from the repository root:
+
+    python3 scripts/code_lines.py
+
+Two numbers over src/kappahopf/*.py: code lines, the lines left after blank
+lines, comment lines and docstrings are dropped (docstrings found by an `ast`
+walk), and all lines as `wc -l` counts them.  It prints and gates nothing.
+"""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kappahopf"
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers spanned by the module, class and function docstrings."""
+    lines = set()
+    for node in ast.walk(tree):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Lines holding a token other than a comment, outside every docstring."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def main():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    print(f"code lines: {sum(code_lines(s) for s in sources)}")
+    print(f"wc -l: {sum(s.count(chr(10)) for s in sources)}")
+
+
+if __name__ == "__main__":
+    main()

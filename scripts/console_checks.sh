@@ -13,11 +13,14 @@
 # codes must be exact: a corrupted zero rule and a corrupted boost rule each
 # fail the certificate (1), a pair with no relation-table entry is rejected (2)
 # instead of corrupting nothing, and a sweep past kinematics.MAX_POINTS is
-# refused (2) before its grid is allocated; then two inputs that must give a
-# typed error (2, no `internal error`), an --out path in a missing directory and
-# a nan hbar for `numeric bounds --format json`; then two lexer errors whose
-# positions must be exact, a bad character on a second line and a superscript
-# digit, which `re` and `str` must classify alike on every supported Python;
+# refused (2) before its grid is allocated; then inputs that must give a typed
+# error (2, no `internal error`, no nan or inf on stdout): an --out path in a
+# missing directory, a nan hbar for `numeric bounds --format json`, and finite
+# inputs whose uncertainty bounds overflow double precision, three for `numeric
+# bounds` and one for `numeric sweep --quantity bound`; then two lexer errors
+# whose positions must be exact, a bad character on a second line and a
+# superscript digit, which `re` and `str` must classify alike on every
+# supported Python;
 # last, exact values of pairings and actions on both sides of the letter-count
 # rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
 # bases), and a P_k or P0 with no matching position letter gives 0.
@@ -51,13 +54,18 @@ test "$code" -eq 2 || { echo "--corrupt-rule N1,P1 exited $code, expected 2"; ex
 code=$?
 test "$code" -eq 2 || { echo "sweep --points 1000000000000 exited $code, expected 2"; exit 1; }
 typed_error() {
-  "${kappahopf[@]}" "$@" > /dev/null 2> "$tmp/err.txt"
+  "${kappahopf[@]}" "$@" > "$tmp/out.txt" 2> "$tmp/err.txt"
   code=$?
   test "$code" -eq 2 || { echo "$* exited $code, expected 2"; exit 1; }
   if grep -q "internal error" "$tmp/err.txt"; then echo "$* gave $(cat "$tmp/err.txt")"; exit 1; fi
+  if grep -Eqi "nan|inf" "$tmp/out.txt"; then echo "$* printed $(cat "$tmp/out.txt")"; exit 1; fi
 }
 typed_error eval P1 --out "$tmp/missing/x.txt"
 typed_error numeric bounds --hbar nan --format json
+typed_error numeric bounds --kappa 1e-300 --c 1e-10
+typed_error numeric bounds --hbar 1e308 --exp-x 1e308 --format json
+typed_error numeric bounds --basis standard --exp-q 1e308 --hbar 1e308
+typed_error numeric sweep --var kappa --quantity bound --hbar 1e308 --M 1e3 --from 1e-3 --to 1 --points 3
 "${kappahopf[@]}" eval $'P1 +\n  x0 $' 2> "$tmp/lex.txt"
 code=$?
 test "$code" -eq 2 || { echo "eval of a bad character on line 2 exited $code, expected 2"; exit 1; }

@@ -40,7 +40,7 @@ from .crossproduct import (
     pair,
     select_convention,
 )
-from .grammar import EvalContext, eval_text, evaluate, parse
+from .grammar import eval_text, evaluate, parse
 from .kinematics import (
     BoundSet,
     ExpectationAssignment,

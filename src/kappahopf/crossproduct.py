@@ -92,9 +92,6 @@ from .reports import (
 )
 from .scalars import Scalar, _accumulate as _accumulate_scalar, _wrap as _wrap_scalar
 
-HALF = Fraction(1, 2)
-
-
 class Convention(str, Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -205,18 +202,14 @@ def _pair_mono_fresh(
     # <p, 1> = eps(p) and p is a pure q power
     if not xm.word:
         return Scalar.one()
-    if not pm.word:
-        if len(xm.word) == 1:
-            return _q_pairing(pm.qexp, xm.word[0])
-        # group-like split over the position product (both conventions agree)
-        left = _pair_mono(pm, Monomial(xm.word[:1]), ctx, preset)
-        right = _pair_mono(pm, Monomial(xm.word[1:]), ctx, preset)
-        return left * right
     if len(xm.word) == 1:
+        if not pm.word:
+            return _q_pairing(pm.qexp, xm.word[0])
         # pm = g q^a: <g q^a, x> = <g, x> eps(q^a) + eps(g) <q^a, x>, and
         # eps(q^a) = 1, eps(g) = 0
         return _base_pairing(pm.word[0], xm.word[0])
-    # general case: split the position product through the momentum coproduct
+    # split the position product through the momentum coproduct; a pure q^a
+    # splits as q^a (x) q^a
     dp = coproduct_monomial(pm, preset)
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
     if ctx.convention is Convention.RIGHT:
@@ -291,21 +284,18 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
     preset = ctx.preset
     preset.check_admissible(a)
     preset.check_admissible(b)
-    return Element._wrap(_cross_product_into({}, a, b, ctx, preset, 1))
+    return Element._wrap(_cross_product_into({}, a, b, ctx, preset))
 
 
-def _cross_product_into(
-    acc: dict, a: Element, b: Element, ctx: PairingContext, preset, sign: int
-) -> dict:
-    """acc += sign * (a b) in the cross product, in place; sign is +1 or -1
-    and is folded into ca * cb once per pair of operand terms."""
+def _cross_product_into(acc: dict, a: Element, b: Element, ctx: PairingContext, preset) -> dict:
+    """acc += a b in the cross product, in place."""
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
         left = Element.term(xa, Scalar.one())
         dpa = coproduct_monomial(pa, preset).items()
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
-            cab = ca * cb if sign > 0 else -(ca * cb)
+            cab = ca * cb
             for (u, v), s in dpa:
                 acted = _act_mono(u, xb, ctx, preset)
                 if not acted._terms:
@@ -325,12 +315,12 @@ def _cross_product_into(
 
 def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
     """[a, b] in the cross product: both products accumulated in place into
-    one dict, the second with sign -1."""
+    one dict, the second as b (-a)."""
     preset = ctx.preset
     preset.check_admissible(a)
     preset.check_admissible(b)
-    acc = _cross_product_into({}, a, b, ctx, preset, 1)
-    return Element._wrap(_cross_product_into(acc, b, a, ctx, preset, -1))
+    acc = _cross_product_into({}, a, b, ctx, preset)
+    return Element._wrap(_cross_product_into(acc, b, -a, ctx, preset))
 
 
 # -- derivation of the phase-space relation table ------------------------------
@@ -524,7 +514,7 @@ def basis_map_check() -> BasisMapReport:
                 d_flip = lhs - rhs.flip()
                 if not d_plain.is_zero:
                     ok_plain = False
-                    residuals[_subject_name(e)] = d_plain.render()
+                    residuals[e.render()] = d_plain.render()
                 if not d_flip.is_zero:
                     ok_flip = False
             # counit compatibility eps . phi = eps (trivially true: eps kills P_i)
@@ -532,11 +522,6 @@ def basis_map_check() -> BasisMapReport:
                 BasisMapCandidate(name, sign, ok_plain, ok_flip, True, residuals)
             )
     return BasisMapReport(candidates)
-
-
-def _subject_name(e: Element) -> str:
-    (mono, _), = e.items()
-    return mono.render()
 
 
 # -- canonical classical table ------------------------------------------------------

@@ -29,12 +29,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .crossproduct import Convention, PairingContext, left_action, pair
+from .crossproduct import PairingContext, left_action, pair
 from .elements import GEN_BY_NAME, Monomial, Element
 from .errors import ParseError, ResourceLimitError, SectorError
 from .hopf import TensorElement, antipode, coproduct, counit, tensor_multiply
 from .presets import AlgebraPreset, Basis, Sector, get_preset
-from .reports import Record
 from .scalars import Scalar
 
 # -- lexer ---------------------------------------------------------------------
@@ -225,23 +224,6 @@ def parse(source: str, names: set[str] | None = None):
 # -- evaluation --------------------------------------------------------------------
 
 
-def symbols_used(node) -> set[str]:
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            if node[0] == "sym":
-                out.add(node[1])
-            else:
-                stack.extend(node[1:])
-    return out
-
-
-def infer_sector(node, explicit: Sector | None = None) -> Sector:
-    return _sector_of(symbols_used(node), explicit)
-
-
 def _sector_of(names, explicit: Sector | None) -> Sector:
     """The sector that admits every symbol named, or SectorError: the one
     admissibility gate of evaluation, so products skip their own checks."""
@@ -259,18 +241,6 @@ def _sector_of(names, explicit: Sector | None) -> Sector:
             "expression mixes position and Lorentz generators; no sector admits it"
         )
     return Sector.PHASESPACE if has_x else Sector.POINCARE
-
-
-class EvalContext(Record):
-    __slots__ = ("basis", "sector", "convention")
-
-    def __init__(self, basis: Basis = Basis.BICROSS, sector: Sector | None = None,
-                 convention: Convention = Convention.LEFT):
-        self.basis, self.sector, self.convention = basis, sector, convention
-
-    @property
-    def pairing(self) -> PairingContext:
-        return PairingContext(self.basis, self.convention)
 
 
 class Value:
@@ -295,16 +265,18 @@ class Value:
         return self.data.render()
 
 
-def evaluate(node, ctx: EvalContext, names: set[str]) -> Value:
-    """Evaluate a parse tree to a normal-form value.
+def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Value:
+    """Evaluate a parse tree to a normal-form value in basis.
 
-    names must be the set `parse` filled for node: it picks the sector, the
-    one admissibility check before products run unchecked.
+    names must be the set `parse` filled for node: it picks the sector, or is
+    checked against the given one, the one admissibility check before
+    products run unchecked.
     """
-    return _eval(node, ctx, get_preset(ctx.basis, _sector_of(names, ctx.sector)))
+    basis = Basis(basis)
+    return _eval(node, PairingContext(basis), get_preset(basis, _sector_of(names, sector)))
 
 
-def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
+def _eval(node, ctx: PairingContext, preset: AlgebraPreset) -> Value:
     kind = node[0]
     if kind == "num":
         return Value("scalar", Scalar.gaussian(node[1]))
@@ -360,11 +332,11 @@ def _eval(node, ctx: EvalContext, preset: AlgebraPreset) -> Value:
     if kind == "pair":
         p = _eval(node[1], ctx, preset).as_element()
         x = _eval(node[2], ctx, preset).as_element()
-        return Value("scalar", pair(p, x, ctx.pairing))
+        return Value("scalar", pair(p, x, ctx))
     if kind == "action":
         p = _eval(node[1], ctx, preset).as_element()
         x = _eval(node[2], ctx, preset).as_element()
-        return Value("element", left_action(p, x, ctx.pairing))
+        return Value("element", left_action(p, x, ctx))
     raise AssertionError(f"unhandled node kind {kind!r}")
 
 
@@ -458,12 +430,7 @@ def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):
     return out
 
 
-def eval_text(
-    source: str,
-    basis: Basis = Basis.BICROSS,
-    sector: Sector | None = None,
-    convention: Convention = Convention.LEFT,
-) -> Value:
+def eval_text(source: str, basis: Basis = Basis.BICROSS, sector: Sector | None = None) -> Value:
     """Parse and evaluate in one step.
 
     The symbols the parser accepts pick the sector (or are checked against the
@@ -477,7 +444,7 @@ def eval_text(
     try:
         names: set[str] = set()
         node = parse(source, names)
-        return evaluate(node, EvalContext(Basis(basis), sector, convention), names)
+        return evaluate(node, names, basis, sector)
     except RecursionError:
         raise ResourceLimitError(
             "expression is too deeply nested or too long to evaluate "

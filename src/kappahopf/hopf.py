@@ -21,6 +21,8 @@ Every slotwise product goes through the one in-place kernel `_slots_into`.
 A tensor commutator is telescoped over slots, so term pairs whose slots
 commute add nothing, and a Jacobi sum adds monomial commutators [m, c], each
 taken once per check: identities of bilinear maps, exact for any rule table.
+A difference of two such maps fills one dict, the subtracted one applied to a
+negated operand.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from .elements import (
 from .presets import AlgebraPreset, Basis, Sector, _eps, _tuple_new, get_preset
 from .reports import CheckEntry, CheckReport
 from .scalars import Scalar
-
-HALF = Fraction(1, 2)
-
 
 class TensorElement(LinearCombination):
     """Rank-2 or rank-3 tensor-product element with Scalar weights."""
@@ -118,11 +117,11 @@ def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -
 
 def tensor_commutator(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
     """[a, b] = ab - ba, telescoped over slots into one dict."""
-    return TensorElement._wrap(_tensor_commutator_into({}, a, b, preset, 1, {}), a.rank)
+    return TensorElement._wrap(_tensor_commutator_into({}, a, b, preset, {}), a.rank)
 
 
-def _tensor_commutator_into(acc: dict, a, b, preset, sign: int, brackets: dict) -> dict:
-    """acc += sign * [a, b] slotwise, in place; sign is +1 or -1.
+def _tensor_commutator_into(acc: dict, a, b, preset, brackets: dict) -> dict:
+    """acc += [a, b] slotwise, in place; -[a, b] is [-a, b].
 
     For a pair of terms with slot products X_i = a_i b_i and Y_i = b_i a_i,
     X_1 (x) .. X_r - Y_1 (x) .. Y_r is the sum over slots i of
@@ -135,7 +134,7 @@ def _tensor_commutator_into(acc: dict, a, b, preset, sign: int, brackets: dict) 
     mul = preset.multiply_monomials
     for key_a, ca in a.items():
         for key_b, cb in b.items():
-            cab = ca * cb if sign > 0 else -(ca * cb)
+            cab = ca * cb
             for i, (x, y) in enumerate(zip(key_a, key_b)):
                 d = brackets.get((x, y))
                 if d is None:
@@ -359,11 +358,11 @@ def counit(e: Element, preset: AlgebraPreset) -> Scalar:
 
 def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, producing rank 3."""
-    return TensorElement._wrap(_coproduct_slot_into({}, t, slot, preset, 1), 3)
+    return TensorElement._wrap(_coproduct_slot_into({}, t, slot, preset), 3)
 
 
-def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset, sign: int) -> dict:
-    """acc += sign * (coproduct on one slot of t), in place; sign is +1 or -1."""
+def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset) -> dict:
+    """acc += (coproduct on one slot of t), in place."""
     if t.rank != 2:
         raise ValueError("slot coproduct expects a rank-2 tensor")
     # the memo reads are unchecked, and a hand-built tensor may be out of sector
@@ -374,7 +373,7 @@ def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset, sign: i
             ((a, b, other) if slot == 0 else (other, a, b), s)
             for (a, b), s in coproduct_monomial(key[slot], preset).items()
         )
-        accumulate(acc, split, coeff if sign > 0 else -coeff)
+        accumulate(acc, split, coeff)
     return acc
 
 
@@ -421,22 +420,25 @@ def check_coassociativity(preset: AlgebraPreset) -> CheckReport:
     for name, e in _subjects(preset):
         d = coproduct(e, preset)
         # (Delta (x) id) Delta - (id (x) Delta) Delta, in one dict
-        acc = _coproduct_slot_into({}, d, 0, preset, 1)
-        diff = TensorElement._wrap(_coproduct_slot_into(acc, d, 1, preset, -1), 3)
+        acc = _coproduct_slot_into({}, d, 0, preset)
+        diff = TensorElement._wrap(_coproduct_slot_into(acc, -d, 1, preset), 3)
         report.entries.append(CheckEntry(name, diff.is_zero, diff.render()))
     return report
+
+
+def _two_sided(name: str, left: Element, right: Element, target: Element) -> CheckEntry:
+    """Entry of an axiom whose left and right sides must both equal target."""
+    if left == target and right == target:
+        return CheckEntry(name, True)
+    return CheckEntry(name, False, f"{(left - target).render()} ; {(right - target).render()}")
 
 
 def check_counit_axiom(preset: AlgebraPreset) -> CheckReport:
     report = CheckReport(_preset_tag(preset), "counit")
     for name, e in _subjects(preset):
         d = coproduct(e, preset)
-        left = counit_slot(d, 0)
-        right = counit_slot(d, 1)
         target = preset.normal_form(e)
-        ok = left == target and right == target
-        residual = (left - target).render() + " ; " + (right - target).render()
-        report.entries.append(CheckEntry(name, ok, residual if not ok else "0"))
+        report.entries.append(_two_sided(name, counit_slot(d, 0), counit_slot(d, 1), target))
     return report
 
 
@@ -447,9 +449,7 @@ def check_antipode_axiom(preset: AlgebraPreset) -> CheckReport:
         target = Element.from_scalar(counit(e, preset))
         left = antipode_slot_multiply(d, 0, preset)
         right = antipode_slot_multiply(d, 1, preset)
-        ok = left == target and right == target
-        residual = (left - target).render() + " ; " + (right - target).render()
-        report.entries.append(CheckEntry(name, ok, residual if not ok else "0"))
+        report.entries.append(_two_sided(name, left, right, target))
     return report
 
 
@@ -484,7 +484,7 @@ def check_coproduct_homomorphism(preset: AlgebraPreset) -> CheckReport:
     for name, a, b in _homomorphism_pairs(preset):
         # Delta([a, b]) - [Delta a, Delta b], both accumulated into one dict
         da, db = coproduct(a, preset), coproduct(b, preset)
-        acc = _tensor_commutator_into({}, da, db, preset, -1, brackets)
+        acc = _tensor_commutator_into({}, -da, db, preset, brackets)
         accumulate(acc, coproduct(preset.commutator(a, b), preset).items())
         diff = TensorElement._wrap(acc, 2)
         report.entries.append(CheckEntry(name, diff.is_zero, diff.render()))
@@ -554,8 +554,8 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
                 if bracket is None:
                     # inner commutators of admissible subjects are admissible
                     e = Element._wrap({m: Scalar.one()})
-                    bracket = preset._product_into({}, e, c, 1)
-                    bracket = brackets[m, t] = preset._product_into(bracket, c, e, -1)
+                    bracket = preset._product_into({}, e, c)
+                    bracket = brackets[m, t] = preset._product_into(bracket, c, -e)
                 if bracket:
                     accumulate(acc, bracket.items(), coeff if sign > 0 else -coeff)
         total = Element._wrap(acc)

@@ -137,6 +137,15 @@ def _two_kappa_c2(kappa: float, c: float) -> float:
     return denom
 
 
+def _finite(bounds: BoundSet) -> BoundSet:
+    """bounds, or ParameterError if a bound overflows double precision: finite
+    inputs can still give inf, or nan as inf times a zero expectation."""
+    for name, value in bounds.as_dict().items():
+        if not value < math.inf:
+            raise ParameterError(f"bound {name} overflows double precision, got {value}")
+    return bounds
+
+
 def bounds_bicross(
     hbar: float, kappa: float, c: float, exp_x: float = 0.0, exp_p: float = 0.0
 ) -> BoundSet:
@@ -146,12 +155,12 @@ def bounds_bicross(
     dE dt   >= hbar/2                            dp_k dt   >= (hbar / 2 kappa c^2) |<p_k>|
     """
     front = hbar / _two_kappa_c2(kappa, c)
-    return BoundSet(
+    return _finite(BoundSet(
         time_position=front * abs(exp_x),
         momentum_position=0.5 * hbar,
         energy_time=0.5 * hbar,
         momentum_time=front * abs(exp_p),
-    )
+    ))
 
 
 def bounds_standard(
@@ -172,12 +181,12 @@ def bounds_standard(
             f"got {exp_q}",
             stacklevel=2,
         )
-    return BoundSet(
+    return _finite(BoundSet(
         time_position=hbar / _two_kappa_c2(kappa, c) * abs(exp_x),
         momentum_position=0.5 * hbar * abs(exp_q),
         energy_time=0.5 * hbar,
         momentum_time=hbar / (4 * kappa * c * c) * abs(exp_p),
-    )
+    ))
 
 
 def nonrel_bound(M: float, kappa: float, hbar: float = 1.0) -> float:
@@ -316,15 +325,17 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
                 root = sqrt(p2 + m2)
             s = root / (2 * kappa)
             q = val = s + sqrt(1.0 + s * s)
-            if q == inf:
-                raise OverflowError
             res = None
             if residual:
                 res = (kappa * (q - 1.0 / q)) ** 2 - p2 - m2
             elif bound:
-                # bounds_standard(hbar, kappa, c, exp_q=q).momentum_position
-                val = half * abs(q)
+                # bounds_standard(hbar, kappa, c, exp_q=q).momentum_position,
+                # with no abs since q >= 1
+                val = half * q
                 res = val - half
+            # val is q unless it is the bound, which is infinite if q is
+            if val == inf:
+                raise OverflowError
         except OverflowError:
             raise ParameterError(
                 f"mass shell overflows double precision at kappa={kappa}, "

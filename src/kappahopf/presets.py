@@ -376,18 +376,17 @@ class AlgebraPreset:
     def _product(self, a: Element, b: Element) -> Element:
         """Normal form of a * b for operands already checked admissible,
         accumulated in place into a fresh dict by `_product_into`."""
-        return Element._wrap(self._product_into({}, a, b, 1))
+        return Element._wrap(self._product_into({}, a, b))
 
-    def _product_into(self, acc: dict, a: Element, b: Element, sign: int) -> dict:
-        """acc += sign * a * b in normal form, in place; sign is +1 or -1.
+    def _product_into(self, acc: dict, a: Element, b: Element) -> dict:
+        """acc += a * b in normal form, in place.
 
-        The sign is folded into the coefficient c1 * c2 once per operand-term
-        pair, so a commutator or a longer signed sum of products fills one
-        dict with no intermediate value negated or copied.
+        A commutator or a longer sum of products fills one dict: a term to be
+        subtracted is added with one operand negated.
         """
         for (w1, q1), c1 in a.items():
             for (w2, q2), c2 in b.items():
-                c12 = c1 * c2 if sign > 0 else -(c1 * c2)
+                c12 = c1 * c2
                 for word2, qc in self._q_past_word(q1, w2):
                     _shifted_accumulate(acc, self._nf_word(w1 + word2), q1 + q2, c12 * qc)
         return acc
@@ -412,15 +411,15 @@ class AlgebraPreset:
 
     def commutator(self, a: Element, b: Element) -> Element:
         """[a, b] = ab - ba, both products accumulated in place into one dict,
-        the second with sign -1."""
+        the second as b * (-a)."""
         self.check_admissible(a)
         self.check_admissible(b)
         return self._commutator(a, b)
 
     def _commutator(self, a: Element, b: Element) -> Element:
         """[a, b] for operands already checked admissible."""
-        acc = self._product_into({}, a, b, 1)
-        return Element._wrap(self._product_into(acc, b, a, -1))
+        acc = self._product_into({}, a, b)
+        return Element._wrap(self._product_into(acc, b, -a))
 
 
 def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict:

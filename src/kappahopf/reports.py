@@ -169,22 +169,11 @@ class BasisMapReport(Record):
         passing list is collapsed to one representative per bijection, keeping
         the standard->bicross orientation.
         """
-        out = []
-        seen = set()
-        for c in self.passing:
-            key = frozenset({(c.direction, c.sign), _inverse_key(c)})
-            if key in seen:
-                continue
-            seen.add(key)
-            preferred = c
-            if c.direction != "standard->bicross":
-                inv_dir, inv_sign = _inverse_key(c)
-                for other in self.passing:
-                    if (other.direction, other.sign) == (inv_dir, inv_sign):
-                        preferred = other
-                        break
-            out.append(preferred)
-        return out
+        passing = {(c.direction, c.sign) for c in self.passing}
+        return [
+            c for c in self.passing
+            if c.direction == "standard->bicross" or _inverse_key(c) not in passing
+        ]
 
     @property
     def named(self) -> str | None:

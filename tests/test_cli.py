@@ -200,6 +200,9 @@ class TestSuites:
             ("N2,N1 --basis standard", "d552b4223af81361"),
             ("P1,N1 --basis bicross", "d8892586b634f187"),
             ("N3,M1", "9f90e04ef610bf26"),
+            # a momentum-rotation corruption, the kind that fails the antipode
+            # check: pins its two-sided residual and the homomorphism residual
+            ("P2,M1", "7ae93d0d62ceb264"),
         ],
     )
     def test_corrupted_suite_json_golden_digest(self, capsys, rule, digest):
@@ -314,6 +317,11 @@ BAD_BOUNDS = [
     (("--basis", "standard", "--exp-p", "nan"), "--exp-p must be finite, got nan"),
     (("--basis", "standard", "--exp-q", "inf"), "--exp-q must be finite, got inf"),
     (("--M", "-1"), "M must be nonnegative and finite, got -1.0"),
+    # finite inputs whose bounds overflow: inf, or inf times a zero <x> (nan)
+    (("--kappa", "1e-300", "--c", "1e-10"), "bound dt_dx overflows double precision, got nan"),
+    (("--hbar", "1e308", "--exp-x", "1e308"), "bound dt_dx overflows double precision, got inf"),
+    (("--basis", "standard", "--exp-q", "1e308", "--hbar", "1e308"),
+     "bound dp_dx overflows double precision, got inf"),
 ]
 
 
@@ -408,11 +416,18 @@ class TestNumeric:
         assert out == ""
         assert err.startswith("error: mass shell overflows double precision")
 
-    def test_sweep_overflow_is_typed(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--from", "1", "--to", "10", "--M", "1e200"),
+            # q is finite, the bound hbar q / 2 is not
+            ("--quantity", "bound", "--hbar", "1e308", "--M", "1e3", "--from", "1e-3", "--to", "1"),
+        ],
+        ids=["mass-shell", "bound"],
+    )
+    def test_sweep_overflow_is_typed(self, capsys, argv):
         code, out, err = run_cli(
-            capsys,
-            "numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10",
-            "--points", "3", "--M", "1e200",
+            capsys, "numeric", "sweep", "--var", "kappa", "--points", "3", *argv
         )
         assert code == 2
         assert out == ""

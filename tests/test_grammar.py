@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf import grammar
 from kappahopf.errors import ParseError, ResourceLimitError, SectorError
-from kappahopf.grammar import eval_text, infer_sector, parse, tokenize
+from kappahopf.grammar import _sector_of, eval_text, parse, tokenize
 from kappahopf.hopf import antipode
 from kappahopf.presets import Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
@@ -220,13 +220,18 @@ class TestEval:
         assert type(err.value) is SectorError and str(err.value) == message
 
     def test_sector_inference(self):
-        assert infer_sector(parse("[x0, P1]")) is Sector.PHASESPACE
-        assert infer_sector(parse("[N1, P1]")) is Sector.POINCARE
-        assert infer_sector(parse("[P0, P1]")) is Sector.POINCARE
+        def infer(source, explicit=None):
+            names = set()
+            parse(source, names)
+            return _sector_of(names, explicit)
+
+        assert infer("[x0, P1]") is Sector.PHASESPACE
+        assert infer("[N1, P1]") is Sector.POINCARE
+        assert infer("[P0, P1]") is Sector.POINCARE
         with pytest.raises(SectorError):
-            infer_sector(parse("x0 N1"))
+            infer("x0 N1")
         with pytest.raises(SectorError):
-            infer_sector(parse("[x0, x1]"), Sector.POINCARE)
+            infer("[x0, x1]", Sector.POINCARE)
 
     @pytest.mark.parametrize(
         "base, n, sector",

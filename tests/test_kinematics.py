@@ -430,6 +430,8 @@ def _reference_rows(var, lo, hi, n, base, quantity):
             val, res = q, _frozen_shell_residual(kappa, c, M, P, q)
         else:
             val = 0.5 * hbar * abs(q)
+            if val == math.inf:
+                raise _frozen_overflow(kappa, c, M, P)
             res = val - 0.5 * hbar
         rows.append(
             {"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P, "value": val, "residual": res}

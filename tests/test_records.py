@@ -16,11 +16,9 @@ from kappahopf import (
     Basis,
     BoundSet,
     Convention,
-    EvalContext,
     GaussianRational,
     KinematicParams,
     PairingContext,
-    Sector,
 )
 from kappahopf.crossproduct import ConventionEvidence
 from kappahopf.reports import (
@@ -69,16 +67,6 @@ REPRS = [
         BoundSet(0.0, 0.5, 0.5, 1.0),
         "BoundSet(time_position=0.0, momentum_position=0.5, energy_time=0.5, "
         "momentum_time=1.0)",
-    ),
-    (
-        EvalContext(),
-        "EvalContext(basis=<Basis.BICROSS: 'bicross'>, sector=None, "
-        "convention=<Convention.LEFT: 'left'>)",
-    ),
-    (
-        EvalContext(Basis.STANDARD, Sector.POINCARE),
-        "EvalContext(basis=<Basis.STANDARD: 'standard'>, "
-        "sector=<Sector.POINCARE: 'poincare'>, convention=<Convention.LEFT: 'left'>)",
     ),
     (CheckEntry("x", True), "CheckEntry(subject='x', passed=True, residual='0')"),
     (
@@ -156,7 +144,7 @@ def test_frozen_copy_and_pickle(a, b, other, field):
 def test_mutable_records_compare_by_value_and_are_unhashable():
     assert CheckEntry("x", True) == CheckEntry("x", True, "0")
     assert CheckEntry("x", True) != CheckEntry("x", False)
-    assert EvalContext() == EvalContext(Basis.BICROSS, None, Convention.LEFT)
+    assert DerivationReport("bicross", "left") == DerivationReport("bicross", "left", [])
     with pytest.raises(TypeError):
         hash(CheckReport("p", "a"))
     report = CheckReport("p", "a")
