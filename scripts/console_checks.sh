@@ -17,13 +17,16 @@
 # error (2, no `internal error`, no nan or inf on stdout): an --out path in a
 # missing directory, a nan hbar for `numeric bounds --format json`, and finite
 # inputs whose uncertainty bounds overflow double precision, three for `numeric
-# bounds` and one for `numeric sweep --quantity bound`; then two lexer errors
+# bounds` and one for `numeric sweep --quantity bound`, whose error must name
+# the bound and hbar, not the mass shell; then two lexer errors
 # whose positions must be exact, a bad character on a second line and a
 # superscript digit, which `re` and `str` must classify alike on every
 # supported Python;
 # last, exact values of pairings and actions on both sides of the letter-count
 # rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
-# bases), and a P_k or P0 with no matching position letter gives 0.
+# bases), and a P_k or P0 with no matching position letter gives 0; and exact
+# sums of several coefficient addends: a product, a difference of quotients,
+# and a cancellation that leaves one addend.
 set -e -o pipefail
 
 read -r -a kappahopf <<< "${KAPPAHOPF:-kappahopf}"
@@ -66,6 +69,7 @@ typed_error numeric bounds --kappa 1e-300 --c 1e-10
 typed_error numeric bounds --hbar 1e308 --exp-x 1e308 --format json
 typed_error numeric bounds --basis standard --exp-q 1e308 --hbar 1e308
 typed_error numeric sweep --var kappa --quantity bound --hbar 1e308 --M 1e3 --from 1e-3 --to 1 --points 3
+grep -q "bound dp_dx .*hbar=" "$tmp/err.txt" || { echo "bound sweep overflow gave $(cat "$tmp/err.txt")"; exit 1; }
 "${kappahopf[@]}" eval $'P1 +\n  x0 $' 2> "$tmp/lex.txt"
 code=$?
 test "$code" -eq 2 || { echo "eval of a bad character on line 2 exited $code, expected 2"; exit 1; }
@@ -83,3 +87,6 @@ expect '(-i hbar) x0' 'P1 |> x1 x0'
 expect '(1/2 hbar^2 kappa^-1 c^-1) + (-i hbar) x0' --basis standard 'P1 |> x1 x0'
 expect 0 '<P1 P2 | x1>'
 expect 0 'P0 |> x1'
+expect 'kappa^2 + hbar^2' '(kappa + i hbar) (kappa - i hbar)'
+expect '1/2 kappa^-1 - 1/3 hbar' '1/(2 kappa) - hbar/3'
+expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'

@@ -1,0 +1,79 @@
+"""Print what the rewrite memos hold, from the repository root:
+
+    python3 scripts/memo_census.py
+
+Builds the four shared presets, then runs one pass of the rewrite-stream
+corpus (imported from perfbench/workloads.py, which it does not change) on
+their cold memos, then `kappahopf suite all --format json` in the same
+process.  It prints:
+- the bytes `tracemalloc` sees held after the pass, and its peak;
+- the growth of GC-tracked objects over the pass, by type;
+- after each stage, the entry count of each memo of each preset, and how many
+  normal-form coefficients have exactly one addend.
+
+It prints and gates nothing.
+"""
+
+import contextlib
+import gc
+import io
+import sys
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from kappahopf import cli, presets  # noqa: E402
+from workloads import ALL_PRESETS, RewriteStream  # noqa: E402
+
+MEMOS = ("_nf_cache", "_qpast_cache", "_product_cache", "_coproduct_cache",
+         "_pair_cache", "_action_cache")
+MIB = 1024 * 1024
+
+
+def tracked_types() -> Counter:
+    gc.collect()
+    return Counter(type(o).__name__ for o in gc.get_objects())
+
+
+def print_memos(stage: str):
+    print(f"memo entries after {stage}")
+    print(f"  {'preset':18}" + "".join(f"{m[1:-6]:>10}" for m in MEMOS))
+    single = total = 0
+    for basis, sector in ALL_PRESETS:
+        preset = presets.get_preset(basis, sector)
+        counts = "".join(f"{len(getattr(preset, m)):>10}" for m in MEMOS)
+        print(f"  {basis.value + '/' + sector.value:18}{counts}")
+        for nf in preset._nf_cache.values():
+            total += len(nf)
+            single += sum(len(s) == 1 for s in nf.values())
+    print(f"  normal-form coefficients with one addend: {single} of {total}")
+
+
+def main():
+    workload = RewriteStream()
+    workload.setup()
+    corpus = workload.corpus()
+    before = tracked_types()
+    tracemalloc.start()
+    for item in corpus:
+        workload.run(item)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    growth = tracked_types() - before
+    print(f"rewrite-stream pass: {len(corpus)} ops on cold memos")
+    print(f"  tracemalloc: {held / MIB:.2f} MiB held after the pass, peak {peak / MIB:.2f} MiB")
+    print(f"  GC-tracked objects: +{sum(growth.values())}")
+    for name, n in growth.most_common(4):
+        print(f"    {name:10} +{n}")
+    print_memos("the rewrite-stream pass")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["suite", "all", "--format", "json"])
+    print(f"suite all exited {code}")
+    print_memos("suite all")
+
+
+if __name__ == "__main__":
+    main()

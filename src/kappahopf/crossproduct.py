@@ -90,7 +90,7 @@ from .reports import (
     FrozenRecord,
     Record,
 )
-from .scalars import Scalar, _accumulate as _accumulate_scalar, _wrap as _wrap_scalar
+from .scalars import Scalar
 
 class Convention(str, Enum):
     LEFT = "left"
@@ -171,12 +171,11 @@ def pair(p: Element, x: Element, ctx: PairingContext) -> Scalar:
     """Duality pairing <p, x>, bilinear over both arguments."""
     _check_pairing_operands(p, x)
     preset = ctx.preset
-    terms: dict = {}
+    total = _ZERO
     for pm, pc in p.items():
         for xm, xc in x.items():
-            for triple, coeff in (_pair_mono(pm, xm, ctx, preset) * pc * xc)._terms.items():
-                _accumulate_scalar(terms, triple, coeff)
-    return _wrap_scalar(terms)
+            total = total + _pair_mono(pm, xm, ctx, preset) * pc * xc
+    return total
 
 
 def _pair_mono(
@@ -214,12 +213,10 @@ def _pair_mono_fresh(
     head, tail = Monomial(xm.word[:1]), Monomial(xm.word[1:])
     if ctx.convention is Convention.RIGHT:
         head, tail = tail, head
-    terms: dict = {}
+    total = _ZERO
     for (u, v), s in dp.items():
-        product = _pair_mono(u, head, ctx, preset) * _pair_mono(v, tail, ctx, preset) * s
-        for triple, coeff in product._terms.items():
-            _accumulate_scalar(terms, triple, coeff)
-    return _wrap_scalar(terms)
+        total = total + _pair_mono(u, head, ctx, preset) * _pair_mono(v, tail, ctx, preset) * s
+    return total
 
 
 def left_action(p: Element, x: Element, ctx: PairingContext) -> Element:
@@ -249,7 +246,7 @@ def _act_mono(
         acc: dict[Monomial, Scalar] = {}
         for legs, s in coproduct_monomial(xm, preset).items():
             coeff = _pair_mono(pm, legs[paired], ctx, preset)
-            if coeff._terms:
+            if coeff._store:
                 word, qexp = legs[1 - paired]
                 _shifted_accumulate(acc, preset._nf_word(word), qexp, coeff * s)
         acted = preset._action_cache[key] = Element._wrap(acc)

@@ -127,7 +127,7 @@ def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
     never holds a zero coefficient and can be wrapped as it is.
     """
     if factor is not None:
-        if not factor._terms:
+        if not factor._store:
             return acc
         if factor is not _ONE:
             items = [(key, coeff * factor) for key, coeff in items]
@@ -137,7 +137,7 @@ def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
             acc[key] = coeff
         else:
             total = prev + coeff
-            if total._terms:
+            if total._store:
                 acc[key] = total
             else:
                 del acc[key]

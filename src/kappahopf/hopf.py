@@ -162,7 +162,7 @@ def _slots_into(acc: dict, slots: list[dict], coeff: Scalar):
                 acc[key] = cs
             else:
                 total = prev + cs
-                if total._terms:
+                if total._store:
                     acc[key] = total
                 else:
                     del acc[key]

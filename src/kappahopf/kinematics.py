@@ -301,6 +301,7 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
     sqrt, inf = math.sqrt, math.inf
     half = 0.5 * hbar
     root = None
+    q = val = 0.0
     rows = []
     append = rows.append
     for value in grid:
@@ -333,14 +334,16 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
                 # with no abs since q >= 1
                 val = half * q
                 res = val - half
-            # val is q unless it is the bound, which is infinite if q is
-            if val == inf:
+            # val is q, or the bound: inf if q is, or nan if hbar / 2 underflows too
+            if not val < inf:
                 raise OverflowError
         except OverflowError:
-            raise ParameterError(
-                f"mass shell overflows double precision at kappa={kappa}, "
-                f"c={c}, M={M}, P={P}"
-            ) from None
+            at = f"kappa={kappa}, c={c}, M={M}, P={P}"
+            # only the bound is inf at a finite q (val, q are the last row's if raised before)
+            if val == inf and q < inf:
+                at = f"hbar={hbar}, {at}"
+                raise ParameterError(f"bound dp_dx overflows double precision at {at}") from None
+            raise ParameterError(f"mass shell overflows double precision at {at}") from None
         append({"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P,
                 "value": val, "residual": res})
     return rows

@@ -436,7 +436,7 @@ def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict
             acc[mono] = coeff
         else:
             total = prev + coeff
-            if total._terms:
+            if total._store:
                 acc[mono] = total
             else:
                 del acc[mono]

@@ -1,11 +1,13 @@
 """Exact coefficient ring: Gaussian rationals times signed powers of hbar, kappa, c.
 
 Every coefficient appearing in the deformed commutation relations lies in
-Q(i) * hbar^a kappa^b c^d, so the ring is kept exact.  A `Scalar` stores each
-addend as its exponent triple (e_hbar, e_kappa, e_c) mapped to a plain int
-triple (re_num, im_num, den) meaning (re_num + im_num*i) / den, with den > 0
-and gcd(re_num, im_num, den) == 1, so equal values have equal stores.  Ring
-operations are integer cross-multiplication plus one gcd per addend.
+Q(i) * hbar^a kappa^b c^d, so the ring is kept exact.  A `Scalar` holds one
+flat int tuple, six ints per addend: the exponent triple (e_hbar, e_kappa, e_c)
+and (re_num, im_num, den) meaning (re_num + im_num*i) / den, with den > 0 and
+gcd(re_num, im_num, den) == 1; addends in increasing triple order, none zero.
+Equal values have equal tuples, so `==` and `hash` are the tuple's.  Nearly
+every coefficient has one addend, so the ring operations take inline paths for
+single addends.  They are integer cross-multiplication plus one gcd per addend.
 
 `GaussianRational` (two `fractions.Fraction` parts) is the public view of one
 coefficient: the constructors accept it and `Scalar.items()` yields it.  No
@@ -16,6 +18,7 @@ module.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -76,10 +79,7 @@ class GaussianRational(FrozenRecord):
 Triple = tuple[int, int, int]
 # one coefficient: (re_num, im_num, den) = (re_num + im_num*i) / den
 Coeff = tuple[int, int, int]
-
-_UNIT: Triple = (0, 0, 0)
-_C_ONE: Coeff = (1, 0, 1)
-_C_I: Coeff = (0, 1, 1)
+Store = tuple[int, ...]
 
 
 def _coeff(re, im) -> Coeff | None:
@@ -103,61 +103,57 @@ def _reduce(a: int, b: int, d: int) -> Coeff | None:
     return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
-def _mul_coeff(x: Coeff, y: Coeff) -> Coeff:
-    """Product of two nonzero coefficients; Q(i) is a field, so it is nonzero."""
-    p, q, d = x
-    r, s, e = y
-    re, im, den = p * r - q * s, p * s + q * r, d * e
-    if den != 1:
-        g = gcd(re, im, den)
-        if g != 1:
-            return (re // g, im // g, den // g)
-    return (re, im, den)
+def _add_coeff(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Coeff | None:
+    """(a1 + b1 i)/d1 + (a2 + b2 i)/d2; None for zero."""
+    if d1 == d2:
+        return _reduce(a1 + a2, b1 + b2, d1)
+    return _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _accumulate(terms: dict[Triple, Coeff], triple: Triple, y: Coeff) -> None:
     """terms[triple] += y in place, dropping the addend if it cancels."""
     x = terms.get(triple)
-    if x is None:
-        terms[triple] = y
-        return
-    a1, b1, d1 = x
-    a2, b2, d2 = y
-    if d1 == d2:
-        total = _reduce(a1 + a2, b1 + b2, d1)
-    else:
-        total = _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    total = y if x is None else _add_coeff(*x, *y)
     if total is None:
         del terms[triple]
     else:
         terms[triple] = total
 
 
-def _wrap(terms: dict[Triple, Coeff]) -> "Scalar":
+def _insert(store: Store, addend: Store) -> Store:
+    """store plus one addend, by a binary search and one splice copied in C."""
+    triple = addend[:3]
+    i = 6 * bisect_left(range(0, len(store), 6), triple, key=lambda k: store[k : k + 3])
+    if store[i : i + 3] != triple:
+        return store[:i] + addend + store[i:]
+    total = _add_coeff(*store[i + 3 : i + 6], *addend[3:])
+    return store[: i + 3] + total + store[i + 6 :] if total else store[:i] + store[i + 6 :]
+
+
+def _addends(store: Store):
+    """The addends of a store as six-int tuples, in order."""
+    return zip(*(store[j::6] for j in range(6)))
+
+
+def _wrap(store: Store) -> "Scalar":
     """Scalar over an already canonical store, skipping re-canonicalisation."""
     s = object.__new__(Scalar)
-    s._terms = terms
+    s._store = store
     return s
 
 
 class Scalar:
-    """Finite sum of Gaussian-rational multiples of hbar^a kappa^b c^d.
+    """Finite sum of Gaussian-rational multiples of hbar^a kappa^b c^d, in the
+    canonical form of the module docstring.  Values are immutable; all
+    operations return fresh instances or operands."""
 
-    Canonical form: at most one addend per exponent triple, no zero addends,
-    every coefficient a reduced int triple (see the module docstring).
-    Values are immutable; all operations return fresh instances or operands.
-    """
-
-    __slots__ = ("_terms",)
+    __slots__ = ("_store",)
 
     def __init__(self, terms: dict[Triple, GaussianRational] | None = None):
-        canonical: dict[Triple, Coeff] = {}
-        if terms:
-            for triple, g in terms.items():
-                coeff = _coeff(g.re, g.im)
-                if coeff is not None:
-                    canonical[triple] = coeff
-        self._terms = canonical
+        total = _S_ZERO
+        for (h, k, c), g in (terms or {}).items():
+            total = total + Scalar.term(g.re, g.im, hbar=h, kappa=k, c=c)
+        self._store = total._store
 
     # -- constructors ------------------------------------------------------
 
@@ -185,25 +181,40 @@ class Scalar:
     def term(re=0, im=0, *, hbar=0, kappa=0, c=0) -> "Scalar":
         """Single addend (re + im*i) * hbar^hbar kappa^kappa c^c."""
         coeff = _coeff(re, im)
-        return _wrap({} if coeff is None else {(hbar, kappa, c): coeff})
+        return _S_ZERO if coeff is None else _wrap((hbar, kappa, c, *coeff))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not other._terms:
+        y = other._store
+        if not y:
             return self
-        if not self._terms:
+        x = self._store
+        if not x:
             return other
-        terms = dict(self._terms)
-        for triple, coeff in other._terms.items():
-            _accumulate(terms, triple, coeff)
-        return _wrap(terms)
+        if len(x) == 6 and len(y) == 6:
+            h1, k1, c1, a1, b1, d1 = x
+            h2, k2, c2, a2, b2, d2 = y
+            if h1 != h2 or k1 != k2 or c1 != c2:
+                # the triples differ, so whole-store order is triple order
+                return _wrap(x + y if x < y else y + x)
+            total = _add_coeff(a1, b1, d1, a2, b2, d2)
+            return _S_ZERO if total is None else _wrap((h1, k1, c1, *total))
+        if len(x) < len(y):
+            x, y = y, x
+        for i in range(0, len(y), 6):
+            x = _insert(x, y[i : i + 6])
+        return _wrap(x)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return _wrap({t: (-a, -b, d) for t, (a, b, d) in self._terms.items()})
+        x = self._store
+        if len(x) == 6:
+            h, k, c, a, b, d = x
+            return _wrap((h, k, c, -a, -b, d))
+        return self * Scalar.rational(-1)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         # most products in the rewrite engine have the shared one() as a factor
@@ -211,51 +222,64 @@ class Scalar:
             return self
         if self is _S_ONE:
             return other
-        lhs, rhs = self._terms, other._terms
-        if len(lhs) == 1 and len(rhs) == 1:
-            ((a1, b1, c1), x), = lhs.items()
-            ((a2, b2, c2), y), = rhs.items()
-            return _wrap({(a1 + a2, b1 + b2, c1 + c2): _mul_coeff(x, y)})
+        x, y = self._store, other._store
+        if len(x) == 6 and len(y) == 6:
+            h1, k1, c1, p, q, d = x
+            h2, k2, c2, r, s, e = y
+            re, im, den = p * r - q * s, p * s + q * r, d * e
+            if den != 1:
+                g = gcd(re, im, den)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            return _wrap((h1 + h2, k1 + k2, c1 + c2, re, im, den))
+        if not x or not y:
+            return _S_ZERO
         terms: dict[Triple, Coeff] = {}
-        for (a1, b1, c1), x in lhs.items():
-            for (a2, b2, c2), y in rhs.items():
-                _accumulate(terms, (a1 + a2, b1 + b2, c1 + c2), _mul_coeff(x, y))
-        return _wrap(terms)
+        for h1, k1, c1, p, q, d in _addends(x):
+            for h2, k2, c2, r, s, e in _addends(y):
+                re, im, den = p * r - q * s, p * s + q * r, d * e
+                g = gcd(re, im, den)
+                _accumulate(terms, (h1 + h2, k1 + k2, c1 + c2), (re // g, im // g, den // g))
+        store: list[int] = []
+        for triple in sorted(terms):
+            store += triple
+            store += terms[triple]
+        return _wrap(tuple(store))
 
     def inverse(self) -> "Scalar":
         """Inverse of a single-addend scalar; zero and sums are not invertible."""
-        if not self._terms:
+        x = self._store
+        if not x:
             raise DivisionByZeroError("division by zero")
-        if len(self._terms) != 1:
-            raise DivisionByZeroError(
-                "only single-term scalars are invertible (got "
-                f"{len(self._terms)} terms)"
-            )
-        ((eh, ek, ec), (a, b, d)), = self._terms.items()
+        if len(x) != 6:
+            n = len(x) // 6
+            raise DivisionByZeroError(f"only single-term scalars are invertible (got {n} terms)")
+        h, k, c, a, b, d = x
         # d / (a + b i) = d (a - b i) / (a^2 + b^2)
-        return _wrap({(-eh, -ek, -ec): _reduce(d * a, -d * b, a * a + b * b)})
+        return _wrap((-h, -k, -c, *_reduce(d * a, -d * b, a * a + b * b)))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._store
 
     def items(self) -> list[tuple[Triple, GaussianRational]]:
-        """(triple, coefficient) pairs, each coefficient as a GaussianRational."""
+        """(triple, coefficient) pairs in triple order, each coefficient as a
+        GaussianRational."""
         return [
-            (t, GaussianRational(Fraction(a, d), Fraction(b, d)))
-            for t, (a, b, d) in self._terms.items()
+            ((h, k, c), GaussianRational(Fraction(a, d), Fraction(b, d)))
+            for h, k, c, a, b, d in _addends(self._store)
         ]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._store) // 6
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self._terms == other._terms
+        return isinstance(other, Scalar) and self._store == other._store
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._store)
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()})"
@@ -274,9 +298,7 @@ class Scalar:
             if not value > 0:
                 raise ParameterError(f"{name} must be strictly positive, got {value}")
         total = 0j
-        for triple in sorted(self._terms):
-            eh, ek, ec = triple
-            a, b, d = self._terms[triple]
+        for eh, ek, ec, a, b, d in _addends(self._store):
             mag = hbar**eh * kappa**ek * c**ec
             total += complex(a / d * mag, b / d * mag)
         return total
@@ -285,12 +307,11 @@ class Scalar:
 
     def render(self) -> str:
         """Canonical text form, parseable by the expression grammar."""
-        if not self._terms:
+        if not self._store:
             return "0"
         parts: list[str] = []
-        for triple in sorted(self._terms):
-            a, b, d = self._terms[triple]
-            powers = _powers_str(triple)
+        for h, k, c, a, b, d in _addends(self._store):
+            powers = _powers_str((h, k, c))
             if a:
                 parts.append(_product_str(a, d, False, powers))
             if b:
@@ -305,18 +326,17 @@ class Scalar:
 
     def render_single(self) -> str:
         """Render wrapped for use as a coefficient in front of a monomial."""
-        body = self.render()
-        return f"({body})"
+        return f"({self.render()})"
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {_UNIT: _C_ONE}
+        return self._store == _S_ONE._store
 
 
 # shared constants: scalars are immutable, so one instance of each suffices
-_S_ZERO = _wrap({})
-_S_ONE = _wrap({_UNIT: _C_ONE})
-_S_I = _wrap({_UNIT: _C_I})
+_S_ZERO = _wrap(())
+_S_ONE = _wrap((0, 0, 0, 1, 0, 1))
+_S_I = _wrap((0, 0, 0, 0, 1, 1))
 
 
 def _powers_str(triple: Triple) -> str:

@@ -417,21 +417,24 @@ class TestNumeric:
         assert err.startswith("error: mass shell overflows double precision")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("--from", "1", "--to", "10", "--M", "1e200"),
+            (("--from", "1", "--to", "10", "--M", "1e200"),
+             "mass shell overflows double precision at kappa=1.0, c=1.0, M=1e+200, P=0.0"),
             # q is finite, the bound hbar q / 2 is not
-            ("--quantity", "bound", "--hbar", "1e308", "--M", "1e3", "--from", "1e-3", "--to", "1"),
+            (("--quantity", "bound", "--hbar", "1e308", "--M", "1e3", "--from", "1e-3", "--to", "1"),
+             "bound dp_dx overflows double precision at hbar=1e+308, kappa=0.001, c=1.0, "
+             "M=1000.0, P=0.0"),
         ],
         ids=["mass-shell", "bound"],
     )
-    def test_sweep_overflow_is_typed(self, capsys, argv):
+    def test_sweep_overflow_is_typed(self, capsys, argv, message):
         code, out, err = run_cli(
             capsys, "numeric", "sweep", "--var", "kappa", "--points", "3", *argv
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: mass shell overflows double precision")
+        assert err == f"error: {message}\n"
 
     def test_sweep_rejects_negative_points(self, capsys):
         code, out, err = run_cli(

@@ -431,7 +431,11 @@ def _reference_rows(var, lo, hi, n, base, quantity):
         else:
             val = 0.5 * hbar * abs(q)
             if val == math.inf:
-                raise _frozen_overflow(kappa, c, M, P)
+                # q is finite here, so the bound overflows through hbar
+                raise ParameterError(
+                    f"bound dp_dx overflows double precision at hbar={hbar}, "
+                    f"kappa={kappa}, c={c}, M={M}, P={P}"
+                )
             res = val - 0.5 * hbar
         rows.append(
             {"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P, "value": val, "residual": res}
@@ -558,6 +562,16 @@ class TestSweepMatchesPointwise:
         with pytest.raises(ParameterError) as err:
             sweep_rows("kappa", math.inf, 1.0, 3, base, "mass-shell")
         assert str(err.value) == "kappa must be strictly positive and finite, got inf"
+
+    def test_bound_at_infinite_q_with_subnormal_hbar(self):
+        # hbar / 2 underflows to 0, so hbar q / 2 is nan, not inf, at the
+        # infinite q of row 0; it must still raise the mass-shell error
+        base = KinematicParams(kappa=1.0, hbar=5e-324, M=1e150)
+        args = ("kappa", 1e-200, 1.0, 3, base, "bound")
+        assert _outcome(sweep_rows, *args) == _outcome(_reference_rows, *args) == (
+            "ParameterError",
+            "mass shell overflows double precision at kappa=1e-200, c=1.0, M=1e+150, P=0.0",
+        )
 
     def test_overflowing_kappa_grid(self):
         base = KinematicParams(kappa=1.0, M=1e200)

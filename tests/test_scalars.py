@@ -1,6 +1,7 @@
 """Exact coefficient ring: examples and ring-axiom property tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,6 +87,38 @@ def test_canonical_form():
     assert summed.render() == "1/2"
 
 
+def test_multi_addend_arithmetic():
+    # -i kappa c + i hbar, built in the other order, keeps both addends in
+    # exponent-triple order
+    a = ih(hbar=1) + Scalar.term(0, -1, kappa=1, c=1)
+    b = Scalar.rational(1, 2) + Scalar.term(1, 0, hbar=1)  # 1/2 + hbar
+    assert len(a) == 2 and len(b) == 2
+    assert [t for t, _ in a.items()] == [(0, 1, 1), (1, 0, 0)]
+    assert [g for _, g in a.items()] == [GaussianRational.of(0, -1), GaussianRational.of(0, 1)]
+    assert a.render() == "-i kappa c + i hbar"
+    assert (-a).render() == "i kappa c - i hbar"
+    assert (a + b).render() == "1/2 - i kappa c + hbar + i hbar"
+    assert (a - b).render() == "-1/2 - i kappa c - hbar + i hbar"
+    assert a - ih(hbar=1) == Scalar.term(0, -1, kappa=1, c=1)
+    assert (a - a).is_zero and (a + -a).is_zero
+    square = a * a  # three addends: -kappa^2 c^2 + 2 hbar kappa c - hbar^2
+    assert [(t, g) for t, g in square.items()] == [
+        ((0, 2, 2), GaussianRational.of(-1)),
+        ((1, 1, 1), GaussianRational.of(2)),
+        ((2, 0, 0), GaussianRational.of(-1)),
+    ]
+    assert square.render() == "-kappa^2 c^2 + 2 hbar kappa c - hbar^2"
+    assert (a * b).render() == "-1/2 i kappa c + 1/2 i hbar - i hbar kappa c + i hbar^2"
+    assert len(a * b) == 4
+    # exact in floats: -15i + 2i, and -7.5i + i - 30i + 4i
+    assert a.to_complex(2.0, 3.0, 5.0) == -13j
+    assert (a * b).to_complex(2.0, 3.0, 5.0) == -32.5j
+    assert square.to_complex(2.0, 3.0, 5.0) == -(15.0 - 2.0) ** 2
+    kappa_ih = Scalar.term(1, 0, kappa=1) + ih(hbar=1)
+    kappa_mih = Scalar.term(1, 0, kappa=1) - ih(hbar=1)
+    assert (kappa_ih * kappa_mih).render() == "kappa^2 + hbar^2"
+
+
 def test_gaussian_inverse():
     g = GaussianRational.of(Fraction(3, 2), Fraction(-1, 2))
     assert g * g.inverse() == GaussianRational.of(1, 0)
@@ -120,6 +153,35 @@ def test_canonicalization_idempotent(a):
     again = Scalar(dict(a.items()))
     assert again == a
     assert all(not g.is_zero for _, g in a.items())
+
+
+def _assert_canonical(s):
+    """Six ints per addend, strictly increasing triples, den > 0, coprime
+    ints and no zero addend."""
+    store = s._store
+    assert len(store) % 6 == 0 and len(s) == len(store) // 6
+    triples = [store[i : i + 3] for i in range(0, len(store), 6)]
+    assert triples == sorted(set(triples))
+    for i in range(0, len(store), 6):
+        re, im, den = store[i + 3 : i + 6]
+        assert den > 0 and (re or im) and gcd(re, im, den) == 1
+
+
+@given(scalars, scalars, scalars)
+def test_equal_values_have_equal_stores(a, b, c):
+    """Values built along different paths have one store and one hash."""
+    pairs = [
+        (a + b, b + a),
+        ((a * b) * c, a * (b * c)),
+        ((a + b) + c, a + (b + c)),
+        (a - b, -(b - a)),
+        (Scalar(dict(a.items())), a),
+        (Scalar(dict(reversed(a.items()))), a),
+    ]
+    for x, y in pairs:
+        assert x._store == y._store and hash(x) == hash(y)
+    for s in (a, b, a + b, a - b, -a, a * b, (a * b) * c, a * (b + c)):
+        _assert_canonical(s)
 
 
 def _abs_addends(s, vals):
