@@ -4,7 +4,9 @@
 
 Two numbers over src/kappahopf/*.py: code lines, the lines left after blank
 lines, comment lines and docstrings are dropped (docstrings found by an `ast`
-walk), and all lines as `wc -l` counts them.  It prints and gates nothing.
+walk), and all lines as `wc -l` counts them.  Then the code lines of
+tests/*.py by the same count, so code moved from the package into the tests
+shows on both sides.  It prints and gates nothing.
 """
 
 import ast
@@ -12,7 +14,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "kappahopf"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kappahopf"
+TESTS = ROOT / "tests"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -41,6 +45,8 @@ def main():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     print(f"code lines: {sum(code_lines(s) for s in sources)}")
     print(f"wc -l: {sum(s.count(chr(10)) for s in sources)}")
+    tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    print(f"tests code lines: {sum(code_lines(s) for s in tests)}")
 
 
 if __name__ == "__main__":

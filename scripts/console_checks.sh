@@ -26,7 +26,10 @@
 # rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
 # bases), and a P_k or P0 with no matching position letter gives 0; and exact
 # sums of several coefficient addends: a product, a difference of quotients,
-# and a cancellation that leaves one addend.
+# and a cancellation that leaves one addend; and, with KAPPA_HOPF_FORMAT=json
+# exported, the default formats of the entry point: a sweep prints its csv
+# header and `eval P1` prints the text `P1`, since no environment variable
+# picks the format.
 set -e -o pipefail
 
 read -r -a kappahopf <<< "${KAPPAHOPF:-kappahopf}"
@@ -90,3 +93,7 @@ expect 0 'P0 |> x1'
 expect 'kappa^2 + hbar^2' '(kappa + i hbar) (kappa - i hbar)'
 expect '1/2 kappa^-1 - 1/3 hbar' '1/(2 kappa) - hbar/3'
 expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'
+header=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 2 | head -n 1)
+test "$header" = kappa,c,hbar,M,P,value,residual || { echo "sweep with KAPPA_HOPF_FORMAT=json printed '$header' first"; exit 1; }
+out=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" eval P1)
+test "$out" = P1 || { echo "eval P1 with KAPPA_HOPF_FORMAT=json printed '$out', expected 'P1'"; exit 1; }

@@ -38,7 +38,6 @@ from .crossproduct import (
     derived_relation_elements,
     left_action,
     pair,
-    select_convention,
 )
 from .grammar import eval_text, evaluate, parse
 from .kinematics import (

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks passed / evaluation ok, 1 at least one check failed,
 2 invalid parameters or internal error.  Output is deterministic: fixed term
-order and floats at 12 significant digits.  The default output format can be
-overridden with the KAPPA_HOPF_FORMAT environment variable.
+order and floats at 12 significant digits.  Output is text by default, csv
+for `numeric sweep`; `--format` picks another.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .crossproduct import (
@@ -48,17 +47,6 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _resolve_format(args, default="text", allowed=("text", "json")) -> str:
-    fmt_choice = getattr(args, "format", None) or os.environ.get("KAPPA_HOPF_FORMAT")
-    if fmt_choice is None:
-        fmt_choice = default
-    if fmt_choice not in allowed:
-        raise KappaHopfError(
-            f"format {fmt_choice!r} not supported here (allowed: {', '.join(allowed)})"
-        )
-    return fmt_choice
-
-
 def _emit(text: str, args):
     text = text if text.endswith("\n") else text + "\n"
     out_path = getattr(args, "out", None)
@@ -76,10 +64,9 @@ def _emit(text: str, args):
 
 
 def cmd_eval(args) -> int:
-    out_format = _resolve_format(args)
     sector = Sector(args.sector) if args.sector else None
     value = eval_text(args.expression, Basis(args.basis), sector)
-    if out_format == "json":
+    if args.format == "json":
         payload = {
             "expression": args.expression,
             "basis": args.basis,
@@ -162,7 +149,6 @@ def _corrupted(preset, pair):
 
 
 def cmd_suite(args) -> int:
-    out_format = _resolve_format(args)
     pair = _corrupt_pair(args)
     presets = {}  # with a corrupt pair, one corrupted copy per (basis, sector)
     reports = []
@@ -176,7 +162,7 @@ def cmd_suite(args) -> int:
     basis_map = basis_map_check() if args.suite in ("basis-map", "all") else None
     checked = reports + ([basis_map] if basis_map is not None else [])
     ok = all(r.passed for r in checked)
-    if out_format == "json":
+    if args.format == "json":
         payload = {"suite": args.suite, "pass": ok, "reports": [r.to_dict() for r in reports]}
         if basis_map is not None:
             payload["basis_map"] = basis_map.to_dict()
@@ -197,11 +183,10 @@ def _params_from(args) -> KinematicParams:
 
 
 def cmd_mass_shell(args) -> int:
-    out_format = _resolve_format(args, allowed=("text", "json"))
     params = _params_from(args)
     q = mass_shell_exp(params)
     residual = check_mass_shell(params)
-    if out_format == "json":
+    if args.format == "json":
         _emit(
             json.dumps(
                 {
@@ -225,7 +210,6 @@ def cmd_mass_shell(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    out_format = _resolve_format(args, allowed=("text", "json"))
     basis = Basis(args.basis)
     params = _params_from(args)
     for flag, value in (("--exp-x", args.exp_x), ("--exp-p", args.exp_p), ("--exp-q", args.exp_q)):
@@ -239,7 +223,7 @@ def cmd_bounds(args) -> int:
             params.hbar, params.kappa, params.c, args.exp_x, args.exp_p, exp_q
         )
     table = bounds.as_dict()
-    if out_format == "json":
+    if args.format == "json":
         _emit(
             json.dumps(
                 {"basis": basis.value}
@@ -259,15 +243,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out_format = _resolve_format(args, default="csv", allowed=("text", "json", "csv"))
     base = _params_from(args)
     rows = sweep_rows(args.var, args.start, args.stop, args.points, base, args.quantity)
     cols = ["kappa", "c", "hbar", "M", "P", "value", "residual"]
-    if out_format == "csv":
+    if args.format == "csv":
         lines = [",".join(cols)]
         lines += [",".join(fmt(row[c]) for c in cols) for row in rows]
         _emit("\n".join(lines), args)
-    elif out_format == "json":
+    elif args.format == "json":
         _emit(
             json.dumps([{c: float(fmt(row[c])) for c in cols} for row in rows]),
             args,
@@ -302,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("expression")
     p_eval.add_argument("--basis", choices=["bicross", "standard"], default="bicross")
     p_eval.add_argument("--sector", choices=["poincare", "phasespace"], default=None)
-    p_eval.add_argument("--format", choices=["text", "json"], default=None)
+    p_eval.add_argument("--format", choices=["text", "json"], default="text")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("suite", choices=[*_SUITES, "basis-map", "all"])
     p_suite.add_argument("--basis", choices=["bicross", "standard"], default=None)
-    p_suite.add_argument("--format", choices=["text", "json"], default=None)
+    p_suite.add_argument("--format", choices=["text", "json"], default="text")
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument(
         "--corrupt-rule",
@@ -327,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ms = num_sub.add_parser("mass-shell", help="on-shell exp(P0/2kc) and residual")
     _add_numeric_flags(p_ms)
-    p_ms.add_argument("--format", choices=["text", "json"], default=None)
+    p_ms.add_argument("--format", choices=["text", "json"], default="text")
     p_ms.add_argument("--out", default=None)
     p_ms.set_defaults(func=cmd_mass_shell)
 
@@ -343,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="exp_q",
         help="<exp(P0/2kc)>; defaults to the on-shell value from --M/--P",
     )
-    p_b.add_argument("--format", choices=["text", "json"], default=None)
+    p_b.add_argument("--format", choices=["text", "json"], default="text")
     p_b.add_argument("--out", default=None)
     p_b.set_defaults(func=cmd_bounds)
 
@@ -356,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantity", choices=["mass-shell", "bound"], default="mass-shell"
     )
     _add_numeric_flags(p_s)
-    p_s.add_argument("--format", choices=["text", "json", "csv"], default=None)
+    p_s.add_argument("--format", choices=["text", "json", "csv"], default="csv")
     p_s.add_argument("--out", default=None)
     p_s.set_defaults(func=cmd_sweep)
 

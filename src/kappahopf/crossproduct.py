@@ -16,7 +16,9 @@ conventions are implemented:
 
 LEFT is the default: it is the unique convention under which the pairing is
 well defined on the noncommutative configuration space and the module-algebra
-law holds (see `select_convention`).
+law holds.  RIGHT is kept as the evidence: `tests/test_crossproduct.py` shows
+that it reproduces the generator-level relation table, yet its pairing is not
+well defined and its action breaks the module-algebra law.
 
 Pairings and actions are memoized per monomial pair on the shared phase-space
 preset, keyed by (convention, momentum monomial, position monomial).  The
@@ -88,7 +90,6 @@ from .reports import (
     DerivationEntry,
     DerivationReport,
     FrozenRecord,
-    Record,
 )
 from .scalars import Scalar
 
@@ -106,9 +107,6 @@ class PairingContext(FrozenRecord):
     @property
     def preset(self) -> AlgebraPreset:
         return get_preset(self.basis, Sector.PHASESPACE)
-
-    def tag(self) -> str:
-        return f"{self.basis.value}/{self.convention.value}"
 
 
 # base pairings: <P_nu, x_mu> = -i hbar g_{mu nu}
@@ -361,104 +359,6 @@ def derived_relation_elements(
     return {
         name: cross_commutator(a, b, ctx) for name, a, b in _phase_pairs()
     }
-
-
-# -- convention selection --------------------------------------------------------
-
-
-class ConventionEvidence(Record):
-    __slots__ = ("convention", "pairing_well_defined", "module_algebra_law",
-                 "representation_law", "reproduces_table")
-
-    def __init__(self, convention: str, pairing_well_defined: bool, module_algebra_law: bool,
-                 representation_law: bool, reproduces_table: bool):
-        self.convention, self.pairing_well_defined = convention, pairing_well_defined
-        self.module_algebra_law, self.representation_law = module_algebra_law, representation_law
-        self.reproduces_table = reproduces_table
-
-    @property
-    def selected(self) -> bool:
-        return (
-            self.pairing_well_defined
-            and self.module_algebra_law
-            and self.representation_law
-            and self.reproduces_table
-        )
-
-    def to_dict(self):
-        return dict(zip(self.__slots__, self._values()), selected=self.selected)
-
-
-def _momentum_probe_elements() -> list[Element]:
-    probes = [Element.generator(g) for g in (Gen.P0, *SPATIAL_P)]
-    probes.append(Element.q_power(1))
-    probes.append(Element.q_power(-2))
-    return probes
-
-
-def check_pairing_well_defined(ctx: PairingContext) -> bool:
-    """Pair both sides of every configuration-space relation; they must agree."""
-    preset = ctx.preset
-    xs = [Gen.X0, *SPATIAL_X]
-    for i, xg in enumerate(xs):
-        for yg in xs[i + 1 :]:
-            x, y = Element.generator(xg), Element.generator(yg)
-            lhs = preset.multiply(y, x)  # normal form of the reordered product
-            raw = Element.term(Monomial((yg, xg)), Scalar.one())
-            for p in _momentum_probe_elements():
-                if pair(p, raw, ctx) != pair(p, lhs, ctx):
-                    return False
-    return True
-
-
-def check_module_algebra_law(ctx: PairingContext) -> bool:
-    """p |> (x xt) = sum (p1 |> x)(p2 |> xt) on degree <= 2 position words."""
-    preset = ctx.preset
-    xs = [Element.generator(g) for g in (Gen.X0, *SPATIAL_X)]
-    for p in _momentum_probe_elements():
-        dp = coproduct(p, preset)
-        for x in xs:
-            for y in xs:
-                lhs = left_action(p, preset.multiply(x, y), ctx)
-                rhs: dict[Monomial, Scalar] = {}
-                for (u, v), s in dp.items():
-                    a = left_action(Element.term(u, Scalar.one()), x, ctx)
-                    b = left_action(Element.term(v, Scalar.one()), y, ctx)
-                    accumulate(rhs, preset.multiply(a, b).items(), s)
-                if lhs != Element._wrap(rhs):
-                    return False
-    return True
-
-
-def check_representation_law(ctx: PairingContext) -> bool:
-    """(p pt) |> x = p |> (pt |> x) on momentum generator pairs."""
-    preset = ctx.preset
-    moms = _momentum_probe_elements()
-    xs = [Element.generator(g) for g in (Gen.X0, *SPATIAL_X)]
-    for p in moms:
-        for pt in moms:
-            prod = preset.multiply(p, pt)
-            for x in xs:
-                if left_action(prod, x, ctx) != left_action(p, left_action(pt, x, ctx), ctx):
-                    return False
-    return True
-
-
-def select_convention(basis: Basis) -> list[ConventionEvidence]:
-    """Run the discriminating checks for both conventions."""
-    out = []
-    for conv in (Convention.LEFT, Convention.RIGHT):
-        ctx = PairingContext(Basis(basis), conv)
-        out.append(
-            ConventionEvidence(
-                conv.value,
-                check_pairing_well_defined(ctx),
-                check_module_algebra_law(ctx),
-                check_representation_law(ctx),
-                derive_phase_space_relations(basis, conv).passed,
-            )
-        )
-    return out
 
 
 # -- momentum basis transformation ------------------------------------------------

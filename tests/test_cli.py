@@ -535,11 +535,33 @@ class TestNumeric:
         assert err.startswith(f"error: cannot write --out {target}: ")
         assert not target.exists()
 
-    def test_format_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("KAPPA_HOPF_FORMAT", "json")
+    def test_format_env_override(self, capsys):
         code, out, _ = run_cli(
-            capsys, "numeric", "mass-shell", "--kappa", "1", "--M", "1"
+            capsys, "numeric", "mass-shell", "--kappa", "1", "--M", "1", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["exp_P0_over_2kc"] - 1.61803398875) < 1e-9
+
+
+# each subcommand with no --format and the first line of its default output
+DEFAULT_FORMATS = [
+    (("eval", "P1"), "P1"),
+    (("suite", "casimir", "--basis", "bicross"),
+     "bicross/poincare casimir-centrality: PASS (10 checks)"),
+    (("numeric", "mass-shell"), "exp(P0/2 kappa c) = 1"),
+    (("numeric", "bounds"), "dt dx_k  >= 0"),
+    (("numeric", "sweep", "--var", "kappa", "--from", "1", "--to", "10", "--points", "2"),
+     "kappa,c,hbar,M,P,value,residual"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, first_line", DEFAULT_FORMATS, ids=[" ".join(a[:2]) for a, _ in DEFAULT_FORMATS]
+)
+def test_default_format_ignores_environment(capsys, monkeypatch, argv, first_line):
+    # the default is text (csv for a sweep) whatever the environment holds
+    monkeypatch.setenv("KAPPA_HOPF_FORMAT", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line

@@ -13,18 +13,14 @@ from kappahopf.crossproduct import (
     PairingContext,
     basis_map_check,
     canonical_limit_table,
-    check_module_algebra_law,
-    check_pairing_well_defined,
-    check_representation_law,
     cross_commutator,
     cross_multiply,
     derive_phase_space_relations,
     derived_relation_elements,
     left_action,
     pair,
-    select_convention,
 )
-from kappahopf.elements import Gen, Monomial, Element, accumulate
+from kappahopf.elements import SPATIAL_P, SPATIAL_X, Gen, Monomial, Element, accumulate
 from kappahopf.errors import PairingError
 from kappahopf.hopf import coproduct
 from kappahopf.presets import Basis, Sector, classical_limit, get_preset
@@ -40,6 +36,72 @@ def gen(g):
 
 def sc(re=0, im=0, **kw):
     return Scalar.term(re, im, **kw)
+
+
+def _ctx_id(ctx):
+    return f"{ctx.basis.value}/{ctx.convention.value}"
+
+
+# every basis under both conventions
+ALL_CTX = [PairingContext(b, conv) for b in Basis for conv in Convention]
+
+
+# -- the laws that single out the LEFT convention --------------------------------
+
+
+def _momentum_probe_elements() -> list[Element]:
+    probes = [Element.generator(g) for g in (Gen.P0, *SPATIAL_P)]
+    probes.append(Element.q_power(1))
+    probes.append(Element.q_power(-2))
+    return probes
+
+
+def check_pairing_well_defined(ctx: PairingContext) -> bool:
+    """Pair both sides of every configuration-space relation; they must agree."""
+    preset = ctx.preset
+    xs = [Gen.X0, *SPATIAL_X]
+    for i, xg in enumerate(xs):
+        for yg in xs[i + 1 :]:
+            x, y = Element.generator(xg), Element.generator(yg)
+            lhs = preset.multiply(y, x)  # normal form of the reordered product
+            raw = Element.term(Monomial((yg, xg)), Scalar.one())
+            for p in _momentum_probe_elements():
+                if pair(p, raw, ctx) != pair(p, lhs, ctx):
+                    return False
+    return True
+
+
+def check_module_algebra_law(ctx: PairingContext) -> bool:
+    """p |> (x xt) = sum (p1 |> x)(p2 |> xt) on degree <= 2 position words."""
+    preset = ctx.preset
+    xs = [Element.generator(g) for g in (Gen.X0, *SPATIAL_X)]
+    for p in _momentum_probe_elements():
+        dp = coproduct(p, preset)
+        for x in xs:
+            for y in xs:
+                lhs = left_action(p, preset.multiply(x, y), ctx)
+                rhs: dict[Monomial, Scalar] = {}
+                for (u, v), s in dp.items():
+                    a = left_action(Element.term(u, Scalar.one()), x, ctx)
+                    b = left_action(Element.term(v, Scalar.one()), y, ctx)
+                    accumulate(rhs, preset.multiply(a, b).items(), s)
+                if lhs != Element._wrap(rhs):
+                    return False
+    return True
+
+
+def check_representation_law(ctx: PairingContext) -> bool:
+    """(p pt) |> x = p |> (pt |> x) on momentum generator pairs."""
+    preset = ctx.preset
+    moms = _momentum_probe_elements()
+    xs = [Element.generator(g) for g in (Gen.X0, *SPATIAL_X)]
+    for p in moms:
+        for pt in moms:
+            prod = preset.multiply(p, pt)
+            for x in xs:
+                if left_action(prod, x, ctx) != left_action(p, left_action(pt, x, ctx), ctx):
+                    return False
+    return True
 
 
 class TestPairing:
@@ -197,11 +259,7 @@ class TestCrossMultiply:
         rhs = cross_multiply(a, cross_multiply(b, c, ctx), ctx)
         assert lhs == rhs
 
-    @pytest.mark.parametrize(
-        "ctx",
-        [PairingContext(b, conv) for b in Basis for conv in Convention],
-        ids=lambda c: c.tag(),
-    )
+    @pytest.mark.parametrize("ctx", ALL_CTX, ids=_ctx_id)
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_commutator_is_difference_of_products(self, ctx, data):
@@ -300,14 +358,10 @@ class TestPairingActionMemo:
         again = [op(a, b, ctx) for op, a, b, ctx in ops]
         assert all(get_preset(b, Sector.PHASESPACE)._pair_cache for b in Basis)
         for (op, a, b, ctx), want, got_first, got_again in zip(ops, expected, first, again):
-            where = f"{op.__name__}({a.render()}, {b.render()}) {ctx.tag()}"
+            where = f"{op.__name__}({a.render()}, {b.render()}) {_ctx_id(ctx)}"
             assert got_first == want and got_again == want, where
 
-    @pytest.mark.parametrize(
-        "ctx",
-        [PairingContext(b, conv) for b in Basis for conv in Convention],
-        ids=lambda c: c.tag(),
-    )
+    @pytest.mark.parametrize("ctx", ALL_CTX, ids=_ctx_id)
     def test_multi_term_action_is_normal_form_of_summed_action(self, ctx):
         preset = ctx.preset
         paired = 1 if ctx.convention is Convention.LEFT else 0
@@ -417,11 +471,7 @@ class TestLetterCountRule:
     """The letter-count rule in `_pair_mono` and `_act_mono` against the
     frozen recursion, on every pair of small monomials."""
 
-    @pytest.mark.parametrize(
-        "ctx",
-        [PairingContext(b, conv) for b in Basis for conv in Convention],
-        ids=lambda c: c.tag(),
-    )
+    @pytest.mark.parametrize("ctx", ALL_CTX, ids=_ctx_id)
     def test_rule_matches_frozen_recursion(self, ctx):
         get_preset.cache_clear()
         preset = ctx.preset
@@ -435,7 +485,7 @@ class TestLetterCountRule:
             legs = list(coproduct(x, preset).items())
             for pm in _SWEEP_P:
                 p = Element.term(pm, one)
-                where = f"{pm.render()} | {xm.render()} {ctx.tag()}"
+                where = f"{pm.render()} | {xm.render()} {_ctx_id(ctx)}"
                 assert pair(p, x, ctx) == frozen[pm, xm], where
                 # the legs of a coproduct are normal words no longer than xm
                 summed = {}
@@ -493,13 +543,17 @@ class TestDerivation:
 
     def test_convention_selection(self):
         for basis in (Basis.BICROSS, Basis.STANDARD):
-            evidence = {ev.convention: ev for ev in select_convention(basis)}
-            assert evidence["left"].selected
-            assert not evidence["right"].selected
+            left = PairingContext(basis, Convention.LEFT)
+            assert check_pairing_well_defined(left)
+            assert check_module_algebra_law(left)
+            assert check_representation_law(left)
+            assert derive_phase_space_relations(basis, Convention.LEFT).passed
             # the generator-level table alone does not discriminate; the
             # pairing well-definedness and module-algebra law do
-            assert evidence["right"].reproduces_table
-            assert not evidence["right"].pairing_well_defined
+            right = PairingContext(basis, Convention.RIGHT)
+            assert derive_phase_space_relations(basis, Convention.RIGHT).passed
+            assert not check_pairing_well_defined(right)
+            assert not check_module_algebra_law(right)
 
 
 class TestBasisMap:

@@ -20,7 +20,6 @@ from kappahopf import (
     KinematicParams,
     PairingContext,
 )
-from kappahopf.crossproduct import ConventionEvidence
 from kappahopf.reports import (
     BasisMapCandidate,
     BasisMapReport,
@@ -88,11 +87,6 @@ REPRS = [
         "intertwines_flipped=False, counit_compatible=True, residuals={})",
     ),
     (BasisMapReport([]), "BasisMapReport(candidates=[])"),
-    (
-        ConventionEvidence("left", True, True, False, True),
-        "ConventionEvidence(convention='left', pairing_well_defined=True, "
-        "module_algebra_law=True, representation_law=False, reproduces_table=True)",
-    ),
 ]
 
 
@@ -176,12 +170,4 @@ def test_to_dict():
         "intertwines_flipped": True,
         "counit_compatible": True,
         "residuals": {"P1": "0"},
-    }
-    assert ConventionEvidence("right", True, False, True, True).to_dict() == {
-        "convention": "right",
-        "pairing_well_defined": True,
-        "module_algebra_law": False,
-        "representation_law": True,
-        "reproduces_table": True,
-        "selected": False,
     }
