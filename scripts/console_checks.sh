@@ -26,10 +26,11 @@
 # rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
 # bases), and a P_k or P0 with no matching position letter gives 0; and exact
 # sums of several coefficient addends: a product, a difference of quotients,
-# and a cancellation that leaves one addend; and, with KAPPA_HOPF_FORMAT=json
-# exported, the default formats of the entry point: a sweep prints its csv
-# header and `eval P1` prints the text `P1`, since no environment variable
-# picks the format.
+# and a cancellation that leaves one addend; the antipodes solved from the
+# coproduct table, of a boost in each basis and of a position; and, with
+# KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
+# sweep prints its csv header and `eval P1` prints the text `P1`, since no
+# environment variable picks the format.
 set -e -o pipefail
 
 read -r -a kappahopf <<< "${KAPPAHOPF:-kappahopf}"
@@ -93,6 +94,9 @@ expect 0 'P0 |> x1'
 expect 'kappa^2 + hbar^2' '(kappa + i hbar) (kappa - i hbar)'
 expect '1/2 kappa^-1 - 1/3 hbar' '1/(2 kappa) - hbar/3'
 expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'
+expect '(-kappa^-1 c^-1) M2 P3 q^2 + (kappa^-1 c^-1) M3 P2 q^2 + (-1) N1 q^2 + (3 i kappa^-1 c^-1) P1 q^2' --basis bicross 'S(N1)'
+expect '(-1) N1 + (3/2 i kappa^-1 c^-1) P1' --basis standard 'S(N1)'
+expect '(-1) x0' 'S(x0)'
 header=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 2 | head -n 1)
 test "$header" = kappa,c,hbar,M,P,value,residual || { echo "sweep with KAPPA_HOPF_FORMAT=json printed '$header' first"; exit 1; }
 out=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" eval P1)

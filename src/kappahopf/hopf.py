@@ -1,9 +1,10 @@
 """Coalgebra layer: tensor elements, coproduct, antipode, counit, Hopf axioms.
 
-The coproduct is extended from the generator tables as an algebra
-homomorphism, the antipode as an anti-homomorphism with S(q) = q^-1, and the
-counit multiplicatively with eps(q) = 1.  q is group-like, forced by the
-primitive coproduct of P0 under q = exp(P0 / 2 kappa c).
+The generator coproduct table is the only hand-written Hopf data.  The
+coproduct is extended from it as an algebra homomorphism; the antipode of
+each generator is solved from it, and extended as an anti-homomorphism with
+S(q) = q^-1; the counit is multiplicative with eps(q) = 1.  q is group-like,
+forced by the primitive coproduct of P0 under q = exp(P0 / 2 kappa c).
 
 Note on the standard basis: the momentum coproduct is encoded as
 Delta(P_i) = P_i (x) q + q^-1 (x) P_i.  The leg-transposed variant fails
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .elements import (
     BOOSTS,
@@ -171,114 +172,55 @@ def _slots_into(acc: dict, slots: list[dict], coeff: Scalar):
 # -- generator tables ----------------------------------------------------------
 
 
-def _primitive(g: Gen) -> list[tuple[Monomial, Monomial, Scalar]]:
-    m = Monomial((g,))
-    one = Monomial()
-    return [(m, one, Scalar.one()), (one, m, Scalar.one())]
-
-
 def _coproduct_table(basis: Basis) -> dict[Gen, list[tuple[Monomial, Monomial, Scalar]]]:
-    table: dict[Gen, list] = {}
-    for g in POSITIONS:
-        table[g] = _primitive(g)
-    for g in ROTATIONS:
-        table[g] = _primitive(g)
-    table[Gen.P0] = _primitive(Gen.P0)
-    one = Monomial()
-    if basis is Basis.BICROSS:
-        for i in (1, 2, 3):
-            p = SPATIAL_P[i - 1]
-            table[p] = [
-                (Monomial((p,)), one, Scalar.one()),
-                (Monomial((), -2), Monomial((p,)), Scalar.one()),
-            ]
-            n = BOOSTS[i - 1]
-            entries = [
-                (Monomial((n,)), one, Scalar.one()),
-                (Monomial((), -2), Monomial((n,)), Scalar.one()),
-            ]
-            for j in (1, 2, 3):
-                for k in (1, 2, 3):
-                    e = _eps(i, j, k)
-                    if e:
-                        entries.append(
-                            (
-                                Monomial((SPATIAL_P[j - 1],)),
-                                Monomial((ROTATIONS[k - 1],)),
-                                Scalar.term(Fraction(e), 0, kappa=-1, c=-1),
-                            )
-                        )
-            table[n] = entries
-    else:
-        for i in (1, 2, 3):
-            p = SPATIAL_P[i - 1]
-            table[p] = [
-                (Monomial((p,)), Monomial((), 1), Scalar.one()),
-                (Monomial((), -1), Monomial((p,)), Scalar.one()),
-            ]
-            n = BOOSTS[i - 1]
-            entries = [
-                (Monomial((n,)), Monomial((), 1), Scalar.one()),
-                (Monomial((), -1), Monomial((n,)), Scalar.one()),
-            ]
-            for j in (1, 2, 3):
-                for k in (1, 2, 3):
-                    e = _eps(i, j, k)
-                    if e:
-                        coeff = Scalar.term(Fraction(e, 2), 0, kappa=-1, c=-1)
-                        entries.append(
-                            (
-                                Monomial((SPATIAL_P[j - 1],)),
-                                Monomial((ROTATIONS[k - 1],), 1),
-                                coeff,
-                            )
-                        )
-                        entries.append(
-                            (
-                                Monomial((ROTATIONS[j - 1],), -1),
-                                Monomial((SPATIAL_P[k - 1],)),
-                                coeff,
-                            )
-                        )
-            table[n] = entries
+    """Delta(g) of every generator as (left leg, right leg, coefficient) entries.
+
+    Positions, rotations and P0 are primitive.  Each P_i and N_i has
+    g (x) q^r + q^l (x) g, with (r, l) = (0, -2) in bicross and (1, -1) in
+    standard.  N_i adds eps_ijk / kc P_j (x) M_k in bicross, and in standard
+    eps_ijk / 2kc (P_j (x) M_k q^r + M_j q^l (x) P_k).  Every P_i precedes
+    every N_i, so each left leg but g itself is a q power or a word of earlier
+    generators, which is the order `_antipodes` solves in.
+    """
+    one, unit = Monomial(), Scalar.one()
+    table = {
+        g: [(Monomial((g,)), one, unit), (one, Monomial((g,)), unit)]
+        for g in (*POSITIONS, *ROTATIONS, Gen.P0)
+    }
+    bicross = basis is Basis.BICROSS
+    r, l, den = (0, -2, 1) if bicross else (1, -1, 2)
+    for g in (*SPATIAL_P, *BOOSTS):
+        mono = Monomial((g,))
+        table[g] = [(mono, Monomial((), r), unit), (Monomial((), l), mono, unit)]
+    p, m = SPATIAL_P, ROTATIONS
+    for (i, n), j, k in product(enumerate(BOOSTS, 1), (1, 2, 3), (1, 2, 3)):
+        if e := _eps(i, j, k):
+            coeff = Scalar.term(Fraction(e, den), 0, kappa=-1, c=-1)
+            table[n].append((Monomial((p[j - 1],)), Monomial((m[k - 1],), r), coeff))
+            if not bicross:
+                table[n].append((Monomial((m[j - 1],), l), Monomial((p[k - 1],)), coeff))
     return table
 
 
 @cache
 def _antipodes(basis: Basis) -> dict[Gen, Element]:
+    """S(g) of every generator, solved from its coproduct in table order.
+
+    Delta(g) = s g (x) q^r + sum a (x) b', and m(S (x) id) Delta(g) = eps(g) = 0
+    gives S(g) = -(sum S(a) b') q^-r s^-1, where each S(a) is already known.
+    Positions multiply in the phase-space preset, every other generator in the
+    Poincare one: the shared presets, so a corrupted copy sees the same S.
+    """
     table: dict[Gen, Element] = {}
-    for g in POSITIONS:
-        table[g] = -Element.generator(g)
-    for g in ROTATIONS:
-        table[g] = -Element.generator(g)
-    table[Gen.P0] = -Element.generator(Gen.P0)
-    if basis is Basis.BICROSS:
-        poincare = get_preset(basis, Sector.POINCARE)
-        for i in (1, 2, 3):
-            p = SPATIAL_P[i - 1]
-            # S(P_i) = -P_i e^{P0/kc}
-            table[p] = Element.term(Monomial((p,), 2), -Scalar.one())
-            # S(N_i) = -e^{P0/kc} N_i + eps_{i j k} e^{P0/kc} P_j M_k / kc
-            raw: dict[Monomial, Scalar] = {}
-            for j in (1, 2, 3):
-                for k in (1, 2, 3):
-                    e = _eps(i, j, k)
-                    if e:
-                        raw[Monomial((SPATIAL_P[j - 1], ROTATIONS[k - 1]), 2)] = (
-                            Scalar.term(Fraction(e), 0, kappa=-1, c=-1)
-                        )
-            q2_n = poincare.multiply(
-                Element.q_power(2), Element.generator(BOOSTS[i - 1])
-            )
-            table[BOOSTS[i - 1]] = poincare.normal_form(Element(raw)) - q2_n
-    else:
-        for i in (1, 2, 3):
-            table[SPATIAL_P[i - 1]] = -Element.generator(SPATIAL_P[i - 1])
-            # S(N_i) = -N_i + (3i / 2 kappa c) P_i
-            table[BOOSTS[i - 1]] = -Element.generator(BOOSTS[i - 1]) + Element.term(
-                Monomial((SPATIAL_P[i - 1],)),
-                Scalar.term(0, Fraction(3, 2), kappa=-1, c=-1),
-            )
+    for g, entries in _coproduct_table(basis).items():
+        preset = get_preset(basis, Sector.PHASESPACE if g in POSITIONS else Sector.POINCARE)
+        acc: dict[Monomial, Scalar] = {}
+        for a, b, s in entries:
+            if a == Monomial((g,)):
+                head_inverse = Element.term(Monomial((), -b.qexp), -s.inverse())
+            else:
+                preset._product_into(acc, _anti_image(a, table, preset), Element.term(b, s))
+        table[g] = preset._product(Element._wrap(acc), head_inverse)
     return table
 
 
@@ -335,12 +277,17 @@ def antipode(e: Element, preset: AlgebraPreset) -> Element:
     table = _antipodes(preset.basis)
     acc: dict[Monomial, Scalar] = {}
     for mono, coeff in e.items():
-        image = Element.q_power(-mono.qexp)
-        # each table[g] is admissible wherever g is, so the product is unchecked
-        for g in reversed(mono.word):
-            image = preset._product(image, table[g])
-        accumulate(acc, image.items(), coeff)
+        accumulate(acc, _anti_image(mono, table, preset).items(), coeff)
     return Element._wrap(acc)
+
+
+def _anti_image(mono: Monomial, table: dict[Gen, Element], preset: AlgebraPreset) -> Element:
+    """S(g_1 .. g_n q^a) = q^-a S(g_n) .. S(g_1), from the images in table."""
+    image = Element.q_power(-mono.qexp)
+    # each table[g] is admissible wherever g is, so the product is unchecked
+    for g in reversed(mono.word):
+        image = preset._product(image, table[g])
+    return image
 
 
 def counit(e: Element, preset: AlgebraPreset) -> Scalar:
@@ -443,6 +390,12 @@ def check_counit_axiom(preset: AlgebraPreset) -> CheckReport:
 
 
 def check_antipode_axiom(preset: AlgebraPreset) -> CheckReport:
+    """m(S (x) id) Delta = eps = m(id (x) S) Delta on each generator and q.
+
+    Each S(g) is solved from its left-sided equation, so those entries hold by
+    construction; the right-sided entries, and S on q and on products, are the
+    real checks.  A changed boost cross term is caught by coproduct-homomorphism.
+    """
     report = CheckReport(_preset_tag(preset), "antipode")
     for name, e in _subjects(preset):
         d = coproduct(e, preset)

@@ -212,6 +212,25 @@ class TestSuites:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    def test_every_corrupted_suite_json_combined_digest(self, capsys):
+        # every relation-table entry of every preset, each corrupted in turn:
+        # all must fail the certificate, and one digest pins all 67 outputs
+        rules = [get_preset(basis, sector).rules for basis in Basis for sector in Sector]
+        pairs = sorted(
+            {pair for table in rules for pair in table},
+            key=lambda pair: (pair[0].render(), pair[1].render()),
+        )
+        assert len(pairs) == 67
+        combined = hashlib.sha256()
+        for hi, lo in pairs:
+            rule = f"{hi.render()},{lo.render()}"
+            code, out, _ = run_cli(
+                capsys, "suite", "all", "--corrupt-rule", rule, "--format", "json"
+            )
+            assert code == 1, rule
+            combined.update(f"{rule} {code}\n{out}".encode())
+        assert combined.hexdigest()[:16] == "b346b0c41846259a"
+
     @pytest.mark.parametrize(
         "argv",
         [

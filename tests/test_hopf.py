@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappahopf import cli
+from kappahopf import cli, hopf
 from kappahopf.cli import main
 from kappahopf.elements import Gen, Monomial, Element
 from kappahopf.errors import SectorError
@@ -139,6 +139,151 @@ class TestAntipode:
             lhs = antipode(POS.multiply(a, b), POS)
             rhs = POS.multiply(antipode(b, POS), antipode(a, POS))
             assert lhs == rhs
+
+
+# Delta(g) and S(g) of every generator, rendered as the hand-written antipode
+# table gave them; the solved antipodes must reproduce them exactly
+FROZEN_GENERATOR_TABLE = {
+    Basis.BICROSS: {
+        "M1": ("M1 ⊗ 1 + 1 ⊗ M1", "(-1) M1"),
+        "M2": ("M2 ⊗ 1 + 1 ⊗ M2", "(-1) M2"),
+        "M3": ("M3 ⊗ 1 + 1 ⊗ M3", "(-1) M3"),
+        "N1": (
+            "N1 ⊗ 1 + (kappa^-1 c^-1) P2 ⊗ M3 + (-kappa^-1 c^-1) P3 ⊗ M2 + q^-2 ⊗ N1",
+            "(-kappa^-1 c^-1) M2 P3 q^2 + (kappa^-1 c^-1) M3 P2 q^2 + (-1) N1 q^2"
+            " + (3 i kappa^-1 c^-1) P1 q^2",
+        ),
+        "N2": (
+            "N2 ⊗ 1 + (-kappa^-1 c^-1) P1 ⊗ M3 + (kappa^-1 c^-1) P3 ⊗ M1 + q^-2 ⊗ N2",
+            "(kappa^-1 c^-1) M1 P3 q^2 + (-kappa^-1 c^-1) M3 P1 q^2 + (-1) N2 q^2"
+            " + (3 i kappa^-1 c^-1) P2 q^2",
+        ),
+        "N3": (
+            "N3 ⊗ 1 + (kappa^-1 c^-1) P1 ⊗ M2 + (-kappa^-1 c^-1) P2 ⊗ M1 + q^-2 ⊗ N3",
+            "(-kappa^-1 c^-1) M1 P2 q^2 + (kappa^-1 c^-1) M2 P1 q^2 + (-1) N3 q^2"
+            " + (3 i kappa^-1 c^-1) P3 q^2",
+        ),
+        "P0": ("P0 ⊗ 1 + 1 ⊗ P0", "(-1) P0"),
+        "P1": ("P1 ⊗ 1 + q^-2 ⊗ P1", "(-1) P1 q^2"),
+        "P2": ("P2 ⊗ 1 + q^-2 ⊗ P2", "(-1) P2 q^2"),
+        "P3": ("P3 ⊗ 1 + q^-2 ⊗ P3", "(-1) P3 q^2"),
+        "x0": ("x0 ⊗ 1 + 1 ⊗ x0", "(-1) x0"),
+        "x1": ("x1 ⊗ 1 + 1 ⊗ x1", "(-1) x1"),
+        "x2": ("x2 ⊗ 1 + 1 ⊗ x2", "(-1) x2"),
+        "x3": ("x3 ⊗ 1 + 1 ⊗ x3", "(-1) x3"),
+    },
+    Basis.STANDARD: {
+        "M1": ("M1 ⊗ 1 + 1 ⊗ M1", "(-1) M1"),
+        "M2": ("M2 ⊗ 1 + 1 ⊗ M2", "(-1) M2"),
+        "M3": ("M3 ⊗ 1 + 1 ⊗ M3", "(-1) M3"),
+        "N1": (
+            "(1/2 kappa^-1 c^-1) M2 q^-1 ⊗ P3 + (-1/2 kappa^-1 c^-1) M3 q^-1 ⊗ P2 + N1 ⊗ q"
+            " + (1/2 kappa^-1 c^-1) P2 ⊗ M3 q + (-1/2 kappa^-1 c^-1) P3 ⊗ M2 q + q^-1 ⊗ N1",
+            "(-1) N1 + (3/2 i kappa^-1 c^-1) P1",
+        ),
+        "N2": (
+            "(-1/2 kappa^-1 c^-1) M1 q^-1 ⊗ P3 + (1/2 kappa^-1 c^-1) M3 q^-1 ⊗ P1 + N2 ⊗ q"
+            " + (-1/2 kappa^-1 c^-1) P1 ⊗ M3 q + (1/2 kappa^-1 c^-1) P3 ⊗ M1 q + q^-1 ⊗ N2",
+            "(-1) N2 + (3/2 i kappa^-1 c^-1) P2",
+        ),
+        "N3": (
+            "(1/2 kappa^-1 c^-1) M1 q^-1 ⊗ P2 + (-1/2 kappa^-1 c^-1) M2 q^-1 ⊗ P1 + N3 ⊗ q"
+            " + (1/2 kappa^-1 c^-1) P1 ⊗ M2 q + (-1/2 kappa^-1 c^-1) P2 ⊗ M1 q + q^-1 ⊗ N3",
+            "(-1) N3 + (3/2 i kappa^-1 c^-1) P3",
+        ),
+        "P0": ("P0 ⊗ 1 + 1 ⊗ P0", "(-1) P0"),
+        "P1": ("P1 ⊗ q + q^-1 ⊗ P1", "(-1) P1"),
+        "P2": ("P2 ⊗ q + q^-1 ⊗ P2", "(-1) P2"),
+        "P3": ("P3 ⊗ q + q^-1 ⊗ P3", "(-1) P3"),
+        "x0": ("x0 ⊗ 1 + 1 ⊗ x0", "(-1) x0"),
+        "x1": ("x1 ⊗ 1 + 1 ⊗ x1", "(-1) x1"),
+        "x2": ("x2 ⊗ 1 + 1 ⊗ x2", "(-1) x2"),
+        "x3": ("x3 ⊗ 1 + 1 ⊗ x3", "(-1) x3"),
+    },
+}
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_coproducts_and_antipodes_are_frozen(self, basis):
+        frozen = FROZEN_GENERATOR_TABLE[basis]
+        table = _coproducts(basis)
+        assert sorted(g.render() for g in table) == sorted(frozen)
+        for g, delta in table.items():
+            sector = Sector.PHASESPACE if g.render().startswith("x") else Sector.POINCARE
+            s = antipode(gen(g), get_preset(basis, sector))
+            assert (delta.render(), s.render()) == frozen[g.render()], g.render()
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_left_legs_come_earlier_in_table_order(self, basis):
+        # what lets the antipodes be solved in one pass over the table: each
+        # left leg but g itself is a q power or a word of earlier generators
+        table = _coproducts(basis)
+        order = {g: n for n, g in enumerate(table)}
+        for g, delta in table.items():
+            for (left, _), _ in delta.items():
+                if left.word != (g,):
+                    earlier = all(order[h] < order[g] for h in left.word)
+                    assert earlier, (g.render(), left.render())
+
+    def test_every_coproduct_coefficient_is_load_bearing(self, monkeypatch):
+        # double each coefficient of the table in turn: the reports on every
+        # preset that holds the generator must fail, and these are the ones
+        checks = (
+            check_coassociativity,
+            check_counit_axiom,
+            check_antipode_axiom,
+            check_coproduct_homomorphism,
+        )
+        clean = hopf._coproduct_table
+
+        def clear_caches():
+            for cached in (hopf._coproducts, hopf._antipodes, get_preset):
+                cached.cache_clear()
+
+        def expected(g, left, right):
+            if g not in (left.word + right.word):
+                # a boost's P (x) M term: the antipode solved from it still
+                # satisfies both sides, only the algebra map breaks
+                return {"coproduct-homomorphism"}
+            if g in (Gen.X1, Gen.X2, Gen.X3):
+                # [x0, x_i] is a multiple of x_i and [x_i, x_j] = 0, so a
+                # rescaled leg of Delta(x_i) still respects every position pair
+                return {"antipode", "coassociativity", "counit"}
+            return {"antipode", "coassociativity", "counit", "coproduct-homomorphism"}
+
+        def caught_by(basis, g, n):
+            def doubled(b):
+                table = clean(b)
+                if b is basis:
+                    left, right, s = table[g][n]
+                    table[g][n] = (left, right, s + s)
+                return table
+
+            with monkeypatch.context() as patch:
+                patch.setattr(hopf, "_coproduct_table", doubled)
+                clear_caches()
+                try:
+                    presets = [get_preset(basis, sector) for sector in Sector]
+                    reports = [c(p) for p in presets if g in p.generators for c in checks]
+                    return {r.axiom for r in reports if not r.passed}
+                finally:
+                    clear_caches()
+
+        mutations = [
+            (basis, g, n)
+            for basis in Basis
+            for g, entries in clean(basis).items()
+            for n in range(len(entries))
+        ]
+        assert len(mutations) == 74
+        splits = []
+        for basis, g, n in mutations:
+            left, right, _ = clean(basis)[g][n]
+            caught = caught_by(basis, g, n)
+            assert caught == expected(g, left, right), (basis, g.render(), n)
+            splits.append(len(caught))
+        assert (splits.count(4), splits.count(3), splits.count(1)) == (44, 12, 18)
 
 
 class TestCounit:
