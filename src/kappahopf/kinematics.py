@@ -12,10 +12,14 @@ s^2: the variant (P^2 + M^2) / 4 kappa^2 c^2 found in some writeups does not
 satisfy the mass-shell condition unless c = 1.
 
 The closed forms for q and the mass-shell residual are written once, in the
-row loop `_shell_rows` on plain floats; a kappa sweep computes the
-kappa-invariant root sqrt(P^2/c^2 + M^2) once.  `sweep_rows` runs it over a
-log grid and `mass_shell_exp` and `check_mass_shell` on one point, so a sweep
-row equals the per-point values float for float.
+row loop `_shell_rows` on plain floats, which returns a value column and a
+residual column; a kappa sweep computes the kappa-invariant root
+sqrt(P^2/c^2 + M^2) once.  `sweep_rows` runs it over a log grid and
+`mass_shell_exp` and `check_mass_shell` on one point, so a sweep row equals
+the per-point values float for float.  A sweep keeps its rows by column in a
+`SweepRows`: the grid, the base parameters and the two columns, about 96
+bytes a row against about 350 for a list of 7-key dicts.  Each row read is a
+fresh dict with the same keys and floats.
 
 Everything runs in double precision; no arbitrary-precision floats.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from contextlib import suppress
 
 from .elements import Element
@@ -49,12 +54,12 @@ class KinematicParams(FrozenRecord):
 
 def mass_shell_exp(params: KinematicParams) -> float:
     """On-shell value of q = exp(P0 / 2 kappa c); always >= 1."""
-    return _shell_rows("kappa", [params.kappa], params, "q")[0]["value"]
+    return _shell_rows("kappa", [params.kappa], params, "q")[0][0]
 
 
 def check_mass_shell(params: KinematicParams) -> float:
     """Residual of the mass-shell condition at the closed-form q."""
-    return _shell_rows("kappa", [params.kappa], params, "mass-shell")[0]["residual"]
+    return _shell_rows("kappa", [params.kappa], params, "mass-shell")[1][0]
 
 
 class ExpectationAssignment:
@@ -265,7 +270,7 @@ def sqrt_bound_estimate(
 # -- sweeps (CLI backend) --------------------------------------------------------
 
 
-# the most points a sweep takes: its grid and rows are built in full
+# the most points a sweep takes: its grid and columns are built in full
 MAX_POINTS = 10**5
 
 
@@ -289,10 +294,13 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo ** ((last - i) / last) * hi ** (i / last) for i in range(n)]
 
 
-def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: str) -> list[dict]:
-    """Rows of `sweep_rows` over grid, or with quantity "q" rows whose residual
-    is None and not computed.  Row i is checked and evaluated before row i+1
-    is touched, and the row body calls no Python function."""
+def _shell_rows(
+    var: str, grid: list[float], base: KinematicParams, quantity: str
+) -> tuple[list[float], list[float | None]]:
+    """The value and residual columns of `sweep_rows` over grid, or with
+    quantity "q" the values and residuals that are None and not computed.
+    Row i is checked and evaluated before row i+1 is touched, and the row
+    body calls no Python function."""
     # base was validated when it was built; only the swept value needs a check
     kappa, c, hbar, M, P = base.kappa, base.c, base.hbar, base.M, base.Pvec
     field = "Pvec" if var == "P" else var
@@ -302,8 +310,9 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
     half = 0.5 * hbar
     root = None
     q = val = 0.0
-    rows = []
-    append = rows.append
+    values: list[float] = []
+    residuals: list[float | None] = []
+    add_value, add_residual = values.append, residuals.append
     for value in grid:
         if not 0 < value < inf:
             # grid points are never negative; KinematicParams raises the
@@ -344,9 +353,48 @@ def _shell_rows(var: str, grid: list[float], base: KinematicParams, quantity: st
                 at = f"hbar={hbar}, {at}"
                 raise ParameterError(f"bound dp_dx overflows double precision at {at}") from None
             raise ParameterError(f"mass shell overflows double precision at {at}") from None
-        append({"kappa": kappa, "c": c, "hbar": hbar, "M": M, "P": P,
-                "value": val, "residual": res})
-    return rows
+        add_value(val)
+        add_residual(res)
+    return values, residuals
+
+
+class SweepRows(Sequence):
+    """The rows of a sweep, stored by column: the grid, the base parameters
+    and the value and residual columns.  Reading a row builds a fresh dict
+    with the keys kappa, c, hbar, M, P, value, residual in that order, so
+    changing it leaves the sweep as it was.  A sweep compares equal to the
+    list of its rows as dicts; a slice is a SweepRows."""
+
+    __slots__ = ("_field", "_grid", "_base", "_values", "_residuals")
+
+    def __init__(self, var: str, grid: list[float], base: KinematicParams,
+                 values: list[float], residuals: list[float | None]):
+        self._field = var
+        self._grid = grid
+        self._base = base
+        self._values = values
+        self._residuals = residuals
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i: int | slice) -> dict | SweepRows:
+        if isinstance(i, slice):
+            return SweepRows(self._field, self._grid[i], self._base, self._values[i],
+                             self._residuals[i])
+        base = self._base
+        row = {"kappa": base.kappa, "c": base.c, "hbar": base.hbar, "M": base.M,
+               "P": base.Pvec, "value": self._values[i], "residual": self._residuals[i]}
+        row[self._field] = self._grid[i]
+        return row
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SweepRows):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SweepRows({list(self)!r})"
 
 
 def sweep_rows(
@@ -356,7 +404,7 @@ def sweep_rows(
     n: int,
     base: KinematicParams,
     quantity: str = "mass-shell",
-) -> list[dict]:
+) -> SweepRows:
     """Rows of (kappa, c, hbar, M, P, value, residual) varying one parameter.
 
     quantity "mass-shell": value is the on-shell q, residual the mass-shell
@@ -368,4 +416,4 @@ def sweep_rows(
     grid = log_grid(lo, hi, n)
     if quantity not in ("mass-shell", "bound"):
         raise ParameterError(f"unknown sweep quantity {quantity!r}")
-    return _shell_rows(var, grid, base, quantity)
+    return SweepRows(var, grid, base, *_shell_rows(var, grid, base, quantity))

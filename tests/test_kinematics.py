@@ -1,8 +1,10 @@
 """Numeric kinematics: mass shell, Robertson bound, uncertainty families."""
 
+import gc
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from kappahopf.kinematics import (
     MAX_POINTS,
     ExpectationAssignment,
     KinematicParams,
+    SweepRows,
     bounds_bicross,
     bounds_standard,
     check_mass_shell,
@@ -385,6 +388,81 @@ class TestSweeps:
         with pytest.raises(ResourceLimitError) as err:
             sweep_rows("kappa", 1.0, 10.0, MAX_POINTS + 1, KinematicParams(kappa=1.0))
         assert str(err.value) == f"a log grid takes at most {MAX_POINTS} points, got {MAX_POINTS + 1}"
+
+
+class TestSweepRows:
+    """sweep_rows keeps its rows by column and builds each row it is asked
+    for as a fresh dict; as a sequence it must act like the list of those
+    dicts."""
+
+    BASE = KinematicParams(kappa=1.0, M=1.0)
+
+    def rows_and_list(self, var="kappa", n=13):
+        rows = sweep_rows(var, 1.0, 1e12, n, self.BASE, "bound")
+        return rows, _reference_rows(var, 1.0, 1e12, n, self.BASE, "bound")
+
+    @pytest.mark.parametrize("var", ["kappa", "M", "P"])
+    def test_sequence_protocol(self, var):
+        rows, expected = self.rows_and_list(var)
+        assert len(rows) == len(expected) == 13
+        assert rows[-1] == rows[12] == expected[-1]
+        assert list(rows[0]) == ["kappa", "c", "hbar", "M", "P", "value", "residual"]
+        for piece in (slice(2, 9, 3), slice(None, None, -1), slice(-4, None), slice(5, 5)):
+            assert isinstance(rows[piece], SweepRows)
+            assert rows[piece] == expected[piece]
+        # iteration starts afresh every time
+        assert list(rows) == list(rows) == expected
+        assert list(reversed(rows)) == expected[::-1]
+        assert expected[3] in rows and rows.index(expected[3]) == 3
+        with pytest.raises(IndexError):
+            rows[13]
+
+    def test_rows_are_fresh_untracked_dicts(self):
+        rows, expected = self.rows_and_list()
+        assert rows[0] is not rows[0]
+        row = rows[0]
+        row["value"] = -1.0
+        del row["c"]
+        # a row changed during iteration does not leak into the next one
+        for row, want in zip(rows, expected):
+            assert row == want
+            row.clear()
+        assert rows == expected
+        # a row of floats is no object for the cyclic garbage collector
+        assert not gc.is_tracked(rows[0])
+        assert not any(gc.is_tracked(row) for row in rows)
+
+    def test_equality(self):
+        rows, expected = self.rows_and_list()
+        assert rows == expected and expected == rows
+        assert not rows != expected
+        assert rows != expected[:-1]
+        changed = [dict(row) for row in expected]
+        changed[4]["residual"] += 1.0
+        assert rows != changed and changed != rows
+        assert rows == self.rows_and_list()[0] == rows[:]
+        assert rows != self.rows_and_list(n=12)[0]
+        assert rows != sweep_rows("kappa", 1.0, 1e12, 13, self.BASE, "mass-shell")
+        assert rows != tuple(expected)
+        assert rows != "rows"
+
+    def test_repr_shows_the_rows(self):
+        rows, expected = self.rows_and_list()
+        assert repr(rows[:2]) == f"SweepRows({expected[:2]!r})"
+        assert repr(rows[:0]) == "SweepRows([])"
+
+    def test_largest_sweep_retains_under_16_mb(self):
+        # three columns of floats, about 96 bytes a row; a list of dict rows
+        # retained about 350
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = sweep_rows("kappa", 1.0, 1e12, MAX_POINTS, self.BASE, "mass-shell")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == MAX_POINTS
+        assert retained < 16e6
 
 
 # Frozen per-point copies of the closed forms for q and the residual, with

@@ -313,6 +313,30 @@ def test_ring_matches_gaussian_rational_oracle(a, b):
     assert (a * b).render() == _ref_render(_ref_mul(ra, rb))
 
 
+nonzero_gaussians = st.builds(GaussianRational.of, wide_fracs, wide_fracs).filter(
+    lambda g: not g.is_zero
+)
+multi_addend_terms = st.dictionaries(triples, nonzero_gaussians, min_size=2, max_size=8)
+
+
+@settings(max_examples=300)
+@given(multi_addend_terms, multi_addend_terms, st.booleans())
+def test_multi_addend_sum_matches_constructor(ta, tb, cancel):
+    """A sum of two operands of two or more addends, with shared and
+    cancelling triples, equals the constructor applied to the summed terms."""
+    if cancel:
+        # every shared triple cancels
+        tb = {t: -ta[t] if t in ta else g for t, g in tb.items()}
+    a, b = Scalar(ta), Scalar(tb)
+    assert len(a) >= 2 and len(b) >= 2
+    total = dict(ta)
+    for t, g in tb.items():
+        total[t] = total[t] + g if t in total else g
+    expected = Scalar(total)
+    assert a + b == expected and b + a == expected
+    _assert_canonical(a + b)
+
+
 @given(triples, st.builds(GaussianRational.of, wide_fracs, wide_fracs))
 def test_inverse_matches_gaussian_rational_oracle(triple, g):
     a = Scalar({triple: g})
