@@ -9,8 +9,9 @@
 #
 # The tests call cli.main directly; this runs the command under two hash seeds
 # that must give the same certificate digest, so output that depends on set or
-# dict order fails here every time; then a sweep at kinematics.MAX_POINTS must
-# print its header and all 100000 rows; then four negative controls whose exit
+# dict order fails here every time; then the two csv sweeps at
+# kinematics.MAX_POINTS, of the mass shell and of the bound, must match their
+# pinned sha256 prefixes byte for byte; then four negative controls whose exit
 # codes must be exact: a corrupted zero rule and a corrupted boost rule each
 # fail the certificate (1), a pair with no relation-table entry is rejected (2)
 # instead of corrupting nothing, and a sweep past kinematics.MAX_POINTS is
@@ -48,8 +49,11 @@ for hashseed in 0 1; do
 done
 "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 1e12 --points 13 --M 1 --format json \
   | python3 -c 'import json, sys; rows = json.load(sys.stdin); sys.exit(0 if len(rows) == 13 else f"sweep gave {len(rows)} rows, expected 13")'
-lines=$("${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 1e12 --points 100000 --M 1 | wc -l)
-test "$lines" -eq 100001 || { echo "sweep --points 100000 printed $lines lines, expected 100001"; exit 1; }
+for pin in mass-shell:c972bd1c7e5fa651 bound:c5ba07fd3f6fbfd8; do
+  digest=$("${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 1e12 --points 100000 --M 1 \
+    --quantity "${pin%%:*}" | sha256sum | cut -c1-16)
+  test "$digest" = "${pin#*:}" || { echo "sweep --points 100000 --quantity ${pin%%:*} gave digest $digest"; exit 1; }
+done
 set +e
 "${kappahopf[@]}" suite all --corrupt-rule P1,x2 --format json > /dev/null
 code=$?

@@ -246,19 +246,25 @@ def cmd_sweep(args) -> int:
     base = _params_from(args)
     rows = sweep_rows(args.var, args.start, args.stop, args.points, base, args.quantity)
     cols = ["kappa", "c", "hbar", "M", "P", "value", "residual"]
-    if args.format == "csv":
-        lines = [",".join(cols)]
-        lines += [",".join(fmt(row[c]) for c in cols) for row in rows]
-        _emit("\n".join(lines), args)
-    elif args.format == "json":
+    # every column but these holds the same value in each row: format it once
+    varying = [args.var, "value", "residual"]
+    fixed = {c: fmt(x) for c, x in rows[0].items() if c not in varying}
+    if args.format == "json":
+        template = {c: float(fixed[c]) if c in fixed else None for c in cols}
         _emit(
-            json.dumps([{c: float(fmt(row[c])) for c in cols} for row in rows]),
+            json.dumps([template | {c: float(fmt(row[c])) for c in varying} for row in rows]),
             args,
         )
+        return 0
+    # a row is its line's template with the varying columns filled in by name,
+    # in fmt's format
+    if args.format == "csv":
+        header = ",".join(cols)
+        line = ",".join(fixed.get(c, f"{{{c}:.12g}}") for c in cols)
     else:
-        lines = ["  ".join(c.rjust(14) for c in cols)]
-        lines += ["  ".join(fmt(row[c]).rjust(14) for c in cols) for row in rows]
-        _emit("\n".join(lines), args)
+        header = "  ".join(c.rjust(14) for c in cols)
+        line = "  ".join(fixed[c].rjust(14) if c in fixed else f"{{{c}:>14.12g}}" for c in cols)
+    _emit("\n".join([header] + [line.format_map(row) for row in rows]), args)
     return 0
 
 
