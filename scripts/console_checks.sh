@@ -29,7 +29,9 @@
 # bases), and a P_k or P0 with no matching position letter gives 0; and exact
 # sums of several coefficient addends: a product, a difference of quotients,
 # and a cancellation that leaves one addend; the antipodes solved from the
-# coproduct table, of a boost in each basis and of a position; and, with
+# coproduct table, of a boost in each basis and of a position; the product of
+# 4000 factors P1, which must exit 0 and print P1^4000 (the normal-form memo
+# drops the partial products nobody reads again); and, with
 # KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
 # sweep prints its csv header and `eval P1` prints the text `P1`, since no
 # environment variable picks the format.
@@ -104,6 +106,10 @@ expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'
 expect '(-kappa^-1 c^-1) M2 P3 q^2 + (kappa^-1 c^-1) M3 P2 q^2 + (-1) N1 q^2 + (3 i kappa^-1 c^-1) P1 q^2' --basis bicross 'S(N1)'
 expect '(-1) N1 + (3/2 i kappa^-1 c^-1) P1' --basis standard 'S(N1)'
 expect '(-1) x0' 'S(x0)'
+out=$("${kappahopf[@]}" eval "$(printf 'P1 %.0s' {1..4000})")
+code=$?
+test "$code" -eq 0 || { echo "eval of 4000 factors P1 exited $code, expected 0"; exit 1; }
+test "$out" = 'P1^4000' || { echo "eval of 4000 factors P1 printed '$out', expected 'P1^4000'"; exit 1; }
 header=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 2 | head -n 1)
 test "$header" = kappa,c,hbar,M,P,value,residual || { echo "sweep with KAPPA_HOPF_FORMAT=json printed '$header' first"; exit 1; }
 out=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" eval P1)

@@ -5,11 +5,13 @@
 Builds the four shared presets, then runs one pass of the rewrite-stream
 corpus (imported from perfbench/workloads.py, which it does not change) on
 their cold memos, then `kappahopf suite all --format json` in the same
-process.  It prints:
+process, then the product of 4000 factors `P1`.  It prints:
 - the bytes `tracemalloc` sees held after the pass, and its peak;
 - the growth of GC-tracked objects over the pass, by type;
-- after each stage, the entry count of each memo of each preset, and how many
-  normal-form coefficients have exactly one addend.
+- after each stage, the entry count of each memo of each preset, the young
+  and old normal-form generations counted apart, the letters of the words both
+  generations hold, and how many normal-form coefficients have exactly one
+  addend.
 
 It prints and gates nothing.
 """
@@ -25,11 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from kappahopf import cli, presets  # noqa: E402
+from kappahopf import cli, grammar, presets  # noqa: E402
 from workloads import ALL_PRESETS, RewriteStream  # noqa: E402
 
-MEMOS = ("_nf_cache", "_qpast_cache", "_product_cache", "_coproduct_cache",
-         "_pair_cache", "_action_cache")
+MEMOS = {"nf young": "_nf_young", "nf old": "_nf_old", "qpast": "_qpast_cache",
+         "product": "_product_cache", "coproduct": "_coproduct_cache",
+         "pair": "_pair_cache", "action": "_action_cache"}
 MIB = 1024 * 1024
 
 
@@ -40,13 +43,16 @@ def tracked_types() -> Counter:
 
 def print_memos(stage: str):
     print(f"memo entries after {stage}")
-    print(f"  {'preset':18}" + "".join(f"{m[1:-6]:>10}" for m in MEMOS))
+    header = "".join(f"{m:>10}" for m in MEMOS)
+    print(f"  {'preset':18}{header}{'nf letters':>12}")
     single = total = 0
     for basis, sector in ALL_PRESETS:
         preset = presets.get_preset(basis, sector)
-        counts = "".join(f"{len(getattr(preset, m)):>10}" for m in MEMOS)
-        print(f"  {basis.value + '/' + sector.value:18}{counts}")
-        for nf in preset._nf_cache.values():
+        counts = "".join(f"{len(getattr(preset, m)):>10}" for m in MEMOS.values())
+        memo = {**preset._nf_old, **preset._nf_young}
+        letters = sum(map(len, preset._nf_young)) + sum(map(len, preset._nf_old))
+        print(f"  {basis.value + '/' + sector.value:18}{counts}{letters:>12}")
+        for nf in memo.values():
             total += len(nf)
             single += sum(len(s) == 1 for s in nf.values())
     print(f"  normal-form coefficients with one addend: {single} of {total}")
@@ -73,6 +79,9 @@ def main():
         code = cli.main(["suite", "all", "--format", "json"])
     print(f"suite all exited {code}")
     print_memos("suite all")
+    chain = grammar.eval_text(" ".join(["P1"] * 4000)).render()
+    print(f"4000-factor P1 chain gave {chain}")
+    print_memos("the 4000-factor P1 chain")
 
 
 if __name__ == "__main__":

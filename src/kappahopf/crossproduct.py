@@ -242,6 +242,7 @@ def _act_mono(
         # the legs are position words of an admissible coproduct
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
+        preset._nf_request()
         for legs, s in coproduct_monomial(xm, preset).items():
             coeff = _pair_mono(pm, legs[paired], ctx, preset)
             if coeff._store:

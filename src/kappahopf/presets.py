@@ -21,12 +21,29 @@ moves left past the whole run of greater letters it commutes with in one
 step: those are the swaps the leftmost-first order would take next.  Normal
 forms are memoized per word, as the normal form of word * q^0: q^a already
 sits at the right end, so word * q^a has the same normal form with a added
-to every q-exponent, which callers add as they accumulate.  Termination is
-proven by weight descent, checked when a preset is built: a boost weighs 2,
-every other letter 1 and q nothing; every correction and q-transport extra
-weighs less than what it replaces, and a swap removes one inversion, so each
-rewrite lowers (weight, inversions).  Confluence is still certified by the
-Jacobi suite, until `suite confluence` lands.
+to every q-exponent, which callers add as they accumulate.
+
+The normal-form memo has two generations, young and old (the 2Q policy of
+T. Johnson and D. Shasha, VLDB 1994).  A lookup reads young, then old, and
+copies an old hit into young; a result is stored in young once complete, and
+a running count adds the letters of each word stored there.  At the start of
+a request from outside the rewrite recursion (`_product_into`, `normal_form`,
+or a caller's own `_nf_word` after `_nf_request`), a young generation holding
+more than NF_MEMO_LETTERS letters becomes old, a fresh young one starts and
+the previous old one is dropped.  So the words recent requests read stay, the
+words nobody reads again go, and each generation holds at most the budget
+plus the words of one request, where a long chain of products used to keep
+every intermediate word.  A turnover never happens inside one recursion: a
+rewrite reads the words it has just stored again (each correction splices
+into the same left and right factors), so turning over there would recompute
+them; between requests, a power's next factor still finds the previous
+product's words in old.
+
+Termination is proven by weight descent, checked when a preset is built: a
+boost weighs 2, every other letter 1 and q nothing; every correction and
+q-transport extra weighs less than what it replaces, and a swap removes one
+inversion, so each rewrite lowers (weight, inversions).  Confluence is still
+certified by the Jacobi suite, until `suite confluence` lands.
 """
 
 from __future__ import annotations
@@ -49,6 +66,9 @@ from .errors import NonTerminationError, SectorError
 from .scalars import Scalar
 
 HALF = Fraction(1, 2)
+# letters a young normal-form generation may hold before the next request from
+# outside the rewrite recursion turns it over (see the module docstring)
+NF_MEMO_LETTERS = 8192
 
 
 class Basis(str, Enum):
@@ -234,7 +254,11 @@ class AlgebraPreset:
 
     The public products check that their operands are admissible; `_product`
     and `_product_into` are for callers that already know it.  The normal-form
-    memo holds plain term dicts, which nothing may change.
+    memo holds plain term dicts, which nothing may change, in two generations:
+    `_nf_young` takes every store and `_nf_letters` counts the letters of its
+    keys; `_nf_old` is the generation before, read on a young miss.  Only
+    `_nf_request`, called by each entry point before it rewrites, turns them
+    over, so a value read within one request stays in young.
     """
 
     def __init__(self, basis: Basis, sector: Sector, rules, qrules):
@@ -253,7 +277,9 @@ class AlgebraPreset:
         self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
         # word -> normal form of word * q^0 as a plain term dict, read in
         # place and never mutated; a commuting run's words share one dict
-        self._nf_cache: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
+        self._nf_young: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
+        self._nf_old: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
+        self._nf_letters = 0
         self._qpast_cache: dict = {}
         # structure-map memos: monomial products (`multiply_monomials`),
         # coproducts (`hopf.coproduct`), and, on a phase-space preset, the
@@ -327,18 +353,33 @@ class AlgebraPreset:
 
     # -- rewriting -----------------------------------------------------------
 
+    def _nf_request(self):
+        """Start a request from outside the rewrite recursion: past the
+        letter budget, young becomes old and a fresh young starts."""
+        if self._nf_letters > NF_MEMO_LETTERS:
+            self._nf_old = self._nf_young
+            self._nf_young = {}
+            self._nf_letters = 0
+
     def _nf_word(self, word: tuple[Gen, ...]) -> dict[Monomial, Scalar]:
         """Terms of the normal form of word * q^0, memoized per word; the dict
         is the memo's own, so callers read it and add their q-exponent with
-        `_shifted_accumulate`, and copy it before changing it."""
-        cached = self._nf_cache.get(word)
+        `_shifted_accumulate`, and copy it before changing it.  A caller from
+        outside the recursion calls `_nf_request` first."""
+        cached = self._nf_young.get(word)
         if cached is not None:
+            return cached
+        cached = self._nf_old.get(word)
+        if cached is not None:
+            self._nf_young[word] = cached
+            self._nf_letters += len(word)
             return cached
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
                 break
         else:
-            result = self._nf_cache[word] = {_tuple_new(Monomial, (word, 0)): _ONE}
+            result = self._nf_young[word] = {_tuple_new(Monomial, (word, 0)): _ONE}
+            self._nf_letters += len(word)
             return result
         hi, lo = word[i], word[i + 1]
         if (hi, lo) in self._commuting:
@@ -358,11 +399,13 @@ class AlgebraPreset:
                         result, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
                     )
         # cached only once complete, so an error above leaves no entry
-        self._nf_cache[word] = result
+        self._nf_young[word] = result
+        self._nf_letters += len(word)
         return result
 
     def normal_form(self, e: Element) -> Element:
         self.check_admissible(e)
+        self._nf_request()
         acc: dict[Monomial, Scalar] = {}
         for (word, qexp), coeff in e.items():
             _shifted_accumulate(acc, self._nf_word(word), qexp, coeff)
@@ -384,6 +427,7 @@ class AlgebraPreset:
         A commutator or a longer sum of products fills one dict: a term to be
         subtracted is added with one operand negated.
         """
+        self._nf_request()
         for (w1, q1), c1 in a.items():
             for (w2, q2), c2 in b.items():
                 c12 = c1 * c2

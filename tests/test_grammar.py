@@ -1,17 +1,23 @@
 """Expression grammar: parsing, evaluation, rendering round trips."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappahopf.elements import Gen, Monomial, Element
+from kappahopf.elements import LORENTZ, Gen, Monomial, Element
 from kappahopf import grammar
 from kappahopf.errors import ParseError, ResourceLimitError, SectorError
 from kappahopf.grammar import _sector_of, eval_text, parse, tokenize
 from kappahopf.hopf import antipode
-from kappahopf.presets import Basis, Sector, get_preset
+from kappahopf.presets import NF_MEMO_LETTERS, Basis, Sector, get_preset
 from kappahopf.scalars import Scalar
+
+
+def _memo_letters(preset) -> int:
+    """Letters of the words held by both normal-form generations."""
+    return sum(map(len, preset._nf_young)) + sum(map(len, preset._nf_old))
 
 
 class TestParse:
@@ -252,10 +258,69 @@ class TestEval:
 
     def test_single_term_power_caches_few_words(self):
         preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
-        before = sum(len(word) for word in preset._nf_cache)
+        before = _memo_letters(preset)
         eval_text("x3^1000")
         # n successive products would cache x3^k for every k <= 1000
-        assert sum(len(word) for word in preset._nf_cache) - before < 4000
+        assert _memo_letters(preset) - before < 4000
+
+    @pytest.mark.parametrize(
+        "source",
+        [" ".join(["P1"] * 4000), "(P1 + P2)^60", "(P1 + P2)^100"],
+        ids=["P1-chain-4000", "(P1+P2)^60", "(P1+P2)^100"],
+    )
+    def test_memo_letters_stay_within_budget(self, source):
+        # unbounded, the memo kept every intermediate word: 8001999, 147620
+        # and 676700 letters; each generation now holds at most the budget
+        # plus the words of one request
+        preset = get_preset(Basis.BICROSS, Sector.POINCARE)
+        eval_text(source)
+        assert preset._nf_letters == sum(map(len, preset._nf_young))
+        assert _memo_letters(preset) < 8 * NF_MEMO_LETTERS
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_results_agree_across_turnovers(self, basis, sector):
+        # anti-normal-ordered words with a q power in front, and commutators
+        # of shorter ones, as in the rewrite-stream benchmark, through one
+        # preset whose memo turns over several times; every result must equal
+        # a cold preset's
+        preset = get_preset.__wrapped__(basis, sector)
+        rng = random.Random(24)
+
+        def anti_word(lo, hi, max_lorentz):
+            word = []
+            for _ in range(rng.randint(lo, hi)):
+                g = rng.choice(preset.generators)
+                while g in LORENTZ and sum(x in LORENTZ for x in word) >= max_lorentz:
+                    g = rng.choice(preset.generators)
+                word.append(g)
+            q = Element.term(Monomial((), rng.choice((-2, -1, 0, 1, 2))), Scalar.one())
+            return q, Element.term(Monomial(tuple(sorted(word, reverse=True))), Scalar.one())
+
+        turnovers = 0
+        for _ in range(200):
+            young = preset._nf_young
+            fresh = get_preset.__wrapped__(basis, sector)
+            if rng.random() < 0.7:
+                q, word = anti_word(3, 9, 2)
+                assert preset.multiply(q, word) == fresh.multiply(q, word)
+            else:
+                a, b = (preset.multiply(*anti_word(1, 4, 1)) for _ in range(2))
+                assert preset.commutator(a, b) == fresh.commutator(a, b)
+            turnovers += preset._nf_young is not young
+            assert preset._nf_letters == sum(map(len, preset._nf_young))
+        assert turnovers >= 2
+        # a word only the old generation holds is copied into young as it is
+        preset._nf_request()
+        word = next(w for w in preset._nf_old if w not in preset._nf_young)
+        letters = preset._nf_letters
+        terms = preset._nf_word(word)
+        assert terms is preset._nf_old[word] and preset._nf_young[word] is terms
+        assert preset._nf_letters == letters + len(word)
+        fresh = get_preset.__wrapped__(basis, sector)
+        assert Element._wrap(terms) == fresh.normal_form(
+            Element.term(Monomial(word), Scalar.one())
+        )
 
     @pytest.mark.parametrize("expression", ["P1^4097", "(P1 + P2)^4097", "D(P1)^4097"])
     def test_power_above_limit_is_typed(self, expression):
@@ -265,7 +330,8 @@ class TestEval:
             eval_text(expression)
 
     def test_product_above_limit_is_typed(self):
-        # every partial product of a chain of generators is a memoized word
+        # a chain of generators multiplies left to right, so each factor
+        # rewrites the whole partial product: time grows as its length squared
         assert eval_text(" ".join(["2"] * 4096)).data == Scalar.rational(2**4096)
         with pytest.raises(ResourceLimitError, match="more than 4096 factors"):
             eval_text(" ".join(["P1"] * 4097))
@@ -274,9 +340,11 @@ class TestEval:
         preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
         with pytest.raises(ResourceLimitError):
             eval_text("P1^1500 x0")
+        # the aborted request stored only complete words, each counted once
+        assert preset._nf_letters == sum(map(len, preset._nf_young))
         # memo values are plain term dicts, Monomial -> nonzero Scalar, and a
         # sample of them matches a cold preset's normal form of the same word
-        memo = preset._nf_cache
+        memo = {**preset._nf_old, **preset._nf_young}
         for terms in memo.values():
             assert type(terms) is dict
             for mono, coeff in terms.items():
