@@ -29,9 +29,12 @@
 # bases), and a P_k or P0 with no matching position letter gives 0; and exact
 # sums of several coefficient addends: a product, a difference of quotients,
 # and a cancellation that leaves one addend; the antipodes solved from the
-# coproduct table, of a boost in each basis and of a position; the product of
-# 4000 factors P1, which must exit 0 and print P1^4000 (the normal-form memo
-# drops the partial products nobody reads again); and, with
+# coproduct table, of a boost in each basis and of a position; the coproducts
+# of two sorted boost-free words, which `hopf.coproduct_monomial` writes in
+# closed form, a pairing that reads them, and the coproduct of a boost word,
+# which takes the fold; the product of 4000 factors P1, which must exit 0 and
+# print P1^4000 (the normal-form memo drops the partial products nobody reads
+# again); and, with
 # KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
 # sweep prints its csv header and `eval P1` prints the text `P1`, since no
 # environment variable picks the format.
@@ -106,6 +109,10 @@ expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'
 expect '(-kappa^-1 c^-1) M2 P3 q^2 + (kappa^-1 c^-1) M3 P2 q^2 + (-1) N1 q^2 + (3 i kappa^-1 c^-1) P1 q^2' --basis bicross 'S(N1)'
 expect '(-1) N1 + (3/2 i kappa^-1 c^-1) P1' --basis standard 'S(N1)'
 expect '(-1) x0' 'S(x0)'
+expect '(2) P1 q^-3 ⊗ P1 q^-1 + P1^2 q^-1 ⊗ q^-1 + q^-5 ⊗ P1^2 q^-1' 'D(q^-1 P1 P1)'
+expect 'M1 q^-1 ⊗ P2 + M1 P2 ⊗ q + P2 ⊗ M1 q + q^-1 ⊗ M1 P2' --basis standard 'D(M1 P2)'
+expect '-3 i hbar^3 kappa^-1 c^-1' --basis standard '<P1 P1 q | x1 x1 x0>'
+expect 'N1 q^-2 ⊗ P1 + N1 P1 ⊗ 1 + P1 q^-2 ⊗ N1 + (kappa^-1 c^-1) P1 P2 ⊗ M3 + (-kappa^-1 c^-1) P1 P3 ⊗ M2 + (kappa^-1 c^-1) P2 q^-2 ⊗ M3 P1 + (-kappa^-1 c^-1) P3 q^-2 ⊗ M2 P1 + q^-4 ⊗ N1 P1' 'D(N1 P1)'
 out=$("${kappahopf[@]}" eval "$(printf 'P1 %.0s' {1..4000})")
 code=$?
 test "$code" -eq 0 || { echo "eval of 4000 factors P1 exited $code, expected 0"; exit 1; }

@@ -4,14 +4,17 @@
 
 Builds the four shared presets, then runs one pass of the rewrite-stream
 corpus (imported from perfbench/workloads.py, which it does not change) on
-their cold memos, then `kappahopf suite all --format json` in the same
-process, then the product of 4000 factors `P1`.  It prints:
+their cold memos, then one pass of the phasespace-stream corpus (from the same
+module), then `kappahopf suite all --format json` in the same process, then
+the product of 4000 factors `P1`.  It prints:
 - the bytes `tracemalloc` sees held after the pass, and its peak;
 - the growth of GC-tracked objects over the pass, by type;
 - after each stage, the entry count of each memo of each preset, the young
   and old normal-form generations counted apart, the letters of the words both
   generations hold, and how many normal-form coefficients have exactly one
-  addend.
+  addend; after the phasespace-stream pass, that includes the coproduct and
+  product memo entries of the two phase-space presets, where sorted
+  boost-free words take the closed-form coproduct and need no product.
 
 It prints and gates nothing.
 """
@@ -28,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from kappahopf import cli, grammar, presets  # noqa: E402
-from workloads import ALL_PRESETS, RewriteStream  # noqa: E402
+from workloads import ALL_PRESETS, PhasespaceStream, RewriteStream  # noqa: E402
 
 MEMOS = {"nf young": "_nf_young", "nf old": "_nf_old", "qpast": "_qpast_cache",
          "product": "_product_cache", "coproduct": "_coproduct_cache",
@@ -75,6 +78,12 @@ def main():
     for name, n in growth.most_common(4):
         print(f"    {name:10} +{n}")
     print_memos("the rewrite-stream pass")
+    workload = PhasespaceStream()
+    corpus = workload.corpus()
+    for item in corpus:
+        workload.run(item)
+    print(f"phasespace-stream pass: {len(corpus)} ops")
+    print_memos("the phasespace-stream pass")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["suite", "all", "--format", "json"])
     print(f"suite all exited {code}")

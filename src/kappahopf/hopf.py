@@ -15,9 +15,18 @@ relations, and breaks the momentum-basis transformation, so it is rejected.
 Once a preset is fixed, so are its structure maps: the coproduct of each
 monomial and each monomial-by-monomial slot product are memoized on the
 `AlgebraPreset` instance, so a `with_rule_override` copy never sees the
-results of the preset it was copied from.  `coproduct_monomial` builds a
-coproduct by leading letter, Delta(g w) = Delta(g) Delta(w), from the longest
-memoized suffix and hands out the memo entry, which callers read in place.
+results of the preset it was copied from.  `coproduct_monomial` hands out
+the memo entry, which callers read in place.  On a miss it writes Delta(w q^n)
+in closed form, with no slot product, when (1) w is sorted, (2) every letter
+is admissible in the preset, (3) every letter's table entry is exactly
+s g (x) q^r + t q^l (x) g (r = l = 0 for a primitive letter), and (4) no
+letter with a q-rule stands at or right of the first letter with a nonzero q
+leg.  A run g^a then expands binomially, and the runs concatenate slotwise.
+That is exact: g (x) q^r and q^l (x) g commute when g commutes with q; a
+subword of a sorted word is sorted, so in normal form; and q legs pass only
+letters with no q-rule.  Every other word (a boost, letters out of order, an
+inadmissible letter) is built by leading letter, Delta(g w) = Delta(g)
+Delta(w), from the longest memoized suffix: the one general path.
 Every slotwise product goes through the one in-place kernel `_slots_into`.
 A tensor commutator is telescoped over slots, so term pairs whose slots
 commute add nothing, and a Jacobi sum adds monomial commutators [m, c], each
@@ -30,7 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from math import comb
 
 from .elements import (
     BOOSTS,
@@ -46,6 +56,9 @@ from .elements import (
 from .presets import AlgebraPreset, Basis, Sector, _eps, _tuple_new, get_preset
 from .reports import CheckEntry, CheckReport
 from .scalars import Scalar
+
+_ONE = Scalar.one()
+
 
 class TensorElement(LinearCombination):
     """Rank-2 or rank-3 tensor-product element with Scalar weights."""
@@ -247,12 +260,30 @@ def coproduct(e: Element, preset: AlgebraPreset) -> TensorElement:
 def coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
     """Delta(mono), the memo entry itself: callers only read it.
 
-    A miss adds one entry per letter left of the longest memoized suffix, so
-    products nest to the right as in a fold over the reversed word; a letter
-    from outside the sector fails in the checked `multiply` first."""
+    A miss on mono = w q^n takes the closed form when (1) w is sorted, (2)
+    every letter is admissible in the preset, (3) every letter's table entry
+    is exactly s g (x) q^r + t q^l (x) g, with r = l = 0 for a primitive
+    letter, and (4) no letter with a q-rule stands at or right of the first
+    letter with a nonzero q leg.  A run g^a then gives, for k letters in the
+    left slot, weight C(a, k) s^k t^(a-k), left slot g^k q^(l(a-k)) and right
+    slot g^(a-k) q^(rk); runs concatenate slotwise and q^n ends both slots.
+    This is exact because:
+    - g (x) q^r and q^l (x) g commute when g commutes with q, so the binomial
+      theorem holds;
+    - a subword of a sorted word is sorted, so already in normal form;
+    - q legs pass only letters with no q-rule.
+    Every other word is folded: the miss adds one entry per letter left of the
+    longest memoized suffix, so products nest to the right as in a fold over
+    the reversed word; a word with a letter from outside the sector never
+    takes the closed form, so it fails in the checked `multiply`.
+    """
     memo = preset._coproduct_cache
     t = memo.get(mono)
     if t is not None:
+        return t
+    t = _closed_coproduct(mono, preset)
+    if t is not None:
+        memo[mono] = t
         return t
     word, qexp = mono
     for i in range(1, len(word) + 1):
@@ -269,6 +300,69 @@ def coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
         t = tensor_multiply(table[word[i]], t, preset)
         memo[_tuple_new(Monomial, (word[i:], qexp))] = t
     return t
+
+
+def _closed_coproduct(mono: Monomial, preset: AlgebraPreset) -> TensorElement | None:
+    """Delta(w q^n) in the closed form of `coproduct_monomial`, with no slot
+    product or rewrite; None where one of its four conditions fails."""
+    word, qexp = mono
+    if not preset.allowed.issuperset(word) or any(a > b for a, b in zip(word, word[1:])):
+        return None
+    table = _coproducts(preset.basis)
+    # (left word, left q, right word, right q, weight), grown run by run
+    terms = [((), qexp, (), qexp, _ONE)]
+    legged = False
+    for g, run in groupby(word):
+        legs = _two_legs(table[g], g)
+        if legs is None:
+            return None
+        s, r, t, l = legs
+        legged = legged or bool(r or l)
+        if legged and g in preset.qrules:
+            return None
+        a = len(tuple(run))
+        s_pow, t_pow = [_ONE], [_ONE]
+        for _ in range(a):
+            s_pow.append(s_pow[-1] * s)
+            t_pow.append(t_pow[-1] * t)
+        weights = []
+        for k in range(a + 1):
+            w = s_pow[k] * t_pow[a - k]
+            n = comb(a, k)
+            weights.append(w if n == 1 else w * Scalar.rational(n))
+        terms = [
+            (lw + (g,) * k, lq + l * (a - k), rw + (g,) * (a - k), rq + r * k, c * weights[k])
+            for lw, lq, rw, rq, c in terms
+            for k in range(a + 1)
+        ]
+    # one Monomial per distinct slot; every key is distinct and every weight
+    # a product of nonzero scalars, so the dict is canonical as it is
+    slots: dict[tuple, Monomial] = {}
+    acc = {}
+    for lw, lq, rw, rq, c in terms:
+        left = slots.get((lw, lq))
+        if left is None:
+            left = slots[lw, lq] = _tuple_new(Monomial, (lw, lq))
+        right = slots.get((rw, rq))
+        if right is None:
+            right = slots[rw, rq] = _tuple_new(Monomial, (rw, rq))
+        acc[left, right] = c
+    return TensorElement._wrap(acc, 2)
+
+
+def _two_legs(delta: TensorElement, g: Gen) -> tuple[Scalar, int, Scalar, int] | None:
+    """(s, r, t, l) when delta is exactly s g (x) q^r + t q^l (x) g, else None."""
+    if len(delta) != 2:
+        return None
+    s = t = None
+    for ((lw, lq), (rw, rq)), c in delta.items():
+        if lw == (g,) and not lq and not rw:
+            s, r = c, rq
+        elif rw == (g,) and not rq and not lw:
+            t, l = c, lq
+    if s is None or t is None:
+        return None
+    return s, r, t, l
 
 
 def antipode(e: Element, preset: AlgebraPreset) -> Element:

@@ -2,17 +2,18 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappahopf import cli, hopf
 from kappahopf.cli import main
-from kappahopf.elements import Gen, Monomial, Element
+from kappahopf.elements import BOOSTS, Gen, Monomial, Element
 from kappahopf.errors import SectorError
 from kappahopf.hopf import (
     TensorElement,
+    _closed_coproduct,
     _coproducts,
     _homomorphism_pairs,
     _subjects,
@@ -659,6 +660,15 @@ def _fold_coproduct(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
     return t
 
 
+def _fresh(preset: AlgebraPreset, corrupt: bool) -> AlgebraPreset:
+    """A cold copy of preset, with its CORRUPTIONS rule perturbed if corrupt."""
+    if not corrupt:
+        return AlgebraPreset(preset.basis, preset.sector, preset.rules, preset.qrules)
+    pair = CORRUPTIONS[preset]
+    perturb = Element.from_scalar(Scalar.term(0, 1, hbar=1))
+    return preset.with_rule_override(pair, preset.rules[pair] + perturb)
+
+
 def _memo_words(preset: AlgebraPreset, pair) -> list[Monomial]:
     """Words of length 1 to 4, among them the corrupted pair inside longer words."""
     rng = random.Random(5)
@@ -669,23 +679,74 @@ def _memo_words(preset: AlgebraPreset, pair) -> list[Monomial]:
     return [Monomial(w, rng.choice((-1, 0, 2))) for w in words]
 
 
+def _closed_form_words(preset: AlgebraPreset) -> list[Monomial]:
+    """Every sorted boost-free word of length <= 3 with q^-2..q^2, and 20
+    seeded ones of length 4."""
+    gens = [g for g in preset.generators if g not in BOOSTS]
+    words = [w for n in range(4) for w in combinations_with_replacement(sorted(gens), n)]
+    rng = random.Random(11)
+    long = [tuple(sorted(rng.choices(gens, k=4))) for _ in range(20)]
+    return [Monomial(w, n) for w in words for n in range(-2, 3)] + [
+        Monomial(w, rng.randint(-2, 2)) for w in long
+    ]
+
+
+def _fold_only_words(preset: AlgebraPreset) -> list[Monomial]:
+    """Unsorted words, and in Poincare words with a boost."""
+    rng = random.Random(12)
+    gens = preset.generators
+    words = [w for w in (tuple(rng.choices(gens, k=3)) for _ in range(40)) if w != tuple(sorted(w))]
+    if preset.sector is Sector.POINCARE:
+        words += [(b,) for b in BOOSTS] + [(Gen.M1, Gen.N1, Gen.P1), (Gen.N2, Gen.N2, Gen.P3)]
+    return [Monomial(w, rng.randint(-2, 2)) for w in words]
+
+
+class TestClosedFormCoproduct:
+    """Sorted boost-free words take the closed form, which equals the fold
+    and needs no slot product or rewrite."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["table", "corrupted"])
+    @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+    def test_matches_fold(self, preset, corrupt):
+        closed, folded = _fresh(preset, corrupt), _fresh(preset, corrupt)
+        words = _closed_form_words(preset)
+        for m in words:
+            got = coproduct_monomial(m, closed)
+            expected = _fold_coproduct(m, folded)
+            assert got == expected and got.render() == expected.render(), m.render()
+            assert coproduct_monomial(m, closed) is got
+        # no slot product and no rewrite: the closed form took every word
+        assert not closed._product_cache and not closed._nf_young and not closed._nf_old
+        assert set(closed._coproduct_cache) == set(words)
+        for m in _fold_only_words(preset):
+            assert _closed_coproduct(m, closed) is None, m.render()
+            got, expected = coproduct_monomial(m, closed), _fold_coproduct(m, folded)
+            assert got == expected and got.render() == expected.render(), m.render()
+
+    def test_q_rule_at_or_right_of_a_q_leg_takes_the_fold(self):
+        # in the four presets every letter with a q-rule is x0, first in its
+        # sector, or a boost; a q-rule on P2 puts one where a q leg must pass
+        qrules = {**PB.qrules, Gen.P2: (Scalar.term(0, 1, hbar=1), ())}
+        closed = AlgebraPreset(PB.basis, PB.sector, PB.rules, qrules)
+        folded = AlgebraPreset(PB.basis, PB.sector, PB.rules, qrules)
+        for word in ((Gen.P2, Gen.P2), (Gen.P1, Gen.P2), (Gen.X0, Gen.P1, Gen.P2, Gen.P3)):
+            m = Monomial(word, 1)
+            assert _closed_coproduct(m, closed) is None, m.render()
+            assert coproduct_monomial(m, closed) == _fold_coproduct(m, folded), m.render()
+        # the q-rule changes the fold here, so taking the closed form would show
+        naive = _closed_coproduct(Monomial((Gen.P2, Gen.P2)), PB)
+        assert naive != _fold_coproduct(Monomial((Gen.P2, Gen.P2)), folded)
+
+
 class TestCoproductMemo:
-    """`coproduct_monomial` builds suffixes through the memo and hands out the
-    memo entries themselves."""
+    """`coproduct_monomial` takes the closed form or folds suffixes through the
+    memo, and hands out the memo entries themselves."""
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["table", "corrupted"])
     @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
     def test_matches_fold_in_either_fill_order(self, preset, corrupt):
-        pair = CORRUPTIONS[preset]
-
-        def fresh():
-            if not corrupt:
-                return AlgebraPreset(preset.basis, preset.sector, preset.rules, preset.qrules)
-            perturb = Element.from_scalar(Scalar.term(0, 1, hbar=1))
-            return preset.with_rule_override(pair, preset.rules[pair] + perturb)
-
-        words = _memo_words(preset, pair)
-        forward, backward, folded = fresh(), fresh(), fresh()
+        words = _memo_words(preset, CORRUPTIONS[preset])
+        forward, backward, folded = (_fresh(preset, corrupt) for _ in range(3))
         got_forward = [coproduct_monomial(m, forward) for m in words]
         got_backward = [coproduct_monomial(m, backward) for m in reversed(words)][::-1]
         for m, a, b in zip(words, got_forward, got_backward):
@@ -699,7 +760,10 @@ class TestCoproductMemo:
         preset = AlgebraPreset(PB.basis, PB.sector, PB.rules, PB.qrules)
         p1, n1 = Monomial((Gen.P1,)), Monomial((Gen.N1,))
         m1n1 = Monomial((Gen.M1, Gen.N1))
-        for mono, bad in ((n1, "N1"), (m1n1, "M1")):
+        # sorted and two-legged, so only admissibility keeps them off the
+        # closed form
+        m1, m1p1 = Monomial((Gen.M1,)), Monomial((Gen.M1, Gen.P1))
+        for mono, bad in ((n1, "N1"), (m1n1, "M1"), (m1, "M1"), (m1p1, "M1")):
             message = f"generator {bad} is not admissible in the phasespace sector"
             with pytest.raises(SectorError, match=message):
                 coproduct(Element.term(mono, Scalar.one()), preset)
@@ -707,6 +771,9 @@ class TestCoproductMemo:
                 key = (mono, p1) if slot == 0 else (p1, mono)
                 with pytest.raises(SectorError, match=message):
                     coproduct_slot(t2((*key, Scalar.one())), slot, preset)
+            assert _closed_coproduct(mono, preset) is None
+            with pytest.raises(SectorError, match="not admissible in the phasespace sector"):
+                coproduct_monomial(mono, preset)
         lorentz = {Gen.N1, Gen.M1}
         assert not any(lorentz & set(m.word) for m in preset._coproduct_cache)
 
