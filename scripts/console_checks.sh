@@ -30,9 +30,11 @@
 # sums of several coefficient addends: a product, a difference of quotients,
 # and a cancellation that leaves one addend; the antipodes solved from the
 # coproduct table, of a boost in each basis and of a position; the coproducts
-# of two sorted boost-free words, which `hopf.coproduct_monomial` writes in
-# closed form, a pairing that reads them, and the coproduct of a boost word,
-# which takes the fold; the product of 4000 factors P1, which must exit 0 and
+# of three sorted boost-free words, which `hopf.coproduct_monomial` writes in
+# closed form letter by letter, one of them a run P1^5 longer than any the
+# suite reads, a pairing that reads them, and the coproducts of two boost
+# words, which take the fold, the longer one N1 N2 P1 pinned by its sha256
+# prefix; the product of 4000 factors P1, which must exit 0 and
 # print P1^4000 (the normal-form memo drops the partial products nobody reads
 # again); and, with
 # KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
@@ -113,6 +115,9 @@ expect '(2) P1 q^-3 ⊗ P1 q^-1 + P1^2 q^-1 ⊗ q^-1 + q^-5 ⊗ P1^2 q^-1' 'D(q^
 expect 'M1 q^-1 ⊗ P2 + M1 P2 ⊗ q + P2 ⊗ M1 q + q^-1 ⊗ M1 P2' --basis standard 'D(M1 P2)'
 expect '-3 i hbar^3 kappa^-1 c^-1' --basis standard '<P1 P1 q | x1 x1 x0>'
 expect 'N1 q^-2 ⊗ P1 + N1 P1 ⊗ 1 + P1 q^-2 ⊗ N1 + (kappa^-1 c^-1) P1 P2 ⊗ M3 + (-kappa^-1 c^-1) P1 P3 ⊗ M2 + (kappa^-1 c^-1) P2 q^-2 ⊗ M3 P1 + (-kappa^-1 c^-1) P3 q^-2 ⊗ M2 P1 + q^-4 ⊗ N1 P1' 'D(N1 P1)'
+expect '(5) P1 q^-3 ⊗ P1^4 q^2 + (10) P1^2 q^-2 ⊗ P1^3 q^3 + (10) P1^3 q^-1 ⊗ P1^2 q^4 + (5) P1^4 ⊗ P1 q^5 + P1^5 q ⊗ q^6 + q^-4 ⊗ P1^5 q' --basis standard 'D(P1^5 q)'
+digest=$("${kappahopf[@]}" eval 'D(N1 N2 P1)' | sha256sum | cut -c1-16)
+test "$digest" = 3ad919fd6771739e || { echo "eval 'D(N1 N2 P1)' gave digest $digest"; exit 1; }
 out=$("${kappahopf[@]}" eval "$(printf 'P1 %.0s' {1..4000})")
 code=$?
 test "$code" -eq 0 || { echo "eval of 4000 factors P1 exited $code, expected 0"; exit 1; }

@@ -271,11 +271,10 @@ def cmd_sweep(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
-def _add_numeric_flags(p, with_hbar=True):
+def _add_numeric_flags(p):
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    if with_hbar:
-        p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--M", type=float, default=0.0)
     p.add_argument("--P", type=float, default=0.0)
 

@@ -21,12 +21,13 @@ in closed form, with no slot product, when (1) w is sorted, (2) every letter
 is admissible in the preset, (3) every letter's table entry is exactly
 s g (x) q^r + t q^l (x) g (r = l = 0 for a primitive letter), and (4) no
 letter with a q-rule stands at or right of the first letter with a nonzero q
-leg.  A run g^a then expands binomially, and the runs concatenate slotwise.
-That is exact: g (x) q^r and q^l (x) g commute when g commutes with q; a
-subword of a sorted word is sorted, so in normal form; and q legs pass only
-letters with no q-rule.  Every other word (a boost, letters out of order, an
-inadmissible letter) is built by leading letter, Delta(g w) = Delta(g)
-Delta(w), from the longest memoized suffix: the one general path.
+leg.  The terms then grow letter by letter, each letter going to one slot and
+its q leg to the other, and equal terms merge.  That is exact: g (x) q^r and
+q^l (x) g commute when g commutes with q; a subword of a sorted word is
+sorted, so in normal form; and q legs pass only letters with no q-rule.
+Every other word (a boost, letters out of order, an inadmissible letter) is
+folded, Delta(g w) = Delta(g) Delta(w) over the reversed word from
+q^n (x) q^n, with no memo read: the one general path.
 Every slotwise product goes through the one in-place kernel `_slots_into`.
 A tensor commutator is telescoped over slots, so term pairs whose slots
 commute add nothing, and a Jacobi sum adds monomial commutators [m, c], each
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby, product
-from math import comb
+from itertools import combinations, product
 
 from .elements import (
     BOOSTS,
@@ -264,41 +264,30 @@ def coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
     every letter is admissible in the preset, (3) every letter's table entry
     is exactly s g (x) q^r + t q^l (x) g, with r = l = 0 for a primitive
     letter, and (4) no letter with a q-rule stands at or right of the first
-    letter with a nonzero q leg.  A run g^a then gives, for k letters in the
-    left slot, weight C(a, k) s^k t^(a-k), left slot g^k q^(l(a-k)) and right
-    slot g^(a-k) q^(rk); runs concatenate slotwise and q^n ends both slots.
-    This is exact because:
-    - g (x) q^r and q^l (x) g commute when g commutes with q, so the binomial
-      theorem holds;
+    letter with a nonzero q leg.  Starting from q^n (x) q^n, each letter g
+    appends itself to one slot and its q leg to the other, with weight s or t;
+    equal terms merge, which sums the binomial coefficients of a run.  This is
+    exact because:
+    - g (x) q^r and q^l (x) g commute when g commutes with q, so the two
+      choices of each letter may be made independently;
     - a subword of a sorted word is sorted, so already in normal form;
     - q legs pass only letters with no q-rule.
-    Every other word is folded: the miss adds one entry per letter left of the
-    longest memoized suffix, so products nest to the right as in a fold over
-    the reversed word; a word with a letter from outside the sector never
-    takes the closed form, so it fails in the checked `multiply`.
+    Every other word is folded, reading no memo entry: q^n (x) q^n, then
+    table[g] times it for each letter g of the reversed word.  Only mono is
+    stored, once the fold succeeds; a word with a letter from outside the
+    sector never takes the closed form, so it fails in the checked `multiply`.
     """
     memo = preset._coproduct_cache
     t = memo.get(mono)
-    if t is not None:
-        return t
-    t = _closed_coproduct(mono, preset)
-    if t is not None:
+    if t is None:
+        t = _closed_coproduct(mono, preset)
+        if t is None:
+            q = _tuple_new(Monomial, ((), mono.qexp))
+            t = TensorElement._wrap({(q, q): _ONE}, 2)
+            table = _coproducts(preset.basis)
+            for g in reversed(mono.word):
+                t = tensor_multiply(table[g], t, preset)
         memo[mono] = t
-        return t
-    word, qexp = mono
-    for i in range(1, len(word) + 1):
-        t = memo.get(_tuple_new(Monomial, (word[i:], qexp)))
-        if t is not None:
-            break
-    else:
-        i = len(word)
-        q = _tuple_new(Monomial, ((), qexp))
-        t = memo[q] = TensorElement._wrap({(q, q): Scalar.one()}, 2)
-    table = _coproducts(preset.basis)
-    while i:
-        i -= 1
-        t = tensor_multiply(table[word[i]], t, preset)
-        memo[_tuple_new(Monomial, (word[i:], qexp))] = t
     return t
 
 
@@ -309,10 +298,10 @@ def _closed_coproduct(mono: Monomial, preset: AlgebraPreset) -> TensorElement | 
     if not preset.allowed.issuperset(word) or any(a > b for a, b in zip(word, word[1:])):
         return None
     table = _coproducts(preset.basis)
-    # (left word, left q, right word, right q, weight), grown run by run
-    terms = [((), qexp, (), qexp, _ONE)]
+    # (left word, left q, right word, right q) -> weight, grown letter by letter
+    terms = {((), qexp, (), qexp): _ONE}
     legged = False
-    for g, run in groupby(word):
+    for g in word:
         legs = _two_legs(table[g], g)
         if legs is None:
             return None
@@ -320,33 +309,12 @@ def _closed_coproduct(mono: Monomial, preset: AlgebraPreset) -> TensorElement | 
         legged = legged or bool(r or l)
         if legged and g in preset.qrules:
             return None
-        a = len(tuple(run))
-        s_pow, t_pow = [_ONE], [_ONE]
-        for _ in range(a):
-            s_pow.append(s_pow[-1] * s)
-            t_pow.append(t_pow[-1] * t)
-        weights = []
-        for k in range(a + 1):
-            w = s_pow[k] * t_pow[a - k]
-            n = comb(a, k)
-            weights.append(w if n == 1 else w * Scalar.rational(n))
-        terms = [
-            (lw + (g,) * k, lq + l * (a - k), rw + (g,) * (a - k), rq + r * k, c * weights[k])
-            for lw, lq, rw, rq, c in terms
-            for k in range(a + 1)
-        ]
-    # one Monomial per distinct slot; every key is distinct and every weight
-    # a product of nonzero scalars, so the dict is canonical as it is
-    slots: dict[tuple, Monomial] = {}
-    acc = {}
-    for lw, lq, rw, rq, c in terms:
-        left = slots.get((lw, lq))
-        if left is None:
-            left = slots[lw, lq] = _tuple_new(Monomial, (lw, lq))
-        right = slots.get((rw, rq))
-        if right is None:
-            right = slots[rw, rq] = _tuple_new(Monomial, (rw, rq))
-        acc[left, right] = c
+        grown: dict = {}
+        for (lw, lq, rw, rq), c in terms.items():
+            split = (((lw + (g,), lq, rw, rq + r), s), ((lw, lq + l, rw + (g,), rq), t))
+            accumulate(grown, split, c)
+        terms = grown
+    acc = {(_tuple_new(Monomial, k[:2]), _tuple_new(Monomial, k[2:])): c for k, c in terms.items()}
     return TensorElement._wrap(acc, 2)
 
 

@@ -680,15 +680,23 @@ def _memo_words(preset: AlgebraPreset, pair) -> list[Monomial]:
 
 
 def _closed_form_words(preset: AlgebraPreset) -> list[Monomial]:
-    """Every sorted boost-free word of length <= 3 with q^-2..q^2, and 20
-    seeded ones of length 4."""
+    """Every sorted boost-free word of length <= 3 with q^-2..q^2, 20 seeded
+    ones of length 4, and runs past degree 4 whose terms merge into binomials."""
     gens = [g for g in preset.generators if g not in BOOSTS]
     words = [w for n in range(4) for w in combinations_with_replacement(sorted(gens), n)]
     rng = random.Random(11)
     long = [tuple(sorted(rng.choices(gens, k=4))) for _ in range(20)]
-    return [Monomial(w, n) for w in words for n in range(-2, 3)] + [
-        Monomial(w, rng.randint(-2, 2)) for w in long
-    ]
+    runs = (
+        Monomial((Gen.P1,) * 6),
+        Monomial((Gen.X1,) * 3 + (Gen.P2,) * 3, 2),
+        Monomial((Gen.X0,) * 5, -1),
+        Monomial((Gen.M1,) * 2 + (Gen.P1,) * 4, 1),
+    )
+    return (
+        [Monomial(w, n) for w in words for n in range(-2, 3)]
+        + [Monomial(w, rng.randint(-2, 2)) for w in long]
+        + [m for m in runs if preset.allowed.issuperset(m.word)]
+    )
 
 
 def _fold_only_words(preset: AlgebraPreset) -> list[Monomial]:
@@ -739,8 +747,9 @@ class TestClosedFormCoproduct:
 
 
 class TestCoproductMemo:
-    """`coproduct_monomial` takes the closed form or folds suffixes through the
-    memo, and hands out the memo entries themselves."""
+    """`coproduct_monomial` takes the closed form or folds the word letter by
+    letter without reading the memo, stores only the word it was asked for,
+    and hands out the memo entries themselves."""
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["table", "corrupted"])
     @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
@@ -755,6 +764,21 @@ class TestCoproductMemo:
             assert a.render() == b.render() == expected.render()
             # a hit returns the entry itself
             assert coproduct_monomial(m, forward) is a
+
+    @pytest.mark.parametrize("base", [POB, POS], ids=lambda p: repr(p))
+    def test_fold_miss_stores_only_the_requested_word(self, base):
+        preset = _fresh(base, False)
+        mono = Monomial((Gen.N1, Gen.N2, Gen.P1), -1)
+        assert _closed_coproduct(mono, preset) is None
+        got = coproduct_monomial(mono, preset)
+        # no suffix and no bare q power: one key for the one miss
+        assert set(preset._coproduct_cache) == {mono}
+        assert got == _fold_coproduct(mono, _fresh(base, False))
+        # a word of positions is inadmissible here: the fold raises and
+        # stores nothing
+        with pytest.raises(SectorError, match="not admissible in the poincare sector"):
+            coproduct_monomial(Monomial((Gen.X0, Gen.X1), 1), preset)
+        assert set(preset._coproduct_cache) == {mono}
 
     def test_out_of_sector_monomials_still_raise(self):
         preset = AlgebraPreset(PB.basis, PB.sector, PB.rules, PB.qrules)
