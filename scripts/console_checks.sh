@@ -36,7 +36,11 @@
 # words, which take the fold, the longer one N1 N2 P1 pinned by its sha256
 # prefix; the product of 4000 factors P1, which must exit 0 and
 # print P1^4000 (the normal-form memo drops the partial products nobody reads
-# again); and, with
+# again); `P1^1500 x0`, which must exit 0 with its exact value (x0 moves past
+# the whole run P1^1500 in one run transport), and `M2^1200 M1`, which still
+# recurses once per letter and must exit 2 with a typed error; the sha256
+# prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
+# exactness gate recorded before run transport; and, with
 # KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
 # sweep prints its csv header and `eval P1` prints the text `P1`, since no
 # environment variable picks the format.
@@ -122,6 +126,15 @@ out=$("${kappahopf[@]}" eval "$(printf 'P1 %.0s' {1..4000})")
 code=$?
 test "$code" -eq 0 || { echo "eval of 4000 factors P1 exited $code, expected 0"; exit 1; }
 test "$out" = 'P1^4000' || { echo "eval of 4000 factors P1 printed '$out', expected 'P1^4000'"; exit 1; }
+out=$("${kappahopf[@]}" eval 'P1^1500 x0')
+code=$?
+test "$code" -eq 0 || { echo "eval 'P1^1500 x0' exited $code, expected 0"; exit 1; }
+expected='x0 P1^1500 + (-1500 i hbar kappa^-1 c^-1) P1^1500'
+test "$out" = "$expected" || { echo "eval 'P1^1500 x0' printed '$out', expected '$expected'"; exit 1; }
+typed_error eval 'M2^1200 M1'
+grep -q "too deeply nested or too long" "$tmp/err.txt" || { echo "eval 'M2^1200 M1' gave $(cat "$tmp/err.txt")"; exit 1; }
+digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
+test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }
 header=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 2 | head -n 1)
 test "$header" = kappa,c,hbar,M,P,value,residual || { echo "sweep with KAPPA_HOPF_FORMAT=json printed '$header' first"; exit 1; }
 out=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" eval P1)

@@ -438,8 +438,11 @@ def eval_text(source: str, basis: Basis = Basis.BICROSS, sector: Sector | None =
     from them lies in that sector, so products, powers and commutators run
     unchecked.  The parser, the evaluator and the rewrite engine all recurse, so deep
     nesting and long words are bounded by the interpreter's recursion limit;
-    reaching it raises ResourceLimitError.  Sums and products are parsed and
-    evaluated in a loop, so the number of terms or factors is not bounded by it.
+    reaching it raises ResourceLimitError, as `M2^1200 M1` does, whose M1
+    moves left one swap at a time.  A letter below a run of momenta, or x0
+    below a run of x1..x3, moves past the whole run in one step, so
+    `P1^1500 x0` evaluates.  Sums and products are parsed and evaluated in a
+    loop, so the number of terms or factors is not bounded by it.
     """
     try:
         names: set[str] = set()

@@ -15,13 +15,41 @@ q itself commutes with everything except x0 and the boosts:
     q^a x0  = x0 q^a + a*(i hbar / 2 kappa c) q^a
     q^a N_i = N_i q^a - a*(i / 2 kappa c) P_i q^a
 
-Rewriting picks the leftmost out-of-order adjacent pair and repeats to a
-fixpoint.  When that pair commutes (its rule is zero), the smaller letter
-moves left past the whole run of greater letters it commutes with in one
-step: those are the swaps the leftmost-first order would take next.  Normal
-forms are memoized per word, as the normal form of word * q^0: q^a already
-sits at the right end, so word * q^a has the same normal form with a added
-to every q-exponent, which callers add as they accumulate.
+Rewriting picks the leftmost out-of-order adjacent pair (hi, lo) and repeats
+to a fixpoint.  Two kinds of step each stand for several leftmost-first steps:
+
+- *Run transport.*  The momenta P0..P3 commute with each other, and so do
+  x1..x3; each bracket of such a letter r with a lower letter lo (a position
+  or a Lorentz generator below the momenta, x0 below x1..x3) is a polynomial
+  in the class and q.  So lo acts as a derivation on a run of the class:
+  when hi lies in a class C and lo below it, lo moves past the whole sorted
+  run m of C-letters that ends at hi in one step,
+
+      m lo = lo m + sum_r alpha_r (m - r) [r, lo],
+
+  where alpha_r counts the letter r in m and (m - r) drops one r.  Each
+  correction word is merged into m - r in sorted order, and its q power moves
+  past the rest of the word by q-transport.  A preset decides from its own
+  tables which (C, lo) pairs qualify: every pair of C-letters has a zero
+  rule, no C-letter has a q-rule, and every correction word of (r, lo), for
+  r in C, has C-letters only.  On such tables the step equals leftmost-first.
+  The prefix up to hi is sorted and C is an interval of the letter order, so
+  every letter left of m sorts below C.  Leftmost-first swaps lo past r_k,
+  then r_k-1, ..., r_1 of m = r_1 ... r_k, and the step past r_t leaves the
+  correction r_1 ... r_t-1 cword q^c r_t+1 ... r_k right.  q^c passes the
+  C-letters unchanged, and the next leftmost inversions of that word are the
+  zero-rule swaps that sort its C-block, which keep its normal form: that of
+  left (m - r_t) cword, sorted, then q^c right.  Equal r_t give equal words,
+  which alpha_r adds up exactly.  A copy whose tables fail the check keeps
+  single swaps for the pairs it affects.
+- *Commuting swaps.*  When (hi, lo) commutes (its rule is zero) and no run
+  transport applies, lo moves left past the whole run of greater letters it
+  commutes with in one step: those are the swaps leftmost-first would take
+  next.
+
+Normal forms are memoized per word, as the normal form of word * q^0: q^a
+already sits at the right end, so word * q^a has the same normal form with a
+added to every q-exponent, which callers add as they accumulate.
 
 The normal-form memo has two generations, young and old (the 2Q policy of
 T. Johnson and D. Shasha, VLDB 1994).  A lookup reads young, then old, and
@@ -42,8 +70,9 @@ product's words in old.
 Termination is proven by weight descent, checked when a preset is built: a
 boost weighs 2, every other letter 1 and q nothing; every correction and
 q-transport extra weighs less than what it replaces, and a swap removes one
-inversion, so each rewrite lowers (weight, inversions).  Confluence is still
-certified by the Jacobi suite, until `suite confluence` lands.
+inversion, so each rewrite lowers (weight, inversions); a run transport is a
+sum of such rewrites.  Confluence is still certified by the Jacobi suite,
+until `suite confluence` lands.
 """
 
 from __future__ import annotations
@@ -54,6 +83,7 @@ from functools import lru_cache
 
 from .elements import (
     BOOSTS,
+    MOMENTA,
     Gen,
     Monomial,
     ROTATIONS,
@@ -275,6 +305,18 @@ class AlgebraPreset:
         # the pairs whose rule is zero; built from this instance's own rules,
         # so a `with_rule_override` copy gets its own set
         self._commuting = frozenset(p for p, rule in rules.items() if rule.is_zero)
+        # (hi, lo) -> the class of hi, for the pairs that qualify for run
+        # transport (module docstring), checked on this instance's own tables
+        self._transport = {}
+        for cls in (MOMENTA, frozenset(SPATIAL_X)):
+            if self.allowed >= cls and cls.isdisjoint(qrules) and all(
+                (b, a) in self._commuting for b in cls for a in cls if b > a
+            ):
+                for lo in self.generators:
+                    if lo < min(cls) and all(
+                        cls.issuperset(w) for r in cls for w, _ in rules[r, lo].monomials()
+                    ):
+                        self._transport.update(((r, lo), cls) for r in cls)
         # word -> normal form of word * q^0 as a plain term dict, read in
         # place and never mutated; a commuting run's words share one dict
         self._nf_young: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
@@ -382,7 +424,8 @@ class AlgebraPreset:
             self._nf_letters += len(word)
             return result
         hi, lo = word[i], word[i + 1]
-        if (hi, lo) in self._commuting:
+        cls = self._transport.get((hi, lo))
+        if cls is None and (hi, lo) in self._commuting:
             # word[:i + 1] is sorted, so the leftmost-first order would go
             # on swapping lo left past every greater letter it commutes with
             j = i
@@ -390,14 +433,29 @@ class AlgebraPreset:
                 j -= 1
             result = self._nf_word(word[:j] + (lo,) + word[j : i + 1] + word[i + 2 :])
         else:
-            left, right = word[:i], word[i + 2 :]
-            result = dict(self._nf_word(left + (lo, hi) + right))
-            for (cword, cqexp), ccoeff in self.rules[hi, lo].items():
-                # splice: left * cword * q^cqexp * right
-                for rword, rcoeff in self._q_past_word(cqexp, right):
-                    _shifted_accumulate(
-                        result, self._nf_word(left + cword + rword), cqexp, ccoeff * rcoeff
-                    )
+            # lo moves left past the run m = word[j:i + 1]: the sorted run of
+            # class letters that ends at hi, or hi alone outside a class;
+            # m lo = lo m + sum_r alpha_r (m - r) [r, lo]
+            j = i
+            while cls and j and word[j - 1] in cls:
+                j -= 1
+            left, run, right = word[:j], word[j : i + 1], word[i + 2 :]
+            result = dict(self._nf_word(left + (lo,) + run + right))
+            for k, r in enumerate(run):
+                terms = self.rules[r, lo].items()
+                if not terms or k and run[k - 1] == r:
+                    continue
+                rest = run[:k] + run[k + 1 :]
+                alpha = run.count(r)
+                for (cword, cqexp), ccoeff in terms:
+                    # splice: left * (m - r) * cword * q^cqexp * right
+                    merged = left + (tuple(sorted(rest + cword)) if cls else cword)
+                    if alpha > 1:
+                        ccoeff = ccoeff * _count(alpha)
+                    for rword, rcoeff in self._q_past_word(cqexp, right):
+                        _shifted_accumulate(
+                            result, self._nf_word(merged + rword), cqexp, ccoeff * rcoeff
+                        )
         # cached only once complete, so an error above leaves no entry
         self._nf_young[word] = result
         self._nf_letters += len(word)
@@ -488,6 +546,8 @@ def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict
 
 
 _ONE = Scalar.one()
+# alpha_r of a run transport as a Scalar; counts past the cache are rebuilt
+_count = lru_cache(maxsize=64)(Scalar.rational)
 # unchecked Monomial constructor, only for words spliced from admissible pieces
 _tuple_new = tuple.__new__
 

@@ -117,14 +117,22 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "expression",
-        ["(" * 300 + "P1" + ")" * 300, "P1^1500 x0"],
+        ["(" * 300 + "P1" + ")" * 300, "M2^1200 M1"],
         ids=["nested-parentheses", "long-word"],
     )
     def test_deep_expression_is_typed(self, capsys, expression):
+        # M1 still moves left past M2^1200 one swap, and one recursion, at a time
         code, out, err = run_cli(capsys, "eval", expression)
         assert code == 2
         assert out == ""
         assert err.startswith("error: expression is too deeply nested or too long")
+
+    @pytest.mark.parametrize("basis, coeff", [("bicross", -1500), ("standard", -750)])
+    def test_long_momentum_run_moves_in_one_step(self, capsys, basis, coeff):
+        # x0 moves past the whole run P1^1500 in one run transport
+        code, out, err = run_cli(capsys, "eval", "P1^1500 x0", "--basis", basis)
+        assert (code, err) == (0, "")
+        assert out.strip() == f"x0 P1^1500 + ({coeff} i hbar kappa^-1 c^-1) P1^1500"
 
     @pytest.mark.parametrize("op, total", [("+", 3000), ("-", -2998)])
     def test_long_sum_evaluates(self, capsys, op, total):

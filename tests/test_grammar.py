@@ -337,9 +337,10 @@ class TestEval:
             eval_text(" ".join(["P1"] * 4097))
 
     def test_shared_preset_recovers_after_recursion_limit(self):
-        preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
+        # M1 moves left past M2^1200 one swap, and one recursion, at a time
+        preset = get_preset(Basis.BICROSS, Sector.POINCARE)
         with pytest.raises(ResourceLimitError):
-            eval_text("P1^1500 x0")
+            eval_text("M2^1200 M1")
         # the aborted request stored only complete words, each counted once
         assert preset._nf_letters == sum(map(len, preset._nf_young))
         # memo values are plain term dicts, Monomial -> nonzero Scalar, and a
@@ -349,16 +350,15 @@ class TestEval:
             assert type(terms) is dict
             for mono, coeff in terms.items():
                 assert type(mono) is Monomial and type(coeff) is Scalar and not coeff.is_zero
-        fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.PHASESPACE)
+        fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.POINCARE)
         sample = sorted(memo, key=lambda word: (len(word), word))
         for word in sample[:: max(1, len(sample) // 40)]:
             want = fresh.normal_form(Element.term(Monomial(word), Scalar.one()))
             assert Element._wrap(memo[word]) == want, word
-        p1_40 = Element.term(Monomial((Gen.P1,) * 40), Scalar.one())
-        expect = fresh.multiply(p1_40, Element.generator(Gen.X0))
-        got = eval_text("P1^40 x0").as_element()
-        assert got == expect
-        assert got.render() == "x0 P1^40 + (-40 i hbar kappa^-1 c^-1) P1^40"
+        m2_40 = Element.term(Monomial((Gen.M2,) * 40), Scalar.one())
+        expect = fresh.multiply(m2_40, Element.generator(Gen.M1))
+        got = eval_text("M2^40 M1").as_element()
+        assert got == expect and len(got) == 41
 
     def test_pairing_and_action(self):
         assert eval_text("<P0 | x0>").render() == "i hbar"

@@ -6,7 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappahopf.elements import Gen, Monomial, Element
+from kappahopf import cli, grammar
+from kappahopf.elements import (
+    BOOSTS,
+    LORENTZ,
+    MOMENTA,
+    ROTATIONS,
+    SPATIAL_X,
+    Element,
+    Gen,
+    Monomial,
+)
 from kappahopf.errors import NonTerminationError, SectorError
 from kappahopf.presets import (
     AlgebraPreset,
@@ -411,6 +421,100 @@ def test_override_copy_matches_reference(preset, pair, make_nonzero):
     copy = preset.with_rule_override(pair, rule)
     # every word carries both letters of the overridden pair, so many of them use it
     assert_matches_reference(copy, seed=11, letters=pair)
+
+
+# -- run transport: a letter past a whole commuting run in one step -------------
+
+
+def class_pairs(cls, lows):
+    return {(hi, lo) for hi in cls for lo in lows}
+
+
+MOMENTUM_PAIRS = {
+    Sector.PHASESPACE: class_pairs(MOMENTA, (Gen.X0,) + SPATIAL_X),
+    Sector.POINCARE: class_pairs(MOMENTA, ROTATIONS + BOOSTS),
+}
+X_PAIRS = class_pairs(SPATIAL_X, (Gen.X0,))
+
+
+def run_heavy_words(rng, preset, count):
+    """Runs of 1-4 equal letters, at most one Lorentz letter, times q^-2..q^2."""
+    plain = [g for g in preset.generators if g not in LORENTZ]
+    lorentz = [g for g in preset.generators if g in LORENTZ]
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(1, 3)):
+            word += [rng.choice(plain)] * rng.randint(1, 4)
+        if lorentz and rng.random() < 0.8:
+            word.insert(rng.randint(0, len(word)), rng.choice(lorentz))
+        yield Element.term(Monomial(tuple(word), rng.randint(-2, 2)), Scalar.one())
+
+
+def assert_runs_match_reference(preset, seed, count):
+    rng = random.Random(seed)
+    reference = ReferenceEngine(preset)
+    for e in run_heavy_words(rng, preset, count):
+        got, want = preset.normal_form(e), reference.normal_form(e)
+        assert got == want and got.render() == want.render(), (preset, e.render())
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+def test_transported_pairs(preset):
+    x_pairs = X_PAIRS if preset.sector is Sector.PHASESPACE else set()
+    assert set(preset._transport) == MOMENTUM_PAIRS[preset.sector] | x_pairs
+    assert all(hi in cls and lo < min(cls) for (hi, lo), cls in preset._transport.items())
+
+
+def _q_rule_on_p1(preset):
+    qrules = {**preset.qrules, Gen.P1: (Scalar.one(), ())}
+    return AlgebraPreset(preset.basis, preset.sector, preset.rules, qrules)
+
+
+@pytest.mark.parametrize(
+    "preset, make_copy, turned_off",
+    [
+        # a nonzero rule inside a class turns off that class
+        (PB, lambda p: p.with_rule_override((Gen.P2, Gen.P1), gen(Gen.P0)),
+         MOMENTUM_PAIRS[Sector.PHASESPACE]),
+        (POS, lambda p: p.with_rule_override((Gen.P2, Gen.P1), Element.from_scalar(sc(0, 1))),
+         MOMENTUM_PAIRS[Sector.POINCARE]),
+        (PS, lambda p: p.with_rule_override((Gen.X3, Gen.X1), gen(Gen.X2)), X_PAIRS),
+        # so does a q-rule on a class letter
+        (PS, _q_rule_on_p1, MOMENTUM_PAIRS[Sector.PHASESPACE]),
+        # a correction word outside the class turns off that lower letter only
+        (PB, lambda p: p.with_rule_override((Gen.P1, Gen.X2), gen(Gen.X2)),
+         class_pairs(MOMENTA, (Gen.X2,))),
+        (PS, lambda p: p.with_rule_override((Gen.X2, Gen.X0), gen(Gen.X0)), X_PAIRS),
+        (POB, lambda p: p.with_rule_override((Gen.P3, Gen.M1), gen(Gen.M1)),
+         class_pairs(MOMENTA, (Gen.M1,))),
+    ],
+    ids=["P2P1-nonzero", "P2P1-nonzero-poincare", "X3X1-nonzero", "q-rule-on-P1",
+         "P1X2-outside", "X2X0-outside", "P3M1-outside"],
+)
+def test_override_turns_off_only_affected_pairs(preset, make_copy, turned_off):
+    copy = make_copy(preset)
+    assert turned_off <= set(preset._transport)
+    assert set(copy._transport) == set(preset._transport) - turned_off
+    assert_runs_match_reference(copy, seed=29, count=6)
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+def test_run_transport_matches_reference(preset):
+    assert_runs_match_reference(preset, seed=23, count=16)
+    # every corrupted copy of a pair whose hi is in a class; a copy that
+    # fails the check keeps single swaps for the pairs it affects
+    for pair in sorted(preset.rules):
+        if pair[0] in MOMENTA or pair[0] in SPATIAL_X:
+            copy = cli._corrupted(preset, pair)
+            assert_runs_match_reference(copy, seed=pair[0] * 16 + pair[1], count=3)
+
+
+def test_long_word_memo_is_bounded(monkeypatch):
+    # run transport stores no word per letter of a run that a letter moves past
+    fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.PHASESPACE)
+    monkeypatch.setattr(grammar, "get_preset", lambda basis, sector: fresh)
+    grammar.eval_text("(x0 x1 x2 x3 P0 P1 P2 P3)^4")
+    assert len(fresh._nf_young) + len(fresh._nf_old) <= 20000
 
 
 @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
