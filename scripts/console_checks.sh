@@ -28,7 +28,8 @@
 # rule in `crossproduct`: q absorbs extra x0s, P1 |> x1 x0 keeps an x0 (in both
 # bases), and a P_k or P0 with no matching position letter gives 0; and exact
 # sums of several coefficient addends: a product, a difference of quotients,
-# and a cancellation that leaves one addend; the antipodes solved from the
+# and a cancellation that leaves one addend; `-x0` given after `--`, since
+# argparse would read it as an option; the antipodes solved from the
 # coproduct table, of a boost in each basis and of a position; the coproducts
 # of three sorted boost-free words, which `hopf.coproduct_monomial` writes in
 # closed form letter by letter, one of them a run P1^5 longer than any the
@@ -112,6 +113,7 @@ expect 0 'P0 |> x1'
 expect 'kappa^2 + hbar^2' '(kappa + i hbar) (kappa - i hbar)'
 expect '1/2 kappa^-1 - 1/3 hbar' '1/(2 kappa) - hbar/3'
 expect '(kappa) P1' '(kappa + i hbar) P1 - i hbar P1'
+expect '(-1) x0' -- '-x0'
 expect '(-kappa^-1 c^-1) M2 P3 q^2 + (kappa^-1 c^-1) M3 P2 q^2 + (-1) N1 q^2 + (3 i kappa^-1 c^-1) P1 q^2' --basis bicross 'S(N1)'
 expect '(-1) N1 + (3/2 i kappa^-1 c^-1) P1' --basis standard 'S(N1)'
 expect '(-1) x0' 'S(x0)'

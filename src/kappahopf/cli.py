@@ -18,7 +18,7 @@ from .crossproduct import (
     basis_map_check,
     derive_phase_space_relations,
 )
-from .elements import GEN_BY_NAME
+from .elements import GEN_BY_NAME, Element
 from .errors import KappaHopfError, ParameterError
 from .grammar import eval_text
 from .hopf import (
@@ -40,7 +40,6 @@ from .kinematics import (
 )
 from .presets import Basis, Sector, get_preset
 from .scalars import Scalar
-from .elements import Element
 
 
 def fmt(x: float) -> str:
@@ -287,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an algebra expression")
-    p_eval.add_argument("expression")
+    p_eval.add_argument(
+        "expression",
+        help="expression to evaluate; put -- before one that starts with -, as in `eval -- -x0`",
+    )
     p_eval.add_argument("--basis", choices=["bicross", "standard"], default="bicross")
     p_eval.add_argument("--sector", choices=["poincare", "phasespace"], default=None)
     p_eval.add_argument("--format", choices=["text", "json"], default="text")

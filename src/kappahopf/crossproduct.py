@@ -93,6 +93,7 @@ from .reports import (
 )
 from .scalars import Scalar
 
+
 class Convention(str, Enum):
     LEFT = "left"
     RIGHT = "right"

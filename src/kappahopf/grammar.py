@@ -244,7 +244,7 @@ def _sector_of(names, explicit: Sector | None) -> Sector:
 
 
 class Value:
-    """Tagged evaluation result: Scalar, Element, or TensorElement."""
+    """Evaluation result: a Scalar, Element or TensorElement and its kind."""
 
     __slots__ = ("kind", "data")
 
@@ -253,16 +253,15 @@ class Value:
         self.data = data
 
     def as_element(self) -> Element:
-        if self.kind == "element":
-            return self.data
-        if self.kind == "scalar":
-            return Element.from_scalar(self.data)
-        raise SectorError("tensor value used where an element is required")
+        return _element(self.data)
 
     def render(self, tensor_sep: str = " ⊗ ") -> str:
         if self.kind == "tensor":
             return self.data.render(tensor_sep)
         return self.data.render()
+
+
+_KINDS = {Scalar: "scalar", Element: "element", TensorElement: "tensor"}
 
 
 def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Value:
@@ -273,18 +272,19 @@ def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Valu
     products run unchecked.
     """
     basis = Basis(basis)
-    return _eval(node, PairingContext(basis), get_preset(basis, _sector_of(names, sector)))
+    data = _eval(node, PairingContext(basis), get_preset(basis, _sector_of(names, sector)))
+    return Value(_KINDS[type(data)], data)
 
 
-def _eval(node, ctx: PairingContext, preset: AlgebraPreset) -> Value:
+def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
+    """The Scalar, Element or TensorElement that node evaluates to."""
     kind = node[0]
     if kind == "num":
-        return Value("scalar", Scalar.gaussian(node[1]))
+        return Scalar.gaussian(node[1])
     if kind == "sym":
         return _SYMBOL_VALUES[node[1]]
     if kind == "neg":
-        v = _eval(node[1], ctx, preset)
-        return Value(v.kind, -v.data)
+        return -_eval(node[1], ctx, preset)
     if kind in ("add", "sub"):
         # a sum parses as a left-deep chain; walking its spine in a loop keeps
         # the depth independent of the number of terms
@@ -295,11 +295,11 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset) -> Value:
         a = _eval(node, ctx, preset)
         for op, _, rhs in reversed(spine):
             b = _eval(rhs, ctx, preset)
-            if (a.kind == "tensor") != (b.kind == "tensor"):
+            if (type(a) is TensorElement) != (type(b) is TensorElement):
                 raise SectorError("cannot add a tensor to a non-tensor value")
-            if a.kind != b.kind:  # a scalar and an element
-                a, b = Value("element", a.as_element()), Value("element", b.as_element())
-            a = Value(a.kind, a.data + b.data if op == "add" else a.data - b.data)
+            if type(a) is not type(b):  # a scalar and an element
+                a, b = _element(a), _element(b)
+            a = a + b if op == "add" else a - b
         return a
     if kind in ("mul", "div"):
         # a left-deep chain as well, its factors bounded like a power's exponent
@@ -316,106 +316,101 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset) -> Value:
         return a
     if kind == "pow":
         return _pow(_eval(node[1], ctx, preset), node[2], preset)
+    # every other node takes one or two element operands, checked in order
+    args = [_element(_eval(arg, ctx, preset)) for arg in node[1:]]
     if kind == "comm":
-        a = _eval(node[1], ctx, preset).as_element()
-        b = _eval(node[2], ctx, preset).as_element()
-        return Value("element", preset._commutator(a, b))
+        return preset._commutator(*args)
     if kind == "cop":
-        e = _eval(node[1], ctx, preset).as_element()
-        return Value("tensor", coproduct(e, preset))
+        return coproduct(*args, preset)
     if kind == "anti":
-        e = _eval(node[1], ctx, preset).as_element()
-        return Value("element", antipode(e, preset))
+        return antipode(*args, preset)
     if kind == "counit":
-        e = _eval(node[1], ctx, preset).as_element()
-        return Value("scalar", counit(e, preset))
+        return counit(*args, preset)
     if kind == "pair":
-        p = _eval(node[1], ctx, preset).as_element()
-        x = _eval(node[2], ctx, preset).as_element()
-        return Value("scalar", pair(p, x, ctx))
+        return pair(*args, ctx)
     if kind == "action":
-        p = _eval(node[1], ctx, preset).as_element()
-        x = _eval(node[2], ctx, preset).as_element()
-        return Value("element", left_action(p, x, ctx))
+        return left_action(*args, ctx)
     raise AssertionError(f"unhandled node kind {kind!r}")
 
 
-# one shared value per symbol: values and their data are never mutated
+# one shared value per symbol: values are never mutated
 _SYMBOL_VALUES = {
-    "i": Value("scalar", Scalar.i()),
-    **{name: Value("scalar", Scalar.term(1, **{name: 1})) for name in ("hbar", "kappa", "c")},
-    "q": Value("element", Element.q_power(1)),
-    **{name: Value("element", Element.generator(g)) for name, g in GEN_BY_NAME.items()},
+    "i": Scalar.i(),
+    **{name: Scalar.term(1, **{name: 1}) for name in ("hbar", "kappa", "c")},
+    "q": Element.q_power(1),
+    **{name: Element.generator(g) for name, g in GEN_BY_NAME.items()},
 }
 
 
-def _mul(a: Value, b: Value, preset: AlgebraPreset) -> Value:
-    if a.kind == "tensor" or b.kind == "tensor":
-        if a.kind == "scalar":
-            return Value("tensor", b.data.scaled(a.data))
-        if b.kind == "scalar":
-            return Value("tensor", a.data.scaled(b.data))
-        if a.kind == "tensor" and b.kind == "tensor":
-            return Value("tensor", tensor_multiply(a.data, b.data, preset))
+def _element(v) -> Element:
+    """v as an element: a scalar is a multiple of the unit, a tensor an error."""
+    if type(v) is Scalar:
+        return Element.from_scalar(v)
+    if type(v) is TensorElement:
+        raise SectorError("tensor value used where an element is required")
+    return v
+
+
+def _mul(a, b, preset: AlgebraPreset):
+    if type(a) is Scalar:
+        return a * b if type(b) is Scalar else b.scaled(a)
+    if type(b) is Scalar:
+        return a.scaled(b)
+    if type(a) is not type(b):
         raise SectorError("cannot multiply a tensor by a non-scalar element")
-    if a.kind == "scalar" and b.kind == "scalar":
-        return Value("scalar", a.data * b.data)
-    if a.kind == "scalar":
-        return Value("element", b.data.scaled(a.data))
-    if b.kind == "scalar":
-        return Value("element", a.data.scaled(b.data))
-    return Value("element", preset._product(a.data, b.data))
+    if type(a) is TensorElement:
+        return tensor_multiply(a, b, preset)
+    return preset._product(a, b)
 
 
-def _invert(v: Value) -> Value:
-    if v.kind == "scalar":
-        return Value("scalar", v.data.inverse())
-    if v.kind == "element":
-        terms = list(v.data.items())
-        if len(terms) == 1 and not terms[0][0].word:
-            mono, coeff = terms[0]
-            return Value(
-                "element",
-                Element.term(Monomial((), -mono.qexp), coeff.inverse()),
-            )
-    raise SectorError("division is only defined by invertible scalar or q-power factors")
+def _q_term(v):
+    """(q^k, c) if v is the one-term element c q^k, else None."""
+    if type(v) is Element and len(v) == 1:
+        [(mono, coeff)] = v.items()
+        if not mono.word:
+            return mono, coeff
+    return None
 
 
-def _pow(v: Value, n: int, preset: AlgebraPreset) -> Value:
+def _invert(v):
+    if type(v) is Scalar:
+        return v.inverse()
+    term = _q_term(v)
+    if term is None:
+        raise SectorError("division is only defined by invertible scalar or q-power factors")
+    return Element.term(Monomial((), -term[0].qexp), term[1].inverse())
+
+
+def _pow(v, n: int, preset: AlgebraPreset):
     if n < 0:
         v = _invert(v)
         n = -n
-    if v.kind == "scalar":
-        return Value("scalar", _power(v.data, n))
-    if v.kind == "element":
-        terms = list(v.data.items())
-        if len(terms) == 1 and not terms[0][0].word:
-            # (c q^k)^n = c^n q^(k n): q-powers multiply by adding exponents
-            mono, coeff = terms[0]
-            return Value(
-                "element",
-                Element.term(Monomial((), mono.qexp * n), _power(coeff, n)),
-            )
+    if type(v) is Scalar:
+        return _power(v, n)
+    term = _q_term(v)
+    if term is not None:
+        # (c q^k)^n = c^n q^(k n): q-powers multiply by adding exponents
+        return Element.term(Monomial((), term[0].qexp * n), _power(term[1], n))
     if n > MAX_POWER:
         raise ResourceLimitError(
             f"exponent {n} is above the limit of {MAX_POWER} for powers with "
             "generators in them"
         )
-    if v.kind == "element":
-        if len(terms) == 1:
-            # one term: O(log n) products, so O(log n) memoized words
-            return Value("element", _power(v.data, n, Element.one(), preset._product))
-        # several terms: squaring multiplies ever longer sums by themselves
-        out = Element.one()
-        for _ in range(n):
-            out = preset._product(out, v.data)
-        return Value("element", out)
-    out_t = v.data
-    if n == 0:
-        return Value("tensor", TensorElement.unit(v.data.rank))
-    for _ in range(n - 1):
-        out_t = tensor_multiply(out_t, v.data, preset)
-    return Value("tensor", out_t)
+    if type(v) is TensorElement:
+        if n == 0:
+            return TensorElement.unit(v.rank)
+        out = v
+        for _ in range(n - 1):
+            out = tensor_multiply(out, v, preset)
+        return out
+    if len(v) == 1:
+        # one term: O(log n) products, so O(log n) memoized words
+        return _power(v, n, Element.one(), preset._product)
+    # several terms: squaring multiplies ever longer sums by themselves
+    out = Element.one()
+    for _ in range(n):
+        out = preset._product(out, v)
+    return out
 
 
 def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):

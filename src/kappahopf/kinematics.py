@@ -66,8 +66,9 @@ def check_mass_shell(params: KinematicParams) -> float:
 class ExpectationAssignment:
     """State expectations keyed by normal-form monomial renderings.
 
-    <1> is fixed to one.  Values may be complex; bounds that consume a
-    hermitian combination validate that its expectation is real.
+    <1> is fixed to one.  Values may be complex and no bound checks that
+    they are real: `robertson_bound` takes the modulus of <[a, b]>, and
+    `require_real` is there for a caller that wants the check.
     """
 
     def __init__(self, values: dict[str, complex] | None = None):

@@ -37,6 +37,30 @@ class TestEval:
         assert payload["result"] == "P1 (x) q + q^-1 (x) P1"
         assert payload["kind"] == "tensor"
 
+    @pytest.mark.parametrize(
+        "expression, kind, result",
+        [
+            ("2 hbar", "scalar", "2 hbar"),
+            ("<P1 | x1>", "scalar", "-i hbar"),
+            ("[x0, P0]", "element", "-i hbar"),  # an element rendered as a scalar
+            ("(2 q)^0", "element", "1"),
+            ("D(P1)^0", "tensor", "1 (x) 1"),
+            ("D(P1)*2/3", "tensor", "(2/3) P1 (x) q + (2/3) q^-1 (x) P1"),
+        ],
+    )
+    def test_json_kind(self, capsys, expression, kind, result):
+        code, out, _ = run_cli(
+            capsys, "eval", expression, "--basis", "standard", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["kind"], payload["result"]) == (kind, result)
+
+    def test_leading_minus_follows_double_dash(self, capsys):
+        # argparse reads a bare leading "-x0" as an option
+        code, out, _ = run_cli(capsys, "eval", "--", "-x0")
+        assert code == 0 and out.strip() == "(-1) x0"
+
     def test_counit(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "eps(q)")
         assert code == 0 and out.strip() == "1"

@@ -225,6 +225,31 @@ class TestEval:
             eval_text(source, Basis.BICROSS, sector)
         assert type(err.value) is SectorError and str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("D(P1)^2 + 1", "cannot add a tensor to a non-tensor value"),
+            ("D(P1)/q", "cannot multiply a tensor by a non-scalar element"),
+            *(
+                (source, "tensor value used where an element is required")
+                for source in (
+                    "[D(P1), P1]",
+                    "S(D(P1))",
+                    "eps(D(P1))",
+                    "D(D(P1))",
+                    "<D(P1) | x1>",
+                    "D(P1) |> x1",
+                )
+            ),
+            ("x0/(0 q)", "division is only defined by invertible scalar or q-power factors"),
+            ("D(q)^-1", "division is only defined by invertible scalar or q-power factors"),
+        ],
+    )
+    def test_mixed_type_errors_are_pinned(self, source, message):
+        with pytest.raises(SectorError) as err:
+            eval_text(source)
+        assert type(err.value) is SectorError and str(err.value) == message
+
     def test_sector_inference(self):
         def infer(source, explicit=None):
             names = set()
