@@ -41,7 +41,11 @@
 # the whole run P1^1500 in one run transport), and `M2^1200 M1`, which still
 # recurses once per letter and must exit 2 with a typed error; the sha256
 # prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
-# exactness gate recorded before run transport; and, with
+# exactness gate recorded before run transport; in both bases, `q P1^1500`,
+# which must print `P1^1500 q` (q passes a word with no q-rule letter in one
+# step), and the sha256 prefix of `q x0^22`, recorded from its oracle
+# `(x0 + 1/2 i hbar kappa^-1 c^-1)^22 q` (q-transport merges like words, so
+# the 2^22 paths of q past x0^22 add up to 23 terms); and, with
 # KAPPA_HOPF_FORMAT=json exported, the default formats of the entry point: a
 # sweep prints its csv header and `eval P1` prints the text `P1`, since no
 # environment variable picks the format.
@@ -137,6 +141,11 @@ typed_error eval 'M2^1200 M1'
 grep -q "too deeply nested or too long" "$tmp/err.txt" || { echo "eval 'M2^1200 M1' gave $(cat "$tmp/err.txt")"; exit 1; }
 digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
 test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }
+for basis in bicross standard; do
+  expect 'P1^1500 q' --basis "$basis" 'q P1^1500'
+  digest=$("${kappahopf[@]}" eval 'q x0^22' --basis "$basis" | sha256sum | cut -c1-16)
+  test "$digest" = 3179334648661eb6 || { echo "eval 'q x0^22' --basis $basis gave digest $digest"; exit 1; }
+done
 header=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" numeric sweep --var kappa --from 1 --to 10 --points 2 | head -n 1)
 test "$header" = kappa,c,hbar,M,P,value,residual || { echo "sweep with KAPPA_HOPF_FORMAT=json printed '$header' first"; exit 1; }
 out=$(KAPPA_HOPF_FORMAT=json "${kappahopf[@]}" eval P1)

@@ -25,6 +25,10 @@ preset, keyed by (convention, momentum monomial, position monomial).  The
 cross product reads monomial actions from that memo, and every monomial
 coproduct in place from `hopf.coproduct_monomial`, without copying; `pair`
 and `left_action` sum the memoized values over the terms of their arguments.
+A monomial action adds the kept legs of a position coproduct as they are,
+with no normal-form pass.  Every such leg is a normal word with q-exponent 0:
+a sorted word's legs are its subwords, the fold normal-orders each slot of
+any other word, and positions are primitive with brackets that carry no q.
 Each public call looks the preset up once and passes it down, so a context
 still sees a fresh preset after `get_preset.cache_clear()`.
 
@@ -76,14 +80,7 @@ from .elements import (
 )
 from .errors import PairingError
 from .hopf import TensorElement, coproduct, coproduct_monomial
-from .presets import (
-    AlgebraPreset,
-    Basis,
-    Sector,
-    _shifted_accumulate,
-    _tuple_new,
-    get_preset,
-)
+from .presets import AlgebraPreset, Basis, Sector, _tuple_new, get_preset
 from .reports import (
     BasisMapCandidate,
     BasisMapReport,
@@ -240,15 +237,13 @@ def _act_mono(
         if _vanishes(pm[0], xm[0], False):
             return _NO_ACTION
         # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror;
-        # the legs are position words of an admissible coproduct
+        # every leg of a position coproduct is a normal word with no q power
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
-        preset._nf_request()
         for legs, s in coproduct_monomial(xm, preset).items():
             coeff = _pair_mono(pm, legs[paired], ctx, preset)
             if coeff._store:
-                word, qexp = legs[1 - paired]
-                _shifted_accumulate(acc, preset._nf_word(word), qexp, coeff * s)
+                accumulate(acc, ((legs[1 - paired], coeff * s),))
         acted = preset._action_cache[key] = Element._wrap(acc)
     return acted
 
@@ -341,14 +336,14 @@ def derive_phase_space_relations(
 ) -> DerivationReport:
     """Recompute every phase-space commutator from the cross product and
     compare it term by term with the preset relation table."""
-    ctx = PairingContext(Basis(basis), convention)
-    preset = table_preset if table_preset is not None else ctx.preset
-    report = DerivationReport(ctx.basis.value, convention.value)
+    basis = Basis(basis)
+    preset = table_preset if table_preset is not None else get_preset(basis, Sector.PHASESPACE)
+    derived = derived_relation_elements(basis, convention)
+    report = DerivationReport(basis.value, convention.value)
     for name, a, b in _phase_pairs():
-        derived = cross_commutator(a, b, ctx)
         table = preset.commutator(a, b)
         report.entries.append(
-            DerivationEntry(name, derived.render(), table.render(), derived == table)
+            DerivationEntry(name, derived[name].render(), table.render(), derived[name] == table)
         )
     return report
 
@@ -356,7 +351,7 @@ def derive_phase_space_relations(
 def derived_relation_elements(
     basis: Basis, convention: Convention = Convention.LEFT
 ) -> dict[str, Element]:
-    """The derived commutators themselves, for limit checks."""
+    """The commutator of each pair of `_phase_pairs` in the cross product."""
     ctx = PairingContext(Basis(basis), convention)
     return {
         name: cross_commutator(a, b, ctx) for name, a, b in _phase_pairs()

@@ -396,20 +396,13 @@ def _pow(v, n: int, preset: AlgebraPreset):
             f"exponent {n} is above the limit of {MAX_POWER} for powers with "
             "generators in them"
         )
-    if type(v) is TensorElement:
-        if n == 0:
-            return TensorElement.unit(v.rank)
-        out = v
-        for _ in range(n - 1):
-            out = tensor_multiply(out, v, preset)
-        return out
-    if len(v) == 1:
+    if type(v) is Element and len(v) == 1:
         # one term: O(log n) products, so O(log n) memoized words
         return _power(v, n, Element.one(), preset._product)
-    # several terms: squaring multiplies ever longer sums by themselves
-    out = Element.one()
+    # several terms or a tensor: squaring multiplies ever longer sums by themselves
+    out = TensorElement.unit(v.rank) if type(v) is TensorElement else Element.one()
     for _ in range(n):
-        out = preset._product(out, v)
+        out = _mul(out, v, preset)
     return out
 
 

@@ -1,10 +1,13 @@
 """Coalgebra layer: tensor elements, coproduct, antipode, counit, Hopf axioms.
 
-The generator coproduct table is the only hand-written Hopf data.  The
-coproduct is extended from it as an algebra homomorphism; the antipode of
-each generator is solved from it, and extended as an anti-homomorphism with
-S(q) = q^-1; the counit is multiplicative with eps(q) = 1.  q is group-like,
-forced by the primitive coproduct of P0 under q = exp(P0 / 2 kappa c).
+The generator coproduct table `_coproducts`, one cached TensorElement per
+generator and basis, is the only hand-written Hopf data.  The coproduct is
+extended from it as an algebra homomorphism; the antipode of each generator
+is solved from it, and extended as an anti-homomorphism with S(q) = q^-1;
+the counit is multiplicative with eps(q) = 1.  q is group-like, forced by
+the primitive coproduct of P0 under q = exp(P0 / 2 kappa c).  The antipode
+axiom's m(S (x) id) and m(id (x) S) check a tensor once and add each term's
+S-image times its other leg into one dict, the path the antipode solve takes.
 
 Note on the standard basis: the momentum coproduct is encoded as
 Delta(P_i) = P_i (x) q + q^-1 (x) P_i.  The leg-transposed variant fails
@@ -185,8 +188,9 @@ def _slots_into(acc: dict, slots: list[dict], coeff: Scalar):
 # -- generator tables ----------------------------------------------------------
 
 
-def _coproduct_table(basis: Basis) -> dict[Gen, list[tuple[Monomial, Monomial, Scalar]]]:
-    """Delta(g) of every generator as (left leg, right leg, coefficient) entries.
+@cache
+def _coproducts(basis: Basis) -> dict[Gen, TensorElement]:
+    """Delta(g) of every generator, the one hand-written table of Hopf data.
 
     Positions, rotations and P0 are primitive.  Each P_i and N_i has
     g (x) q^r + q^l (x) g, with (r, l) = (0, -2) in bicross and (1, -1) in
@@ -197,22 +201,22 @@ def _coproduct_table(basis: Basis) -> dict[Gen, list[tuple[Monomial, Monomial, S
     """
     one, unit = Monomial(), Scalar.one()
     table = {
-        g: [(Monomial((g,)), one, unit), (one, Monomial((g,)), unit)]
+        g: {(Monomial((g,)), one): unit, (one, Monomial((g,))): unit}
         for g in (*POSITIONS, *ROTATIONS, Gen.P0)
     }
     bicross = basis is Basis.BICROSS
     r, l, den = (0, -2, 1) if bicross else (1, -1, 2)
     for g in (*SPATIAL_P, *BOOSTS):
         mono = Monomial((g,))
-        table[g] = [(mono, Monomial((), r), unit), (Monomial((), l), mono, unit)]
+        table[g] = {(mono, Monomial((), r)): unit, (Monomial((), l), mono): unit}
     p, m = SPATIAL_P, ROTATIONS
     for (i, n), j, k in product(enumerate(BOOSTS, 1), (1, 2, 3), (1, 2, 3)):
         if e := _eps(i, j, k):
             coeff = Scalar.term(Fraction(e, den), 0, kappa=-1, c=-1)
-            table[n].append((Monomial((p[j - 1],)), Monomial((m[k - 1],), r), coeff))
+            table[n][Monomial((p[j - 1],)), Monomial((m[k - 1],), r)] = coeff
             if not bicross:
-                table[n].append((Monomial((m[j - 1],), l), Monomial((p[k - 1],)), coeff))
-    return table
+                table[n][Monomial((m[j - 1],), l), Monomial((p[k - 1],))] = coeff
+    return {g: TensorElement(2, terms) for g, terms in table.items()}
 
 
 @cache
@@ -225,24 +229,16 @@ def _antipodes(basis: Basis) -> dict[Gen, Element]:
     Poincare one: the shared presets, so a corrupted copy sees the same S.
     """
     table: dict[Gen, Element] = {}
-    for g, entries in _coproduct_table(basis).items():
+    for g, delta in _coproducts(basis).items():
         preset = get_preset(basis, Sector.PHASESPACE if g in POSITIONS else Sector.POINCARE)
         acc: dict[Monomial, Scalar] = {}
-        for a, b, s in entries:
+        for (a, b), s in delta.items():
             if a == Monomial((g,)):
                 head_inverse = Element.term(Monomial((), -b.qexp), -s.inverse())
             else:
                 preset._product_into(acc, _anti_image(a, table, preset), Element.term(b, s))
         table[g] = preset._product(Element._wrap(acc), head_inverse)
     return table
-
-
-@cache
-def _coproducts(basis: Basis) -> dict[Gen, TensorElement]:
-    return {
-        g: TensorElement(2, {(m1, m2): s for m1, m2, s in entries})
-        for g, entries in _coproduct_table(basis).items()
-    }
 
 
 # -- structure maps -------------------------------------------------------------
@@ -396,18 +392,20 @@ def counit_slot(t: TensorElement, slot: int) -> Element:
 
 
 def antipode_slot_multiply(t: TensorElement, slot: int, preset: AlgebraPreset) -> Element:
-    """m . (S (x) id) or m . (id (x) S) applied to a rank-2 tensor."""
+    """m . (S (x) id) or m . (id (x) S) applied to a rank-2 tensor, every
+    product added into one dict after one admissibility check of t."""
     if t.rank != 2:
         raise ValueError("antipode axiom expects a rank-2 tensor")
+    # S maps an admissible monomial to an admissible element, so the images
+    # and products below run unchecked
+    preset.check_admissible(Element._wrap({m: c for key, c in t.items() for m in key}))
+    table = _antipodes(preset.basis)
     acc: dict[Monomial, Scalar] = {}
     for (m1, m2), coeff in t.items():
-        e1 = Element.term(m1, Scalar.one())
-        e2 = Element.term(m2, Scalar.one())
         if slot == 0:
-            prod = preset.multiply(antipode(e1, preset), e2)
+            preset._product_into(acc, _anti_image(m1, table, preset), Element._wrap({m2: coeff}))
         else:
-            prod = preset.multiply(e1, antipode(e2, preset))
-        accumulate(acc, prod.items(), coeff)
+            preset._product_into(acc, Element._wrap({m1: coeff}), _anti_image(m2, table, preset))
     return Element._wrap(acc)
 
 

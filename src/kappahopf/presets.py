@@ -374,24 +374,30 @@ class AlgebraPreset:
     # -- q transport ---------------------------------------------------------
 
     def _q_past_word(self, a: int, word: tuple[Gen, ...]):
-        """Rewrite q^a * word as sum of coeff * word' * q^a."""
-        if a == 0 or not word:
-            return ((word, Scalar.one()),)
+        """Rewrite q^a * word as a sum of coeff * word' * q^a, like words merged.
+
+        A word with no q-rule letter passes unchanged, with no memo entry.
+        Otherwise q^a moves right one letter at a time: each term w stays w g
+        and, when g has a q-rule, adds a*lam*extra in place of g.  Words are
+        merged after every letter, so q x0^n keeps n + 1 terms, and the result
+        is memoized per (a, word).
+        """
+        if a == 0 or self.qrules.keys().isdisjoint(word):
+            return ((word, _ONE),)
         key = (a, word)
-        cached = self._qpast_cache.get(key)
-        if cached is not None:
-            return cached
-        g, rest = word[0], word[1:]
-        tail = self._q_past_word(a, rest)
-        out = [((g,) + w, s) for w, s in tail]
-        qrule = self.qrules.get(g)
-        if qrule is not None:
-            lam, extra = qrule
-            factor = lam * Scalar.rational(a)
-            out.extend((extra + w, s * factor) for w, s in tail)
-        result = tuple(out)
-        self._qpast_cache[key] = result
-        return result
+        terms = self._qpast_cache.get(key)
+        if terms is None:
+            terms = {(): _ONE}
+            for g in word:
+                qrule = self.qrules.get(g)
+                grown = {w + (g,): s for w, s in terms.items()}
+                if qrule is not None:
+                    lam, extra = qrule
+                    shifted = ((w + extra, s) for w, s in terms.items())
+                    accumulate(grown, shifted, lam * Scalar.rational(a))
+                terms = grown
+            terms = self._qpast_cache[key] = tuple(terms.items())
+        return terms
 
     # -- rewriting -----------------------------------------------------------
 

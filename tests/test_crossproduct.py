@@ -22,7 +22,7 @@ from kappahopf.crossproduct import (
 )
 from kappahopf.elements import SPATIAL_P, SPATIAL_X, Gen, Monomial, Element, accumulate
 from kappahopf.errors import PairingError
-from kappahopf.hopf import coproduct
+from kappahopf.hopf import coproduct, coproduct_monomial
 from kappahopf.presets import Basis, Sector, classical_limit, get_preset
 from kappahopf.scalars import Scalar
 
@@ -403,6 +403,23 @@ class TestPairingActionMemo:
                 calls.clear()
                 op(a, b, ctx)
                 assert calls == [(ctx.basis, Sector.PHASESPACE)], op.__name__
+
+    def test_position_coproduct_legs_are_normal_words(self):
+        # the action adds the legs it keeps as they are: every leg of a
+        # position coproduct, of a sorted word or not, is its own normal form
+        # and carries no q power
+        legs_seen = 0
+        for basis in Basis:
+            preset = get_preset(basis, Sector.PHASESPACE)
+            for n in range(5):
+                for word in itertools.product(_XS, repeat=n):
+                    for legs, _ in coproduct_monomial(Monomial(word), preset).items():
+                        for leg in legs:
+                            as_element = Element.term(leg, Scalar.one())
+                            assert leg.qexp == 0, (word, leg)
+                            assert preset.normal_form(as_element) == as_element, (word, leg)
+                            legs_seen += 1
+        assert legs_seen == 17808
 
     def test_override_copy_starts_cold(self):
         base = CTX_B.preset

@@ -1,5 +1,6 @@
 """Coalgebra structure maps, Hopf axiom suites, Casimir centrality."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -18,6 +19,7 @@ from kappahopf.hopf import (
     _homomorphism_pairs,
     _subjects,
     antipode,
+    antipode_slot_multiply,
     casimir,
     check_antipode_axiom,
     check_centrality,
@@ -236,10 +238,10 @@ class TestGeneratorTable:
             check_antipode_axiom,
             check_coproduct_homomorphism,
         )
-        clean = hopf._coproduct_table
+        clean = hopf._coproducts
 
         def clear_caches():
-            for cached in (hopf._coproducts, hopf._antipodes, get_preset):
+            for cached in (hopf._antipodes, get_preset):
                 cached.cache_clear()
 
         def expected(g, left, right):
@@ -253,16 +255,18 @@ class TestGeneratorTable:
                 return {"antipode", "coassociativity", "counit"}
             return {"antipode", "coassociativity", "counit", "coproduct-homomorphism"}
 
-        def caught_by(basis, g, n):
+        def caught_by(basis, g, legs):
+            @functools.cache
             def doubled(b):
-                table = clean(b)
+                table = dict(clean(b))
                 if b is basis:
-                    left, right, s = table[g][n]
-                    table[g][n] = (left, right, s + s)
+                    terms = dict(table[g].items())
+                    terms[legs] = terms[legs] + terms[legs]
+                    table[g] = TensorElement(2, terms)
                 return table
 
             with monkeypatch.context() as patch:
-                patch.setattr(hopf, "_coproduct_table", doubled)
+                patch.setattr(hopf, "_coproducts", doubled)
                 clear_caches()
                 try:
                     presets = [get_preset(basis, sector) for sector in Sector]
@@ -272,17 +276,16 @@ class TestGeneratorTable:
                     clear_caches()
 
         mutations = [
-            (basis, g, n)
+            (basis, g, legs)
             for basis in Basis
-            for g, entries in clean(basis).items()
-            for n in range(len(entries))
+            for g, delta in clean(basis).items()
+            for legs, _ in delta.items()
         ]
         assert len(mutations) == 74
         splits = []
-        for basis, g, n in mutations:
-            left, right, _ = clean(basis)[g][n]
-            caught = caught_by(basis, g, n)
-            assert caught == expected(g, left, right), (basis, g.render(), n)
+        for basis, g, (left, right) in mutations:
+            caught = caught_by(basis, g, (left, right))
+            assert caught == expected(g, left, right), (basis, g.render(), left, right)
             splits.append(len(caught))
         assert (splits.count(4), splits.count(3), splits.count(1)) == (44, 12, 18)
 
@@ -459,8 +462,6 @@ class TestAxiomSuites:
 
     def test_antipode_axiom_on_degree_two_elements(self):
         # the axiom extends linearly; smoke-check composite elements
-        from kappahopf.hopf import antipode_slot_multiply
-
         samples = [
             (POS, POS.multiply(gen(Gen.N1), gen(Gen.P1))),
             (POB, POB.multiply(gen(Gen.M2), gen(Gen.N3)) + Element.q_power(2)),
@@ -472,6 +473,37 @@ class TestAxiomSuites:
             target = Element.from_scalar(counit(e, preset))
             assert antipode_slot_multiply(d, 0, preset) == target
             assert antipode_slot_multiply(d, 1, preset) == target
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
+    @pytest.mark.parametrize("slot", (0, 1))
+    def test_antipode_slot_multiply_matches_per_term_oracle(self, preset, slot):
+        rng = random.Random(17 + slot)
+        gens = preset.generators
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                legs = tuple(
+                    Monomial(tuple(rng.choices(gens, k=rng.randint(0, 2))), rng.randint(-2, 2))
+                    for _ in range(2)
+                )
+                terms[legs] = Scalar.term(rng.randint(-3, 3), rng.randint(-2, 2), kappa=-1)
+            t = TensorElement(2, terms)
+            assert antipode_slot_multiply(t, slot, preset) == _antipode_slot_oracle(t, slot, preset)
+
+    @pytest.mark.parametrize("slot", (0, 1))
+    @pytest.mark.parametrize("bad_slot", (0, 1))
+    def test_antipode_slot_multiply_sector_error(self, slot, bad_slot):
+        # one out-of-sector monomial gives the text the checked maps give
+        bad = Monomial((Gen.P1, Gen.M1))
+        legs = (bad, Monomial((Gen.X0,))) if bad_slot == 0 else (Monomial((Gen.X0,)), bad)
+        t = TensorElement(2, {(ONE, Monomial((Gen.P2,))): Scalar.one(), legs: Scalar.one()})
+        with pytest.raises(SectorError) as want:
+            _antipode_slot_oracle(t, slot, PB)
+        with pytest.raises(SectorError) as got:
+            antipode_slot_multiply(t, slot, PB)
+        assert str(got.value) == str(want.value) == (
+            "generator M1 is not admissible in the phasespace sector"
+        )
 
     def test_report_serialization_shape(self):
         report = check_coassociativity(POB)
@@ -637,6 +669,20 @@ class TestStructureMapMemo:
             fresh._product_cache.clear()
             expected = coproduct(e, fresh)
             assert got_first == expected and got_again == expected, e.render()
+
+
+def _antipode_slot_oracle(t: TensorElement, slot: int, preset: AlgebraPreset) -> Element:
+    """Sum of c . multiply(antipode(m1), m2), or its mirror, term by term
+    through the checked maps."""
+    total = Element.zero()
+    for (m1, m2), c in t.items():
+        e1, e2 = Element.term(m1, Scalar.one()), Element.term(m2, Scalar.one())
+        if slot == 0:
+            prod = preset.multiply(antipode(e1, preset), e2)
+        else:
+            prod = preset.multiply(e1, antipode(e2, preset))
+        total = total + prod.scaled(c)
+    return total
 
 
 # one corrupted rule per preset: a perturbed table need not be associative, so

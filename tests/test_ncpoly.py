@@ -517,6 +517,31 @@ def test_long_word_memo_is_bounded(monkeypatch):
     assert len(fresh._nf_young) + len(fresh._nf_old) <= 20000
 
 
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+@pytest.mark.parametrize(
+    "expression, oracle",
+    [
+        # q^a x0 = (x0 + a i hbar / 2 kappa c) q^a, so like words must merge
+        ("q x0^22", "(x0 + 1/2 i hbar kappa^-1 c^-1)^22 q"),
+        # no letter with a q-rule: past the recursion limit, in one step
+        ("q P1^1500", "P1^1500 q"),
+        ("q N1^8", "(N1 - 1/2 i kappa^-1 c^-1 P1)^8 q"),
+    ],
+)
+def test_q_transport_matches_oracle(basis, expression, oracle):
+    got = grammar.eval_text(expression, basis)
+    assert got.render() == grammar.eval_text(oracle, basis).render()
+
+
+def test_q_transport_memo_merges_like_words():
+    fresh = get_preset.__wrapped__(Basis.BICROSS, Sector.PHASESPACE)
+    fresh._q_past_word(1, (Gen.X0,) * 20)
+    assert len(fresh._qpast_cache[1, (Gen.X0,) * 20]) == 21
+    # a word with no q-rule letter passes unchanged and is not stored
+    assert fresh._q_past_word(1, (Gen.X1, Gen.P1)) == (((Gen.X1, Gen.P1), Scalar.one()),)
+    assert list(fresh._qpast_cache) == [(1, (Gen.X0,) * 20)]
+
+
 @pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: repr(p))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), qexp=st.integers(-3, 3))
