@@ -41,7 +41,9 @@
 # the whole run P1^1500 in one run transport), and `M2^1200 M1`, which still
 # recurses once per letter and must exit 2 with a typed error; the sha256
 # prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
-# exactness gate recorded before run transport; in both bases, `q P1^1500`,
+# exactness gate recorded before run transport; in both bases, `N1^1500 M1`,
+# which must print `M1 N1^1500` (M1 commutes with N1 outside every
+# run-transport class and passes the whole run in one step), `q P1^1500`,
 # which must print `P1^1500 q` (q passes a word with no q-rule letter in one
 # step), and the sha256 prefix of `q x0^22`, recorded from its oracle
 # `(x0 + 1/2 i hbar kappa^-1 c^-1)^22 q` (q-transport merges like words, so
@@ -142,6 +144,7 @@ grep -q "too deeply nested or too long" "$tmp/err.txt" || { echo "eval 'M2^1200 
 digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
 test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }
 for basis in bicross standard; do
+  expect 'M1 N1^1500' --basis "$basis" 'N1^1500 M1'
   expect 'P1^1500 q' --basis "$basis" 'q P1^1500'
   digest=$("${kappahopf[@]}" eval 'q x0^22' --basis "$basis" | sha256sum | cut -c1-16)
   test "$digest" = 3179334648661eb6 || { echo "eval 'q x0^22' --basis $basis gave digest $digest"; exit 1; }

@@ -25,10 +25,6 @@ preset, keyed by (convention, momentum monomial, position monomial).  The
 cross product reads monomial actions from that memo, and every monomial
 coproduct in place from `hopf.coproduct_monomial`, without copying; `pair`
 and `left_action` sum the memoized values over the terms of their arguments.
-A monomial action adds the kept legs of a position coproduct as they are,
-with no normal-form pass.  Every such leg is a normal word with q-exponent 0:
-a sorted word's legs are its subwords, the fold normal-orders each slot of
-any other word, and positions are primitive with brackets that carry no q.
 Each public call looks the preset up once and passes it down, so a context
 still sees a fresh preset after `get_preset.cache_clear()`.
 
@@ -57,16 +53,15 @@ the shared `get_preset` phase-space presets, the only ones pairings and
 actions run on: a `with_rule_override` copy enters this module only as the
 relation table that `derive_phase_space_relations` compares against.
 
-The rule runs only on a memo miss, after the lookup, so a hit costs one dict
-lookup as before; when it fires, `_pair_mono` and `_act_mono` return zero with
-no coproduct, recursion or normal form and store nothing, and the cross
-product skips a zero action before its position product.
+The rule runs only on a memo miss, so a hit costs one dict lookup, and a
+value it proves zero is not stored.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, combinations, product
 
 from .elements import (
     Gen,
@@ -133,15 +128,9 @@ _NO_ACTION = Element.zero()
 
 
 def _vanishes(pword: tuple, xword: tuple, exact: bool) -> bool:
-    """The letter-count rule: True if p |> x (exact false) or <p, x> (exact
-    true) is zero by letter counts alone, for p of word pword, x of word xword.
-
-    p |> x is zero if some P_mu occurs more often in p than x_mu in x, that is
-    #P_k(p) > #x_k(x) for some k = 1..3 or #P0(p) > #x0(x).  <p, x> is zero
-    then too, and also if some x_k occurs more often in x than P_k in p: it is
-    zero unless #P_k(p) == #x_k(x) for k = 1..3 and #P0(p) <= #x0(x).  See the
-    module docstring for the proof.
-    """
+    """The letter-count rule of the module docstring: True if p |> x (exact
+    false) or <p, x> (exact true) is zero by letter counts alone, for p of
+    word pword and x of word xword."""
     for g in pword:
         if pword.count(g) > xword.count(_DUAL[g]):
             return True
@@ -230,14 +219,16 @@ def _act_mono(
     pm: Monomial, xm: Monomial, ctx: PairingContext, preset: AlgebraPreset
 ) -> Element:
     """pm |> xm in normal form, memoized per (convention, pm, xm) on preset,
-    as in `_pair_mono`."""
+    as in `_pair_mono`.  The kept legs of the position coproduct are added as
+    they are: each is a normal word with q-exponent 0, since a sorted word's
+    legs are its subwords, the fold normal-orders each slot of any other
+    word, and positions are primitive with brackets that carry no q."""
     key = (ctx.convention, pm, xm)
     acted = preset._action_cache.get(key)
     if acted is None:
         if _vanishes(pm[0], xm[0], False):
             return _NO_ACTION
-        # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror;
-        # every leg of a position coproduct is a normal word with no q power
+        # LEFT keeps the first leg and pairs p with the second; RIGHT the mirror
         paired = 1 if ctx.convention is Convention.LEFT else 0
         acc: dict[Monomial, Scalar] = {}
         for legs, s in coproduct_monomial(xm, preset).items():
@@ -321,11 +312,8 @@ def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
 def _phase_pairs():
     xs = [(g.render(), Element.generator(g)) for g in (Gen.X0, *SPATIAL_X)]
     ps = [(g.render(), Element.generator(g)) for g in (Gen.P0, *SPATIAL_P)]
-    q = ("q", Element.q_power(1))
-    pairs = [(a, b) for i, a in enumerate(xs) for b in xs[i + 1 :]]
-    pairs += [(a, b) for a in xs for b in (*ps, q)]
-    pairs += [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
-    pairs += [(a, q) for a in ps]
+    q = [("q", Element.q_power(1))]
+    pairs = chain(combinations(xs, 2), product(xs, ps + q), combinations(ps, 2), product(ps, q))
     return [(f"[{na}, {nb}]", ea, eb) for (na, ea), (nb, eb) in pairs]
 
 
@@ -390,7 +378,6 @@ def basis_map_check() -> BasisMapReport:
         src_preset = get_preset(src, Sector.POINCARE)
         tgt_preset = get_preset(tgt, Sector.POINCARE)
         for sign in (+1, -1):
-            ok_plain = True
             ok_flip = True
             residuals = {}
             for e in subjects:
@@ -407,13 +394,12 @@ def basis_map_check() -> BasisMapReport:
                 d_plain = lhs - rhs
                 d_flip = lhs - rhs.flip()
                 if not d_plain.is_zero:
-                    ok_plain = False
                     residuals[e.render()] = d_plain.render()
                 if not d_flip.is_zero:
                     ok_flip = False
             # counit compatibility eps . phi = eps (trivially true: eps kills P_i)
             candidates.append(
-                BasisMapCandidate(name, sign, ok_plain, ok_flip, True, residuals)
+                BasisMapCandidate(name, sign, not residuals, ok_flip, True, residuals)
             )
     return BasisMapReport(candidates)
 

@@ -92,9 +92,6 @@ class Monomial(tuple):
     def is_unit(self) -> bool:
         return not self.word and self.qexp == 0
 
-    def sort_key(self):
-        return (tuple(int(g) for g in self.word), self.qexp)
-
     def render(self) -> str:
         parts = []
         i = 0
@@ -275,7 +272,7 @@ class Element(LinearCombination):
         """Deterministic text form: terms ordered by word, then q-exponent."""
         if not self._terms:
             return "0"
-        monos = sorted(self._terms, key=Monomial.sort_key)
+        monos = sorted(self._terms)
         if len(monos) == 1 and monos[0].is_unit:
             return self._terms[monos[0]].render()
         parts = []

@@ -280,7 +280,7 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
     """The Scalar, Element or TensorElement that node evaluates to."""
     kind = node[0]
     if kind == "num":
-        return Scalar.gaussian(node[1])
+        return Scalar.term(node[1])
     if kind == "sym":
         return _SYMBOL_VALUES[node[1]]
     if kind == "neg":

@@ -5,9 +5,7 @@ generator and basis, is the only hand-written Hopf data.  The coproduct is
 extended from it as an algebra homomorphism; the antipode of each generator
 is solved from it, and extended as an anti-homomorphism with S(q) = q^-1;
 the counit is multiplicative with eps(q) = 1.  q is group-like, forced by
-the primitive coproduct of P0 under q = exp(P0 / 2 kappa c).  The antipode
-axiom's m(S (x) id) and m(id (x) S) check a tensor once and add each term's
-S-image times its other leg into one dict, the path the antipode solve takes.
+the primitive coproduct of P0 under q = exp(P0 / 2 kappa c).
 
 Note on the standard basis: the momentum coproduct is encoded as
 Delta(P_i) = P_i (x) q + q^-1 (x) P_i.  The leg-transposed variant fails
@@ -19,24 +17,15 @@ Once a preset is fixed, so are its structure maps: the coproduct of each
 monomial and each monomial-by-monomial slot product are memoized on the
 `AlgebraPreset` instance, so a `with_rule_override` copy never sees the
 results of the preset it was copied from.  `coproduct_monomial` hands out
-the memo entry, which callers read in place.  On a miss it writes Delta(w q^n)
-in closed form, with no slot product, when (1) w is sorted, (2) every letter
-is admissible in the preset, (3) every letter's table entry is exactly
-s g (x) q^r + t q^l (x) g (r = l = 0 for a primitive letter), and (4) no
-letter with a q-rule stands at or right of the first letter with a nonzero q
-leg.  The terms then grow letter by letter, each letter going to one slot and
-its q leg to the other, and equal terms merge.  That is exact: g (x) q^r and
-q^l (x) g commute when g commutes with q; a subword of a sorted word is
-sorted, so in normal form; and q legs pass only letters with no q-rule.
-Every other word (a boost, letters out of order, an inadmissible letter) is
-folded, Delta(g w) = Delta(g) Delta(w) over the reversed word from
-q^n (x) q^n, with no memo read: the one general path.
-Every slotwise product goes through the one in-place kernel `_slots_into`.
-A tensor commutator is telescoped over slots, so term pairs whose slots
-commute add nothing, and a Jacobi sum adds monomial commutators [m, c], each
-taken once per check: identities of bilinear maps, exact for any rule table.
-A difference of two such maps fills one dict, the subtracted one applied to a
-negated operand.
+the memo entry, which callers read in place; on a miss it writes a sorted
+word of two-legged letters in closed form (its docstring gives the conditions
+and why they are exact) and folds every other word, Delta(g w) =
+Delta(g) Delta(w): the one general path.  Every slotwise product goes through
+the one in-place kernel `_slots_into`.  A tensor commutator is telescoped
+over slots (`_tensor_commutator_into`) and a Jacobi sum adds monomial
+commutators (`check_jacobi`): identities of bilinear maps, exact for any rule
+table.  A difference of two such maps fills one dict, the subtracted one
+applied to a negated operand.
 """
 
 from __future__ import annotations
@@ -104,7 +93,7 @@ class TensorElement(LinearCombination):
     def render(self, sep: str = " ⊗ ") -> str:
         if not self._terms:
             return "0"
-        keys = sorted(self._terms, key=_tensor_sort_key)
+        keys = sorted(self._terms, key=lambda key: [(not m.word, m) for m in key])
         parts = []
         for key in keys:
             coeff = self._terms[key]
@@ -114,10 +103,6 @@ class TensorElement(LinearCombination):
             else:
                 parts.append(f"{coeff.render_single()} {body}")
         return " + ".join(parts)
-
-
-def _tensor_sort_key(key: tuple[Monomial, ...]):
-    return tuple((not m.word, m.sort_key()) for m in key)
 
 
 def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
@@ -482,13 +467,8 @@ def _homomorphism_pairs(preset: AlgebraPreset) -> list[tuple[str, Element, Eleme
         xs = [s for s in subjects if s[0].startswith("x")]
         ps = [s for s in subjects if not s[0].startswith("x")]
         pool = [xs, ps]
-    pairs = []
-    for group in pool:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                (na, ea), (nb, eb) = group[i], group[j]
-                pairs.append((f"({na}, {nb})", ea, eb))
-    return pairs
+    pairs = (pair for group in pool for pair in combinations(group, 2))
+    return [(f"({na}, {nb})", ea, eb) for (na, ea), (nb, eb) in pairs]
 
 
 def check_coproduct_homomorphism(preset: AlgebraPreset) -> CheckReport:
@@ -566,9 +546,8 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
                 bracket = brackets.get((m, t))
                 if bracket is None:
                     # inner commutators of admissible subjects are admissible
-                    e = Element._wrap({m: Scalar.one()})
-                    bracket = preset._product_into({}, e, c)
-                    bracket = brackets[m, t] = preset._product_into(bracket, c, -e)
+                    e = Element._wrap({m: _ONE})
+                    bracket = brackets[m, t] = preset._commutator(e, c)._terms
                 if bracket:
                     accumulate(acc, bracket.items(), coeff if sign > 0 else -coeff)
         total = Element._wrap(acc)

@@ -12,14 +12,9 @@ s^2: the variant (P^2 + M^2) / 4 kappa^2 c^2 found in some writeups does not
 satisfy the mass-shell condition unless c = 1.
 
 The closed forms for q and the mass-shell residual are written once, in the
-row loop `_shell_rows` on plain floats, which returns a value column and a
-residual column; a kappa sweep computes the kappa-invariant root
-sqrt(P^2/c^2 + M^2) once.  `sweep_rows` runs it over a log grid and
+row loop `_shell_rows`.  `sweep_rows` runs it over a log grid and
 `mass_shell_exp` and `check_mass_shell` on one point, so a sweep row equals
-the per-point values float for float.  A sweep keeps its rows by column in a
-`SweepRows`: the base parameters and the grid and the two columns as packed
-doubles, about 24 bytes a row against about 350 for a list of 7-key dicts.
-Each row read is a fresh dict with the same keys and floats.
+the per-point values float for float.
 
 Everything runs in double precision; no arbitrary-precision floats.
 """

@@ -54,18 +54,17 @@ added to every q-exponent, which callers add as they accumulate.
 The normal-form memo has two generations, young and old (the 2Q policy of
 T. Johnson and D. Shasha, VLDB 1994).  A lookup reads young, then old, and
 copies an old hit into young; a result is stored in young once complete, and
-a running count adds the letters of each word stored there.  At the start of
-a request from outside the rewrite recursion (`_product_into`, `normal_form`,
-or a caller's own `_nf_word` after `_nf_request`), a young generation holding
-more than NF_MEMO_LETTERS letters becomes old, a fresh young one starts and
-the previous old one is dropped.  So the words recent requests read stay, the
+a running count adds the letters of each word stored there.  Only at the
+start of `_product_into`, the one way in from outside the rewrite recursion
+(`normal_form` and `multiply` go through it), a young generation holding more
+than NF_MEMO_LETTERS letters becomes old, a fresh young one starts and the
+previous old one is dropped.  So the words recent requests read stay, the
 words nobody reads again go, and each generation holds at most the budget
-plus the words of one request, where a long chain of products used to keep
-every intermediate word.  A turnover never happens inside one recursion: a
-rewrite reads the words it has just stored again (each correction splices
-into the same left and right factors), so turning over there would recompute
-them; between requests, a power's next factor still finds the previous
-product's words in old.
+plus the words of one request.  A turnover never happens inside one
+recursion: a rewrite reads the words it has just stored again (each
+correction splices into the same left and right factors), so turning over
+there would recompute them; between requests, a power's next factor still
+finds the previous product's words in old.
 
 Termination is proven by weight descent, checked when a preset is built: a
 boost weighs 2, every other letter 1 and q nothing; every correction and
@@ -286,9 +285,9 @@ class AlgebraPreset:
     and `_product_into` are for callers that already know it.  The normal-form
     memo holds plain term dicts, which nothing may change, in two generations:
     `_nf_young` takes every store and `_nf_letters` counts the letters of its
-    keys; `_nf_old` is the generation before, read on a young miss.  Only
-    `_nf_request`, called by each entry point before it rewrites, turns them
-    over, so a value read within one request stays in young.
+    keys; `_nf_old` is the generation before, read on a young miss.  They
+    turn over only at the start of `_product_into`, so a value read within
+    one request stays in young.
     """
 
     def __init__(self, basis: Basis, sector: Sector, rules, qrules):
@@ -401,19 +400,12 @@ class AlgebraPreset:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _nf_request(self):
-        """Start a request from outside the rewrite recursion: past the
-        letter budget, young becomes old and a fresh young starts."""
-        if self._nf_letters > NF_MEMO_LETTERS:
-            self._nf_old = self._nf_young
-            self._nf_young = {}
-            self._nf_letters = 0
-
     def _nf_word(self, word: tuple[Gen, ...]) -> dict[Monomial, Scalar]:
         """Terms of the normal form of word * q^0, memoized per word; the dict
         is the memo's own, so callers read it and add their q-exponent with
-        `_shifted_accumulate`, and copy it before changing it.  A caller from
-        outside the recursion calls `_nf_request` first."""
+        `_shifted_accumulate`, and copy it before changing it.  Only
+        `_product_into` calls it from outside the recursion, after the memo's
+        turnover check."""
         cached = self._nf_young.get(word)
         if cached is not None:
             return cached
@@ -469,11 +461,7 @@ class AlgebraPreset:
 
     def normal_form(self, e: Element) -> Element:
         self.check_admissible(e)
-        self._nf_request()
-        acc: dict[Monomial, Scalar] = {}
-        for (word, qexp), coeff in e.items():
-            _shifted_accumulate(acc, self._nf_word(word), qexp, coeff)
-        return Element._wrap(acc)
+        return self._product(_UNIT, e)
 
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_admissible(a)
@@ -491,7 +479,11 @@ class AlgebraPreset:
         A commutator or a longer sum of products fills one dict: a term to be
         subtracted is added with one operand negated.
         """
-        self._nf_request()
+        # the one request from outside the rewrite recursion: the memo's turnover
+        if self._nf_letters > NF_MEMO_LETTERS:
+            self._nf_old = self._nf_young
+            self._nf_young = {}
+            self._nf_letters = 0
         for (w1, q1), c1 in a.items():
             for (w2, q2), c2 in b.items():
                 c12 = c1 * c2
@@ -552,6 +544,7 @@ def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict
 
 
 _ONE = Scalar.one()
+_UNIT = Element.one()
 # alpha_r of a run transport as a Scalar; counts past the cache are rebuilt
 _count = lru_cache(maxsize=64)(Scalar.rational)
 # unchecked Monomial constructor, only for words spliced from admissible pieces

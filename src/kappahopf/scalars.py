@@ -174,10 +174,6 @@ class Scalar:
         return Scalar.term(Fraction(num, den))
 
     @staticmethod
-    def gaussian(re=0, im=0) -> "Scalar":
-        return Scalar.term(re, im)
-
-    @staticmethod
     def term(re=0, im=0, *, hbar=0, kappa=0, c=0) -> "Scalar":
         """Single addend (re + im*i) * hbar^hbar kappa^kappa c^c."""
         coeff = _coeff(re, im)

@@ -158,6 +158,14 @@ class TestEval:
         assert (code, err) == (0, "")
         assert out.strip() == f"x0 P1^1500 + ({coeff} i hbar kappa^-1 c^-1) P1^1500"
 
+    @pytest.mark.parametrize("basis", ["bicross", "standard"])
+    def test_commuting_letter_passes_long_run_in_one_step(self, capsys, basis):
+        # M1 commutes with N1 and moves past the whole run N1^1500 in one step,
+        # though neither letter is in a run-transport class
+        code, out, err = run_cli(capsys, "eval", "N1^1500 M1", "--basis", basis)
+        assert (code, err) == (0, "")
+        assert out.strip() == "M1 N1^1500"
+
     @pytest.mark.parametrize("op, total", [("+", 3000), ("-", -2998)])
     def test_long_sum_evaluates(self, capsys, op, total):
         # a sum is evaluated in a loop, so its length is not bounded by the

@@ -126,6 +126,42 @@ def test_each_class_names_its_own_add():
     assert Element.__add__ is TensorElement.__add__ is LinearCombination.__add__
 
 
+def _old_sort_key(m):
+    """The removed `Monomial.sort_key`, the oracle of the render order."""
+    return (tuple(int(g) for g in m.word), m.qexp)
+
+
+# words over either admissible alphabet, so every one of the 14 generators
+# occurs, in any letter order, and the empty word
+_ANY_WORDS = st.one_of(
+    st.lists(st.sampled_from([g for g in Gen if not Gen.M1 <= g <= Gen.N3]), max_size=4),
+    st.lists(st.sampled_from([g for g in Gen if g >= Gen.M1]), max_size=4),
+).map(tuple)
+_ANY_MONOMIALS = st.builds(Monomial, _ANY_WORDS, st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ANY_MONOMIALS, min_size=1, max_size=8, unique=True))
+def test_element_render_order_is_the_old_sort_key(monos):
+    # with every coefficient one, each term renders as its monomial, the unit
+    # as "(1)" beside other terms
+    e = Element({m: Scalar.one() for m in monos})
+    unit = "(1)" if len(monos) > 1 else "1"
+    expected = [unit if m.is_unit else m.render() for m in sorted(monos, key=_old_sort_key)]
+    assert e.render().split(" + ") == expected
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tensor_render_order_is_the_old_sort_key(rank, data):
+    keys = data.draw(st.lists(st.tuples(*[_ANY_MONOMIALS] * rank), min_size=1,
+                              max_size=8, unique=True))
+    t = TensorElement(rank, {key: Scalar.one() for key in keys})
+    order = sorted(keys, key=lambda key: tuple((not m.word, _old_sort_key(m)) for m in key))
+    assert t.render().split(" + ") == [" ⊗ ".join(m.render() for m in key) for key in order]
+
+
 class TestMonomialTuple:
     """A monomial is the tuple (word, qexp); every way of building or copying
     one must give back a Monomial with that pair."""

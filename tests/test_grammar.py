@@ -335,8 +335,9 @@ class TestEval:
             turnovers += preset._nf_young is not young
             assert preset._nf_letters == sum(map(len, preset._nf_young))
         assert turnovers >= 2
-        # a word only the old generation holds is copied into young as it is
-        preset._nf_request()
+        # a word only the old generation holds is copied into young as it is;
+        # a request turns the memo over first, as every request does
+        preset.normal_form(Element.one())
         word = next(w for w in preset._nf_old if w not in preset._nf_young)
         letters = preset._nf_letters
         terms = preset._nf_word(word)
@@ -346,6 +347,24 @@ class TestEval:
         assert Element._wrap(terms) == fresh.normal_form(
             Element.term(Monomial(word), Scalar.one())
         )
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_normal_form_turns_the_memo_over(self, sector):
+        # normal_form is a request from outside the rewrite recursion: past the
+        # letter budget, young becomes old and a fresh young starts
+        preset = get_preset.__wrapped__(Basis.BICROSS, sector)
+        p1 = (Gen.P1,)
+        for k in range(1, 129):
+            preset._nf_word(p1 * k)
+        assert preset._nf_letters == 128 * 129 // 2 == NF_MEMO_LETTERS + 64
+        young = preset._nf_young
+        assert preset.normal_form(Element.generator(Gen.P2)).render() == "P2"
+        assert preset._nf_old is young and p1 * 128 in preset._nf_old
+        assert list(preset._nf_young) == [(Gen.P2,)] and preset._nf_letters == 1
+        # under the budget, a request keeps young
+        young = preset._nf_young
+        preset.normal_form(Element.generator(Gen.P3))
+        assert preset._nf_young is young and preset._nf_letters == 2
 
     @pytest.mark.parametrize("expression", ["P1^4097", "(P1 + P2)^4097", "D(P1)^4097"])
     def test_power_above_limit_is_typed(self, expression):
@@ -431,7 +450,7 @@ class TestRoundTrip:
             Scalar.one(),
             -Scalar.i(),
             Scalar.term(0, -1, hbar=1, kappa=-1, c=-1),
-            Scalar.gaussian(Fraction(1, 2), Fraction(-3, 4)),
+            Scalar.term(Fraction(1, 2), Fraction(-3, 4)),
             Scalar.term(2, 0, hbar=2, kappa=-2, c=1) + Scalar.i(),
         ]
         for s in scalars:

@@ -518,6 +518,17 @@ def test_long_word_memo_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+def test_commuting_step_memo_is_bounded(monkeypatch, basis):
+    # M1 commutes with N1 outside every run-transport class, and passes a
+    # run N1^20 in one step: 32 words, where single swaps would store 417
+    fresh = get_preset.__wrapped__(basis, Sector.POINCARE)
+    monkeypatch.setattr(grammar, "get_preset", lambda basis, sector: fresh)
+    assert (Gen.N1, Gen.M1) not in fresh._transport
+    grammar.eval_text("N1^20 M1^20 N1^20", basis)
+    assert len(fresh._nf_young) + len(fresh._nf_old) <= 40
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
 @pytest.mark.parametrize(
     "expression, oracle",
     [

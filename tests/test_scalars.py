@@ -49,7 +49,7 @@ def test_to_complex_examples():
     assert Scalar.term(1, 0, hbar=1).to_complex(1.0, 2.0, 3.0) == 1.0 + 0.0j
     assert ih(hbar=1, kappa=-1).to_complex(1.0, 2.0, 3.0) == 0.0 + 0.5j
     # rational-to-float oracle: (1+i)/3 at any values
-    third = Scalar.gaussian(Fraction(1, 3), Fraction(1, 3))
+    third = Scalar.term(Fraction(1, 3), Fraction(1, 3))
     val = third.to_complex(0.9, 7.7, 2.2)
     expected = complex(float(Fraction(1, 3)), float(Fraction(1, 3)))
     assert val == expected
@@ -224,9 +224,9 @@ def test_render_round_trip_shapes():
         Scalar.term(0, -1, hbar=1, kappa=-1, c=-1): "-i hbar kappa^-1 c^-1",
         Scalar.one(): "1",
         Scalar.rational(-3, 2): "-3/2",
-        Scalar.gaussian(Fraction(1, 2), Fraction(1, 2)): "1/2 + 1/2 i",
+        Scalar.term(Fraction(1, 2), Fraction(1, 2)): "1/2 + 1/2 i",
         Scalar.term(1, 0, hbar=2, c=-1): "hbar^2 c^-1",
-        Scalar.gaussian(Fraction(1, 2), Fraction(1, 3)): "1/2 + 1/3 i",
+        Scalar.term(Fraction(1, 2), Fraction(1, 3)): "1/2 + 1/3 i",
         Scalar.term(0, Fraction(-2, 3), hbar=1): "-2/3 i hbar",
     }
     for scalar, text in cases.items():
