@@ -13,11 +13,7 @@ import json
 import math
 import sys
 
-from .crossproduct import (
-    Convention,
-    basis_map_check,
-    derive_phase_space_relations,
-)
+from .crossproduct import basis_map_check, derive_phase_space_relations
 from .elements import GEN_BY_NAME, Element
 from .errors import KappaHopfError, ParameterError
 from .grammar import eval_text
@@ -83,20 +79,20 @@ def cmd_eval(args) -> int:
 
 _BOTH = (Sector.POINCARE, Sector.PHASESPACE)
 # each per-preset suite: the preset sectors it checks and the reports it makes
-# for one (basis, preset); `all` runs them in this order, then basis-map,
-# which builds its own presets
+# for one preset; `all` runs them in this order, then basis-map, which builds
+# its own presets.  The entries are lambdas, not the check functions
+# themselves, so each call looks its check up in this module's globals and
+# sees a wrapper that perfbench/tracer.py or a test binds there.
 _SUITES = {
-    "axioms": (_BOTH, lambda basis, p: [
+    "axioms": (_BOTH, lambda p: [
         check_coassociativity(p),
         check_counit_axiom(p),
         check_antipode_axiom(p),
         check_coproduct_homomorphism(p),
     ]),
-    "jacobi": (_BOTH, lambda basis, p: [check_jacobi(p)]),
-    "casimir": ((Sector.POINCARE,), lambda basis, p: [check_centrality(basis, p)]),
-    "phasespace": ((Sector.PHASESPACE,), lambda basis, p: [
-        derive_phase_space_relations(basis, Convention.LEFT, p)
-    ]),
+    "jacobi": (_BOTH, lambda p: [check_jacobi(p)]),
+    "casimir": ((Sector.POINCARE,), lambda p: [check_centrality(p)]),
+    "phasespace": ((Sector.PHASESPACE,), lambda p: [derive_phase_space_relations(p)]),
 }
 
 
@@ -157,7 +153,7 @@ def cmd_suite(args) -> int:
             for sector in sectors:
                 if (basis, sector) not in presets:
                     presets[basis, sector] = _corrupted(get_preset(basis, sector), pair)
-                reports += make(basis, presets[basis, sector])
+                reports += make(presets[basis, sector])
     basis_map = basis_map_check() if args.suite in ("basis-map", "all") else None
     checked = reports + ([basis_map] if basis_map is not None else [])
     ok = all(r.passed for r in checked)

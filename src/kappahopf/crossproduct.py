@@ -318,16 +318,13 @@ def _phase_pairs():
 
 
 def derive_phase_space_relations(
-    basis: Basis,
-    convention: Convention = Convention.LEFT,
-    table_preset: AlgebraPreset | None = None,
+    preset: AlgebraPreset, convention: Convention = Convention.LEFT
 ) -> DerivationReport:
-    """Recompute every phase-space commutator from the cross product and
-    compare it term by term with the preset relation table."""
-    basis = Basis(basis)
-    preset = table_preset if table_preset is not None else get_preset(basis, Sector.PHASESPACE)
-    derived = derived_relation_elements(basis, convention)
-    report = DerivationReport(basis.value, convention.value)
+    """Recompute every phase-space commutator from the cross product on the
+    shared preset of preset's basis and compare it term by term with preset's
+    relation table."""
+    derived = derived_relation_elements(preset.basis, convention)
+    report = DerivationReport(preset.basis.value, convention.value)
     for name, a, b in _phase_pairs():
         table = preset.commutator(a, b)
         report.entries.append(

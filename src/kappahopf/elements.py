@@ -13,7 +13,9 @@ skips the check with `tuple.__new__(Monomial, (word, qexp))`.
 
 Every sum the engine builds, of monomials here and of tensor terms in `hopf`,
 is a `LinearCombination`, and every layer adds terms into a dict with the one
-in-place `accumulate`, which keeps the canonical form as it goes.
+in-place `accumulate`, which keeps the canonical form as it goes.  The one
+exception is the rewrite engine's `_shifted_accumulate` in `presets`, whose
+docstring says why it keeps its own loop.
 """
 
 from __future__ import annotations
@@ -120,15 +122,17 @@ _ONE = Scalar.one()
 def accumulate(acc: dict, items, factor: Scalar | None = None) -> dict:
     """acc[key] += coeff (times factor) for each (key, coeff) of items, in place.
 
-    Every coeff must be nonzero.  A key whose sum cancels is removed, so acc
+    items is read once, so it may be a generator, and must not be a view of
+    acc.  Every coeff must be nonzero.  A key whose sum cancels is removed, so acc
     never holds a zero coefficient and can be wrapped as it is.
     """
-    if factor is not None:
-        if not factor._store:
-            return acc
-        if factor is not _ONE:
-            items = [(key, coeff * factor) for key, coeff in items]
+    if factor is _ONE:
+        factor = None
+    elif factor is not None and not factor._store:
+        return acc
     for key, coeff in items:
+        if factor is not None:
+            coeff = coeff * factor
         prev = acc.get(key)
         if prev is None:
             acc[key] = coeff

@@ -225,8 +225,9 @@ def parse(source: str, names: set[str] | None = None):
 
 
 def _sector_of(names, explicit: Sector | None) -> Sector:
-    """The sector that admits every symbol named, or SectorError: the one
-    admissibility gate of evaluation, so products skip their own checks."""
+    """The sector that admits every symbol named, or SectorError.  With the
+    leaf check in `_eval` it is the admissibility gate of evaluation, so
+    products skip their own checks."""
     has_x = any(n.startswith("x") for n in names)
     has_lorentz = any(n[0] in "MN" for n in names if n in GEN_BY_NAME)
     if explicit is not None:
@@ -267,9 +268,10 @@ _KINDS = {Scalar: "scalar", Element: "element", TensorElement: "tensor"}
 def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Value:
     """Evaluate a parse tree to a normal-form value in basis.
 
-    names must be the set `parse` filled for node: it picks the sector, or is
-    checked against the given one, the one admissibility check before
-    products run unchecked.
+    names should be the set `parse` filled for node: it picks the sector, or
+    is checked against the given one.  Each generator leaf is checked against
+    that sector as well, so names that disagree with node raise SectorError
+    before any product runs unchecked.
     """
     basis = Basis(basis)
     data = _eval(node, PairingContext(basis), get_preset(basis, _sector_of(names, sector)))
@@ -282,6 +284,11 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
     if kind == "num":
         return Scalar.term(node[1])
     if kind == "sym":
+        g = GEN_BY_NAME.get(node[1])
+        if g is not None and g not in preset.allowed:
+            raise SectorError(
+                f"generator {node[1]} is not admissible in the {preset.sector.value} sector"
+            )
         return _SYMBOL_VALUES[node[1]]
     if kind == "neg":
         return -_eval(node[1], ctx, preset)
@@ -422,12 +429,11 @@ def eval_text(source: str, basis: Basis = Basis.BICROSS, sector: Sector | None =
     """Parse and evaluate in one step.
 
     The symbols the parser accepts pick the sector (or are checked against the
-    given one); that is the only admissibility check, since every value built
-    from them lies in that sector, so products, powers and commutators run
-    unchecked.  The parser, the evaluator and the rewrite engine all recurse, so deep
-    nesting and long words are bounded by the interpreter's recursion limit;
-    reaching it raises ResourceLimitError, as `M2^1200 M1` does, whose M1
-    moves left one swap at a time.  A letter below a run of momenta, or x0
+    given one); every value built from them lies in that sector, so products,
+    powers and commutators run unchecked.  The parser, the evaluator and the
+    rewrite engine all recurse, so deep nesting and long words are bounded by
+    the interpreter's recursion limit; reaching it raises ResourceLimitError,
+    as `M2^1200 M1` does, whose M1 moves left one swap at a time.  A letter below a run of momenta, or x0
     below a run of x1..x3, moves past the whole run in one step, so
     `P1^1500 x0` evaluates.  Sums and products are parsed and evaluated in a
     loop, so the number of terms or factors is not bounded by it.

@@ -156,18 +156,7 @@ def _slots_into(acc: dict, slots: list[dict], coeff: Scalar):
     for slot in slots[:-1]:
         heads = [(key + (m,), c * s) for key, c in heads for m, s in slot.items()]
     last = slots[-1].items()
-    for head, c in heads:
-        for m, s in last:
-            key, cs = head + (m,), c * s
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = cs
-            else:
-                total = prev + cs
-                if total._store:
-                    acc[key] = total
-                else:
-                    del acc[key]
+    accumulate(acc, ((head + (m,), c * s) for head, c in heads for m, s in last))
 
 
 # -- generator tables ----------------------------------------------------------
@@ -505,10 +494,9 @@ def casimir(basis: Basis) -> Element:
     return Element(terms)
 
 
-def check_centrality(basis: Basis, preset: AlgebraPreset | None = None) -> CheckReport:
-    if preset is None:
-        preset = get_preset(Basis(basis), Sector.POINCARE)
-    c2 = casimir(basis)
+def check_centrality(preset: AlgebraPreset) -> CheckReport:
+    """[C, g] = 0 for the Casimir C of preset's basis and each generator g of preset."""
+    c2 = casimir(preset.basis)
     report = CheckReport(_preset_tag(preset), "casimir-centrality")
     for g in preset.generators:
         residual = preset.commutator(c2, Element.generator(g))

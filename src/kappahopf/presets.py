@@ -525,7 +525,9 @@ class AlgebraPreset:
 def _shifted_accumulate(acc: dict, nf: dict, shift: int, factor: Scalar) -> dict:
     """accumulate factor * nf * q^shift into acc, factor nonzero; nf holds the
     terms of the normal form of some word * q^0, and the shift keeps them
-    distinct."""
+    distinct.  It keeps its own copy of `accumulate`'s loop because feeding
+    `accumulate` a generator of shifted items made rewrite-stream's wall time
+    5-6% slower (2 vCPU, Python 3.11)."""
     for mono, coeff in nf.items():
         if shift:
             mono = _tuple_new(Monomial, (mono[0], mono[1] + shift))

@@ -105,7 +105,7 @@ def expected_phase_table(basis: Basis) -> dict[str, Element]:
 
 def test_criterion_1_phase_space_derivation_bicross():
     t0 = time.perf_counter()
-    report = derive_phase_space_relations(Basis.BICROSS)
+    report = derive_phase_space_relations(get_preset(Basis.BICROSS, Sector.PHASESPACE))
     derived = derived_relation_elements(Basis.BICROSS)
     expected = expected_phase_table(Basis.BICROSS)
     exact = all(derived[name] == expected[name] for name in expected)
@@ -120,7 +120,7 @@ def test_criterion_1_phase_space_derivation_bicross():
 
 def test_criterion_2_phase_space_derivation_standard():
     t0 = time.perf_counter()
-    report = derive_phase_space_relations(Basis.STANDARD)
+    report = derive_phase_space_relations(get_preset(Basis.STANDARD, Sector.PHASESPACE))
     derived = derived_relation_elements(Basis.STANDARD)
     expected = expected_phase_table(Basis.STANDARD)
     exact = all(derived[name] == expected[name] for name in expected)
@@ -165,7 +165,9 @@ def test_criterion_3_hopf_axiom_suites():
 
 def test_criterion_4_casimir_centrality():
     t0 = time.perf_counter()
-    reports = [check_centrality(b) for b in (Basis.BICROSS, Basis.STANDARD)]
+    reports = [
+        check_centrality(get_preset(b, Sector.POINCARE)) for b in (Basis.BICROSS, Basis.STANDARD)
+    ]
     ok = all(r.passed for r in reports) and all(len(r.entries) == 10 for r in reports)
     elapsed = time.perf_counter() - t0
     record(
@@ -364,15 +366,13 @@ def test_criterion_12_negative_controls():
         ):
             culprits.extend(f.subject for f in check(preset).failures())
         if sector is Sector.POINCARE:
-            culprits.extend(f.subject for f in check_centrality(basis, preset).failures())
+            culprits.extend(f.subject for f in check_centrality(preset).failures())
             if not culprits:
                 poincare_caught_by_core = False
         else:
             culprits.extend(
                 f.pair
-                for f in derive_phase_space_relations(
-                    basis, Convention.LEFT, preset
-                ).failures()
+                for f in derive_phase_space_relations(preset, Convention.LEFT).failures()
             )
         if not culprits:
             ok = False

@@ -193,6 +193,26 @@ class TestSuites:
         assert code == 0
         assert "standard phase-space derivation: PASS (36 checks)" in out
 
+    def test_suites_look_their_checks_up_at_call_time(self, capsys, monkeypatch):
+        # perfbench's tracer rebinds the checks in cli's namespace; a _SUITES
+        # entry that held the function itself would bypass the rebinding
+        calls = {}
+        for name in ("check_jacobi", "check_centrality", "derive_phase_space_relations"):
+            original = getattr(cli, name)
+
+            def counted(preset, original=original, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return original(preset)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert cli.main(["suite", "all"]) == 0
+        capsys.readouterr()
+        assert calls == {
+            "check_jacobi": 4,
+            "check_centrality": 2,
+            "derive_phase_space_relations": 2,
+        }
+
     def test_basis_map_names_transformation(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "basis-map")
         assert code == 0

@@ -525,12 +525,13 @@ class TestLetterCountRule:
 class TestDerivation:
     @pytest.mark.parametrize("basis", [Basis.BICROSS, Basis.STANDARD])
     def test_matches_preset_tables(self, basis):
-        report = derive_phase_space_relations(basis)
+        report = derive_phase_space_relations(get_preset(basis, Sector.PHASESPACE))
         assert report.passed, report.failures()
         assert len(report.entries) == 36
 
     def test_report_shape(self):
-        payload = derive_phase_space_relations(Basis.BICROSS).to_dict()
+        preset = get_preset(Basis.BICROSS, Sector.PHASESPACE)
+        payload = derive_phase_space_relations(preset).to_dict()
         assert payload["basis"] == "bicross"
         assert payload["pass"] is True
         entry = payload["entries"][0]
@@ -560,15 +561,16 @@ class TestDerivation:
 
     def test_convention_selection(self):
         for basis in (Basis.BICROSS, Basis.STANDARD):
+            table = get_preset(basis, Sector.PHASESPACE)
             left = PairingContext(basis, Convention.LEFT)
             assert check_pairing_well_defined(left)
             assert check_module_algebra_law(left)
             assert check_representation_law(left)
-            assert derive_phase_space_relations(basis, Convention.LEFT).passed
+            assert derive_phase_space_relations(table, Convention.LEFT).passed
             # the generator-level table alone does not discriminate; the
             # pairing well-definedness and module-algebra law do
             right = PairingContext(basis, Convention.RIGHT)
-            assert derive_phase_space_relations(basis, Convention.RIGHT).passed
+            assert derive_phase_space_relations(table, Convention.RIGHT).passed
             assert not check_pairing_well_defined(right)
             assert not check_module_algebra_law(right)
 

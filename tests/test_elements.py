@@ -89,6 +89,8 @@ def test_accumulate_matches_addition(a, b, s):
     acc = accumulate(dict(a.items()), b.items(), s)
     assert all(not coeff.is_zero for coeff in acc.values())
     assert Element(acc) == a + b.scaled(s)
+    # a one-shot generator, as hopf._slots_into passes, is read once
+    assert accumulate(dict(a.items()), ((k, c) for k, c in b.items()), s) == acc
 
 
 def test_accumulate_removes_a_cancelled_key():

@@ -250,6 +250,19 @@ class TestEval:
             eval_text(source)
         assert type(err.value) is SectorError and str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "source, names, message",
+        [
+            ("M1 x0", {"x0"}, "generator M1 is not admissible in the phasespace sector"),
+            ("x0 M1", set(), "generator x0 is not admissible in the poincare sector"),
+        ],
+    )
+    def test_evaluate_checks_each_generator_leaf(self, source, names, message):
+        # names that disagree with the tree must not let a product run unchecked
+        with pytest.raises(SectorError) as err:
+            grammar.evaluate(parse(source), names, "bicross", None)
+        assert type(err.value) is SectorError and str(err.value) == message
+
     def test_sector_inference(self):
         def infer(source, explicit=None):
             names = set()

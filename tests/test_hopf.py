@@ -565,7 +565,7 @@ class TestCasimir:
 
     @pytest.mark.parametrize("basis", [Basis.BICROSS, Basis.STANDARD])
     def test_full_centrality(self, basis):
-        report = check_centrality(basis)
+        report = check_centrality(get_preset(basis, Sector.POINCARE))
         assert report.passed, report.failures()
         assert len(report.entries) == 10
 
