@@ -5,10 +5,13 @@
 Builds the four shared presets, then runs one pass of the rewrite-stream
 corpus (imported from perfbench/workloads.py, which it does not change) on
 their cold memos, then one pass of the phasespace-stream corpus (from the same
-module), then `kappahopf suite all --format json` in the same process, then
-the product of 4000 factors `P1`.  It prints:
+module), counting the `AlgebraPreset._product_into` calls it makes through a
+wrapper that only this script installs, then `kappahopf suite all --format
+json` in the same process, then the product of 4000 factors `P1`.  It prints:
 - the bytes `tracemalloc` sees held after the pass, and its peak;
 - the growth of GC-tracked objects over the pass, by type;
+- the engine products of the phasespace-stream pass: the cross product calls
+  `_product_into` only for a left operand term with a position letter;
 - after each stage, the entry count of each memo of each preset, the young
   and old normal-form generations counted apart, the letters of the words both
   generations hold, and how many normal-form coefficients have exactly one
@@ -80,9 +83,21 @@ def main():
     print_memos("the rewrite-stream pass")
     workload = PhasespaceStream()
     corpus = workload.corpus()
-    for item in corpus:
-        workload.run(item)
-    print(f"phasespace-stream pass: {len(corpus)} ops")
+    products = 0
+    product_into = presets.AlgebraPreset._product_into
+
+    def counting_product_into(*args):
+        nonlocal products
+        products += 1
+        return product_into(*args)
+
+    presets.AlgebraPreset._product_into = counting_product_into
+    try:
+        for item in corpus:
+            workload.run(item)
+    finally:
+        presets.AlgebraPreset._product_into = product_into
+    print(f"phasespace-stream pass: {len(corpus)} ops, {products} _product_into calls")
     print_memos("the phasespace-stream pass")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["suite", "all", "--format", "json"])

@@ -95,7 +95,8 @@ class PairingContext(FrozenRecord):
     __slots__ = ("basis", "convention")
 
     def __init__(self, basis: Basis, convention: Convention = Convention.LEFT):
-        self._init(basis, convention)
+        # the enum members themselves: the pairing tests them by identity
+        self._init(Basis(basis), Convention(convention))
 
     @property
     def preset(self) -> AlgebraPreset:
@@ -124,6 +125,7 @@ _DUAL = {
     Gen.X1: Gen.P1, Gen.X2: Gen.P2, Gen.X3: Gen.P3,
 }
 _ZERO = Scalar.zero()
+_ONE = Scalar.one()
 _NO_ACTION = Element.zero()
 
 
@@ -142,14 +144,18 @@ def _vanishes(pword: tuple, xword: tuple, exact: bool) -> bool:
 
 
 def _check_pairing_operands(p: Element, x: Element):
-    """p must be a momentum-sector element, x a position-sector one with no q."""
-    for e, letters, sector in ((p, MOMENTA, "momentum"), (x, POSITIONS, "position")):
-        for word, qexp in e.monomials():
-            if qexp and letters is POSITIONS:
-                raise PairingError("position-sector elements cannot carry q powers")
-            if not letters.issuperset(word):
-                g = next(g for g in word if g not in letters).render()
-                raise PairingError(f"pairing expects a {sector}-sector element, found {g}")
+    """p must be a momentum-sector element, x a position-sector one with no q.
+    A bad p is reported before a bad x, and a q power before a foreign letter."""
+    for word, _ in p._terms:
+        if not MOMENTA.issuperset(word):
+            g = next(g for g in word if g not in MOMENTA).render()
+            raise PairingError(f"pairing expects a momentum-sector element, found {g}")
+    for word, qexp in x._terms:
+        if qexp:
+            raise PairingError("position-sector elements cannot carry q powers")
+        if not POSITIONS.issuperset(word):
+            g = next(g for g in word if g not in POSITIONS).render()
+            raise PairingError(f"pairing expects a position-sector element, found {g}")
 
 
 def pair(p: Element, x: Element, ctx: PairingContext) -> Scalar:
@@ -246,7 +252,7 @@ def _split_phase_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
         if g in MOMENTA:
             cut = i
             break
-    if any(g in POSITIONS for g in m.word[cut:]):
+    if not POSITIONS.isdisjoint(m.word[cut:]):
         raise PairingError(
             "cross product operands must be in x-before-P normal order, got "
             + m.render()
@@ -271,10 +277,13 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
 
 
 def _cross_product_into(acc: dict, a: Element, b: Element, ctx: PairingContext, preset) -> dict:
-    """acc += a b in the cross product, in place."""
+    """acc += a b in the cross product, in place.  Where x has no letter, the
+    position part x (p_(1) |> xt) is the action itself and needs no product:
+    it sums position coproduct legs, normal words with no q (see `_act_mono`)."""
     for ma, ca in a.items():
         xa, pa = _split_phase_monomial(ma)
-        left = Element.term(xa, Scalar.one())
+        # a slice of an admissible word, as in `_split_phase_monomial`
+        left = Element._wrap({xa: _ONE})
         dpa = coproduct_monomial(pa, preset).items()
         for mb, cb in b.items():
             xb, pb = _split_phase_monomial(mb)
@@ -284,7 +293,7 @@ def _cross_product_into(acc: dict, a: Element, b: Element, ctx: PairingContext, 
                 if not acted._terms:
                     continue
                 # both factors are position elements of the checked operands
-                xpart = preset._product(left, acted)
+                xpart = preset._product(left, acted) if xa[0] else acted
                 # momentum sector is commutative: merge words, add q powers
                 pword = tuple(sorted(v.word + pb.word))
                 pq = v.qexp + pb.qexp
@@ -323,6 +332,7 @@ def derive_phase_space_relations(
     """Recompute every phase-space commutator from the cross product on the
     shared preset of preset's basis and compare it term by term with preset's
     relation table."""
+    convention = Convention(convention)
     derived = derived_relation_elements(preset.basis, convention)
     report = DerivationReport(preset.basis.value, convention.value)
     for name, a, b in _phase_pairs():
@@ -337,10 +347,8 @@ def derived_relation_elements(
     basis: Basis, convention: Convention = Convention.LEFT
 ) -> dict[str, Element]:
     """The commutator of each pair of `_phase_pairs` in the cross product."""
-    ctx = PairingContext(Basis(basis), convention)
-    return {
-        name: cross_commutator(a, b, ctx) for name, a, b in _phase_pairs()
-    }
+    ctx = PairingContext(basis, convention)
+    return {name: cross_commutator(a, b, ctx) for name, a, b in _phase_pairs()}
 
 
 # -- momentum basis transformation ------------------------------------------------
@@ -407,9 +415,7 @@ def basis_map_check() -> BasisMapReport:
 def canonical_limit_table() -> dict[str, Element]:
     """The nondeformed phase-space relations reached as kappa -> infinity."""
     ih = Scalar.term(0, 1, hbar=1)
-    table: dict[str, Element] = {}
-    for name, a, b in _phase_pairs():
-        table[name] = Element.zero()
+    table = {name: Element.zero() for name, _, _ in _phase_pairs()}
     for k in (1, 2, 3):
         table[f"[x{k}, P{k}]"] = Element.from_scalar(ih)
     table["[x0, P0]"] = Element.from_scalar(-ih)

@@ -155,6 +155,13 @@ class TestPairing:
                 op(gen(Gen.P1), gen(Gen.P1), CTX_B)
             with pytest.raises(PairingError, match="cannot carry q powers"):
                 op(gen(Gen.P1), Element.q_power(1), CTX_B)
+            # a q power is reported before a foreign letter of the same term
+            with pytest.raises(PairingError, match="cannot carry q powers"):
+                op(gen(Gen.P1), Element.term(Monomial((Gen.P1,), 1), Scalar.one()), CTX_B)
+            # a bad p is reported before a bad x
+            for bad_x in (gen(Gen.P1), Element.q_power(1)):
+                with pytest.raises(PairingError, match="momentum-sector element, found x1"):
+                    op(gen(Gen.X1), bad_x, CTX_B)
 
     @pytest.mark.parametrize("ctx", [CTX_B, CTX_S], ids=["bicross", "standard"])
     def test_well_defined_on_relations(self, ctx):
@@ -296,6 +303,27 @@ class TestCrossMultiply:
             for b in samples:
                 assert cross_multiply(a, b, ctx) == preset.multiply(a, b)
 
+    @pytest.mark.parametrize("ctx", [CTX_B, CTX_S], ids=["bicross", "standard"])
+    def test_agrees_with_preset_multiplication_seeded(self, ctx):
+        """x-before-P monomials of degree <= 4, q-exponents -2..2, rational
+        coefficients.  One case in four has no position letter on the left,
+        where the action is the position part with no product, and one in
+        four none on the right."""
+        preset = ctx.preset
+        rng = random.Random(32)
+        for i in range(40):
+            a, b = (
+                Element.term(
+                    Monomial(
+                        tuple(sorted(_word(rng, _XS, 0, most)) + sorted(_word(rng, _PS, 0, 2))),
+                        rng.randint(-2, 2),
+                    ),
+                    Scalar.rational(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                )
+                for most in (0 if i % 4 == 0 else 2, 0 if i % 4 == 1 else 2)
+            )
+            assert cross_multiply(a, b, ctx) == preset.multiply(a, b), (a, b)
+
 
 _XS = (Gen.X0, Gen.X1, Gen.X2, Gen.X3)
 _PS = (Gen.P0, Gen.P1, Gen.P2, Gen.P3)
@@ -381,6 +409,34 @@ class TestPairingActionMemo:
                 coeff = pair(p, Element.term(legs[paired], Scalar.one()), ctx)
                 summed = summed + Element.term(legs[1 - paired], coeff * s)
             assert left_action(p, x, ctx) == preset.normal_form(summed)
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_string_convention_is_the_enum_member(self, basis):
+        # a context built from the plain string must take the enum's branches,
+        # and leave in the shared memos only what the enum context would
+        rng = random.Random(13)
+        ops = []
+        for _ in range(60):
+            op = rng.choice((pair, left_action))
+            p = Element.term(Monomial(_word(rng, _PS, 0, 2), rng.randint(-2, 2)), Scalar.one())
+            x = Element.term(Monomial(_word(rng, _XS, 2, 3)), Scalar.one())
+            ops += [(op, p, x, PairingContext(basis, conv)) for conv in Convention]
+        get_preset.cache_clear()
+        cold = [op(a, b, ctx) for op, a, b, ctx in ops]
+        get_preset.cache_clear()
+        from_text = [op(a, b, PairingContext(basis, ctx.convention.value)) for op, a, b, ctx in ops]
+        warm = [op(a, b, ctx) for op, a, b, ctx in ops]
+        assert from_text == cold
+        assert warm == cold
+
+    def test_context_fields_are_enum_members(self):
+        assert PairingContext(Basis.STANDARD, "right").convention is Convention.RIGHT
+        assert PairingContext("bicross").basis is Basis.BICROSS
+        with pytest.raises(ValueError):
+            PairingContext(Basis.STANDARD, "middle")
+        preset = get_preset(Basis.STANDARD, Sector.PHASESPACE)
+        report = derive_phase_space_relations(preset, "right")
+        assert report == derive_phase_space_relations(preset, Convention.RIGHT)
 
     def test_one_preset_lookup_per_public_call(self, monkeypatch):
         import kappahopf.crossproduct as crossproduct
