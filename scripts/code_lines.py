@@ -6,7 +6,9 @@ Two numbers over src/kappahopf/*.py: code lines, the lines left after blank
 lines, comment lines and docstrings are dropped (docstrings found by an `ast`
 walk), and all lines as `wc -l` counts them.  Then the code lines of
 tests/*.py by the same count, so code moved from the package into the tests
-shows on both sides.  It prints and gates nothing.
+shows on both sides.  Last, the code lines of each package module, one
+`module: count` line each, so a change's delta shows per module.  It prints
+and gates nothing.
 """
 
 import ast
@@ -42,11 +44,15 @@ def code_lines(source: str) -> int:
 
 
 def main():
-    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    print(f"code lines: {sum(code_lines(s) for s in sources)}")
+    paths = sorted(SRC.glob("*.py"))
+    sources = [path.read_text() for path in paths]
+    counts = [code_lines(s) for s in sources]
+    print(f"code lines: {sum(counts)}")
     print(f"wc -l: {sum(s.count(chr(10)) for s in sources)}")
     tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     print(f"tests code lines: {sum(code_lines(s) for s in tests)}")
+    for path, count in zip(paths, counts):
+        print(f"  {path.stem}: {count}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from .crossproduct import basis_map_check, derive_phase_space_relations
 from .elements import GEN_BY_NAME, Element
@@ -96,21 +97,8 @@ _SUITES = {
 }
 
 
-def _selected_bases(args):
-    return [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
-
-
-def _selected_suites(args):
-    """The table entries that suite `args.suite` runs, in table order."""
-    return [name for name in _SUITES if args.suite in (name, "all")]
-
-
 def _corrupt_pair(args):
-    """The (hi, lo) pair named by --corrupt-rule, or None without the flag.
-
-    A pair with no relation-table entry in any preset the suite selects would
-    corrupt nothing and let the suite pass, so it is an error.
-    """
+    """The (hi, lo) pair named by --corrupt-rule, or None without the flag."""
     text = args.corrupt_rule
     if text is None:
         return None
@@ -118,25 +106,14 @@ def _corrupt_pair(args):
     if len(names) != 2:
         raise KappaHopfError(f"--corrupt-rule expects HI,LO, got {text!r}")
     try:
-        pair = GEN_BY_NAME[names[0]], GEN_BY_NAME[names[1]]
+        return GEN_BY_NAME[names[0]], GEN_BY_NAME[names[1]]
     except KeyError as exc:
         raise KappaHopfError(f"unknown generator in --corrupt-rule: {exc}") from exc
-    if not any(
-        pair in get_preset(basis, sector).rules
-        for basis in _selected_bases(args)
-        for name in _selected_suites(args)
-        for sector in _SUITES[name][0]
-    ):
-        raise KappaHopfError(
-            f"--corrupt-rule {names[0]},{names[1]} names no relation-table entry "
-            f"in the presets that suite {args.suite} checks"
-        )
-    return pair
 
 
 def _corrupted(preset, pair):
     """Replace one relation-table entry, adding i*hbar to its correction; a
-    preset without that entry, or a pair of None, is returned unchanged."""
+    preset without that entry is returned unchanged."""
     if pair not in preset.rules:
         return preset
     bad = preset.rules[pair] + Element.from_scalar(Scalar.term(0, 1, hbar=1))
@@ -145,15 +122,26 @@ def _corrupted(preset, pair):
 
 def cmd_suite(args) -> int:
     pair = _corrupt_pair(args)
-    presets = {}  # with a corrupt pair, one corrupted copy per (basis, sector)
-    reports = []
-    for name in _selected_suites(args):
-        sectors, make = _SUITES[name]
-        for basis in _selected_bases(args):
-            for sector in sectors:
-                if (basis, sector) not in presets:
-                    presets[basis, sector] = _corrupted(get_preset(basis, sector), pair)
-                reports += make(presets[basis, sector])
+    bases = [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
+    # the (check, basis, sector) runs of the selected suites, in table order
+    runs = [
+        (make, basis, sector)
+        for name, (sectors, make) in _SUITES.items()
+        if args.suite in (name, "all")
+        for basis in bases
+        for sector in sectors
+    ]
+    presets = {(basis, sector): get_preset(basis, sector) for _, basis, sector in runs}
+    if pair is not None:
+        # a pair with no entry in any selected preset would corrupt nothing
+        # and let the suite pass
+        if not any(pair in preset.rules for preset in presets.values()):
+            raise KappaHopfError(
+                f"--corrupt-rule {pair[0].render()},{pair[1].render()} names no "
+                f"relation-table entry in the presets that suite {args.suite} checks"
+            )
+        presets = {key: _corrupted(preset, pair) for key, preset in presets.items()}
+    reports = [r for make, basis, sector in runs for r in make(presets[basis, sector])]
     basis_map = basis_map_check() if args.suite in ("basis-map", "all") else None
     checked = reports + ([basis_map] if basis_map is not None else [])
     ok = all(r.passed for r in checked)
@@ -352,14 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except KappaHopfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning, with no source path or line of this package
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except KappaHopfError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

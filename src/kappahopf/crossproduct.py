@@ -54,7 +54,11 @@ actions run on: a `with_rule_override` copy enters this module only as the
 relation table that `derive_phase_space_relations` compares against.
 
 The rule runs only on a memo miss, so a hit costs one dict lookup, and a
-value it proves zero is not stored.
+value it proves zero is not stored.  For the pairing it is more than a
+shortcut: the base cases of `_pair_mono_fresh` hold only for the pairs it
+lets through, where pm has no letter if xm is empty and at most one if xm is
+one letter.  Without it the recursion pairs P0 P1 with x0 as P0 with x0, and
+the derived phase-space relations come out wrong.
 """
 
 from __future__ import annotations
@@ -103,13 +107,18 @@ class PairingContext(FrozenRecord):
         return get_preset(self.basis, Sector.PHASESPACE)
 
 
-# base pairings: <P_nu, x_mu> = -i hbar g_{mu nu}
+# P_mu pairs only with x_mu; x0 needs no entry, since q absorbs extra x0s
+_DUAL = {
+    Gen.P0: Gen.X0, Gen.P1: Gen.X1, Gen.P2: Gen.X2, Gen.P3: Gen.X3,
+    Gen.X1: Gen.P1, Gen.X2: Gen.P2, Gen.X3: Gen.P3,
+}
+
+
+# base pairing of a momentum p and a position x: <P_nu, x_mu> = -i hbar g_{mu nu}
 def _base_pairing(p: Gen, x: Gen) -> Scalar:
-    if p is Gen.P0 and x is Gen.X0:
-        return Scalar.term(0, 1, hbar=1)
-    if p in MOMENTA and x in POSITIONS and p - Gen.P0 == x - Gen.X0 and x is not Gen.X0:
-        return Scalar.term(0, -1, hbar=1)
-    return Scalar.zero()
+    if _DUAL[p] is not x:
+        return Scalar.zero()
+    return Scalar.term(0, 1 if x is Gen.X0 else -1, hbar=1)
 
 
 def _q_pairing(a: int, x: Gen) -> Scalar:
@@ -119,11 +128,6 @@ def _q_pairing(a: int, x: Gen) -> Scalar:
     return _base_pairing(Gen.P0, x) * Scalar.term(Fraction(a, 2), 0, kappa=-1, c=-1)
 
 
-# P_mu pairs only with x_mu; x0 needs no entry, since q absorbs extra x0s
-_DUAL = {
-    Gen.P0: Gen.X0, Gen.P1: Gen.X1, Gen.P2: Gen.X2, Gen.P3: Gen.X3,
-    Gen.X1: Gen.P1, Gen.X2: Gen.P2, Gen.X3: Gen.P3,
-}
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
 _NO_ACTION = Element.zero()

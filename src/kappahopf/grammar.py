@@ -273,12 +273,11 @@ def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Valu
     that sector as well, so names that disagree with node raise SectorError
     before any product runs unchecked.
     """
-    basis = Basis(basis)
-    data = _eval(node, PairingContext(basis), get_preset(basis, _sector_of(names, sector)))
+    data = _eval(node, get_preset(Basis(basis), _sector_of(names, sector)))
     return Value(_KINDS[type(data)], data)
 
 
-def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
+def _eval(node, preset: AlgebraPreset):
     """The Scalar, Element or TensorElement that node evaluates to."""
     kind = node[0]
     if kind == "num":
@@ -291,7 +290,7 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
             )
         return _SYMBOL_VALUES[node[1]]
     if kind == "neg":
-        return -_eval(node[1], ctx, preset)
+        return -_eval(node[1], preset)
     if kind in ("add", "sub"):
         # a sum parses as a left-deep chain; walking its spine in a loop keeps
         # the depth independent of the number of terms
@@ -299,9 +298,9 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
         while node[0] in ("add", "sub"):
             spine.append(node)
             node = node[1]
-        a = _eval(node, ctx, preset)
+        a = _eval(node, preset)
         for op, _, rhs in reversed(spine):
-            b = _eval(rhs, ctx, preset)
+            b = _eval(rhs, preset)
             if (type(a) is TensorElement) != (type(b) is TensorElement):
                 raise SectorError("cannot add a tensor to a non-tensor value")
             if type(a) is not type(b):  # a scalar and an element
@@ -316,15 +315,15 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
             node = node[1]
         if len(spine) >= MAX_POWER:
             raise ResourceLimitError(f"a product has more than {MAX_POWER} factors")
-        a = _eval(node, ctx, preset)
+        a = _eval(node, preset)
         for op, _, rhs in reversed(spine):
-            b = _eval(rhs, ctx, preset)
+            b = _eval(rhs, preset)
             a = _mul(a, b if op == "mul" else _invert(b), preset)
         return a
     if kind == "pow":
-        return _pow(_eval(node[1], ctx, preset), node[2], preset)
+        return _pow(_eval(node[1], preset), node[2], preset)
     # every other node takes one or two element operands, checked in order
-    args = [_element(_eval(arg, ctx, preset)) for arg in node[1:]]
+    args = [_element(_eval(arg, preset)) for arg in node[1:]]
     if kind == "comm":
         return preset._commutator(*args)
     if kind == "cop":
@@ -334,9 +333,9 @@ def _eval(node, ctx: PairingContext, preset: AlgebraPreset):
     if kind == "counit":
         return counit(*args, preset)
     if kind == "pair":
-        return pair(*args, ctx)
+        return pair(*args, PairingContext(preset.basis))
     if kind == "action":
-        return left_action(*args, ctx)
+        return left_action(*args, PairingContext(preset.basis))
     raise AssertionError(f"unhandled node kind {kind!r}")
 
 

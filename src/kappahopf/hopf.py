@@ -396,15 +396,20 @@ def _preset_tag(preset: AlgebraPreset) -> str:
     return f"{preset.basis.value}/{preset.sector.value}"
 
 
+def _report(preset: AlgebraPreset, axiom: str, residuals) -> CheckReport:
+    """Report of an axiom whose residuals, (name, residual) pairs, must vanish."""
+    entries = [CheckEntry(name, r.is_zero, r.render()) for name, r in residuals]
+    return CheckReport(_preset_tag(preset), axiom, entries)
+
+
 def check_coassociativity(preset: AlgebraPreset) -> CheckReport:
-    report = CheckReport(_preset_tag(preset), "coassociativity")
+    residuals = []
     for name, e in _subjects(preset):
         d = coproduct(e, preset)
         # (Delta (x) id) Delta - (id (x) Delta) Delta, in one dict
         acc = _coproduct_slot_into({}, d, 0, preset)
-        diff = TensorElement._wrap(_coproduct_slot_into(acc, -d, 1, preset), 3)
-        report.entries.append(CheckEntry(name, diff.is_zero, diff.render()))
-    return report
+        residuals.append((name, TensorElement._wrap(_coproduct_slot_into(acc, -d, 1, preset), 3)))
+    return _report(preset, "coassociativity", residuals)
 
 
 def _two_sided(name: str, left: Element, right: Element, target: Element) -> CheckEntry:
@@ -461,16 +466,15 @@ def _homomorphism_pairs(preset: AlgebraPreset) -> list[tuple[str, Element, Eleme
 
 
 def check_coproduct_homomorphism(preset: AlgebraPreset) -> CheckReport:
-    report = CheckReport(_preset_tag(preset), "coproduct-homomorphism")
+    residuals = []
     brackets: dict = {}
     for name, a, b in _homomorphism_pairs(preset):
         # Delta([a, b]) - [Delta a, Delta b], both accumulated into one dict
         da, db = coproduct(a, preset), coproduct(b, preset)
         acc = _tensor_commutator_into({}, -da, db, preset, brackets)
         accumulate(acc, coproduct(preset.commutator(a, b), preset).items())
-        diff = TensorElement._wrap(acc, 2)
-        report.entries.append(CheckEntry(name, diff.is_zero, diff.render()))
-    return report
+        residuals.append((name, TensorElement._wrap(acc, 2)))
+    return _report(preset, "coproduct-homomorphism", residuals)
 
 
 # -- Casimir -----------------------------------------------------------------------
@@ -497,13 +501,9 @@ def casimir(basis: Basis) -> Element:
 def check_centrality(preset: AlgebraPreset) -> CheckReport:
     """[C, g] = 0 for the Casimir C of preset's basis and each generator g of preset."""
     c2 = casimir(preset.basis)
-    report = CheckReport(_preset_tag(preset), "casimir-centrality")
-    for g in preset.generators:
-        residual = preset.commutator(c2, Element.generator(g))
-        report.entries.append(
-            CheckEntry(g.render(), residual.is_zero, residual.render())
-        )
-    return report
+    residuals = [(g.render(), preset.commutator(c2, Element.generator(g)))
+                 for g in preset.generators]
+    return _report(preset, "casimir-centrality", residuals)
 
 
 # -- Jacobi -------------------------------------------------------------------------
@@ -519,7 +519,7 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
     commutator [m, c] taken once per call and skipped when zero; the three
     outer commutators of a triple are added with a sign into one dict.
     """
-    report = CheckReport(_preset_tag(preset), "jacobi")
+    residuals = []
     subjects = _subjects(preset)
     inner = {
         (i, j): preset.commutator(subjects[i][1], subjects[j][1])
@@ -538,7 +538,6 @@ def check_jacobi(preset: AlgebraPreset) -> CheckReport:
                     bracket = brackets[m, t] = preset._commutator(e, c)._terms
                 if bracket:
                     accumulate(acc, bracket.items(), coeff if sign > 0 else -coeff)
-        total = Element._wrap(acc)
         names = ", ".join(subjects[t][0] for t in (i, j, k))
-        report.entries.append(CheckEntry(f"({names})", total.is_zero, total.render()))
-    return report
+        residuals.append((f"({names})", Element._wrap(acc)))
+    return _report(preset, "jacobi", residuals)

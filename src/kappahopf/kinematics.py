@@ -131,14 +131,6 @@ class BoundSet(FrozenRecord):
         }
 
 
-def _two_kappa_c2(kappa: float, c: float) -> float:
-    """The bounds' denominator; 4 kappa c^2 is nonzero whenever this is."""
-    denom = 2 * kappa * c * c
-    if denom == 0.0:
-        raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
-    return denom
-
-
 def _finite(bounds: BoundSet) -> BoundSet:
     """bounds, or ParameterError if a bound overflows double precision: finite
     inputs can still give inf, or nan as inf times a zero expectation."""
@@ -148,6 +140,22 @@ def _finite(bounds: BoundSet) -> BoundSet:
     return bounds
 
 
+def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp_q: float,
+            dp_dt_factor: int) -> BoundSet:
+    """The four bounds of either basis, written once; the momentum-time
+    denominator is dp_dt_factor kappa c^2, which is nonzero whenever
+    2 kappa c^2 is."""
+    denom = 2 * kappa * c * c
+    if denom == 0.0:
+        raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
+    return _finite(BoundSet(
+        time_position=hbar / denom * abs(exp_x),
+        momentum_position=0.5 * hbar * abs(exp_q),
+        energy_time=0.5 * hbar,
+        momentum_time=hbar / (dp_dt_factor * kappa * c * c) * abs(exp_p),
+    ))
+
+
 def bounds_bicross(
     hbar: float, kappa: float, c: float, exp_x: float = 0.0, exp_p: float = 0.0
 ) -> BoundSet:
@@ -155,14 +163,11 @@ def bounds_bicross(
 
     dt dx_k >= (hbar / 2 kappa c^2) |<x_k>|      dp_k dx_k >= hbar/2
     dE dt   >= hbar/2                            dp_k dt   >= (hbar / 2 kappa c^2) |<p_k>|
+
+    These are the standard-basis formulas at <q> = 1 with the momentum-time
+    denominator 2 kappa c^2.
     """
-    front = hbar / _two_kappa_c2(kappa, c)
-    return _finite(BoundSet(
-        time_position=front * abs(exp_x),
-        momentum_position=0.5 * hbar,
-        energy_time=0.5 * hbar,
-        momentum_time=front * abs(exp_p),
-    ))
+    return _bounds(hbar, kappa, c, exp_x, exp_p, 1.0, 2)
 
 
 def bounds_standard(
@@ -183,12 +188,7 @@ def bounds_standard(
             f"got {exp_q}",
             stacklevel=2,
         )
-    return _finite(BoundSet(
-        time_position=hbar / _two_kappa_c2(kappa, c) * abs(exp_x),
-        momentum_position=0.5 * hbar * abs(exp_q),
-        energy_time=0.5 * hbar,
-        momentum_time=hbar / (4 * kappa * c * c) * abs(exp_p),
-    ))
+    return _bounds(hbar, kappa, c, exp_x, exp_p, exp_q, 4)
 
 
 def nonrel_bound(M: float, kappa: float, hbar: float = 1.0) -> float:

@@ -433,6 +433,15 @@ class TestNumeric:
         payload = json.loads(out)
         assert abs(payload["dp_dx"] - 0.809016994375) < 1e-9
 
+    def test_bounds_warning_is_one_stderr_line(self, capsys):
+        # the message alone: no source path, line number or source line
+        code, out, err = run_cli(
+            capsys, "numeric", "bounds", "--basis", "standard", "--exp-q", "0.5"
+        )
+        assert code == 0
+        assert out == "dt dx_k  >= 0\ndp_k dx_k >= 0.25\ndE dt    >= 0.5\ndp_k dt  >= 0\n"
+        assert err == "warning: on-shell values of <exp(P0/2 kappa c)> are >= 1; got 0.5\n"
+
     @pytest.mark.parametrize("basis", ["bicross", "standard"])
     def test_bounds_underflowing_denominator(self, capsys, basis):
         # 2 kappa c^2 underflows to 0.0 for these valid inputs

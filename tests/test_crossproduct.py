@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kappahopf.crossproduct import (
     Convention,
     PairingContext,
+    _vanishes,
     basis_map_check,
     canonical_limit_table,
     cross_commutator,
@@ -576,6 +577,25 @@ class TestLetterCountRule:
             n = _letter_counts(pm.word, _PS)
             m = _letter_counts(xm.word, _XS)
             assert all(a <= b for a, b in zip(n, m)), (pm, xm)
+
+
+    def test_rule_meets_base_case_preconditions(self):
+        # `_pair_mono_fresh` answers an empty position word with 1 and a
+        # one-letter word with a base pairing, so every pair the exact rule
+        # lets through must have no momentum letter, or at most one, there
+        passed = 0
+        for n in range(4):
+            for pword in itertools.product(_PS, repeat=n):
+                for a in (-1, 0, 1):
+                    pm = Monomial(pword, a)
+                    for k in range(3):
+                        for xword in itertools.product(_XS, repeat=k):
+                            if _vanishes(pm.word, xword, True):
+                                continue
+                            passed += 1
+                            if len(xword) < 2:
+                                assert len(pm.word) <= len(xword), (pm, xword)
+        assert passed == 126
 
 
 class TestDerivation:

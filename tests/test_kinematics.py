@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +242,69 @@ class TestBoundFamilies:
                     bounds_standard(1.0, 2.0, 3.0, exp_x, exp_p, 1.1),
                 ):
                     assert all(v >= 0 for v in b.as_dict().values())
+
+
+def _frozen_bounds(hbar, kappa, c, exp_x, exp_p, exp_q, standard):
+    """The bodies of `bounds_bicross` and `bounds_standard` as they stood
+    when each wrote its own formulas, frozen as the oracle: the four values,
+    or the ParameterError text."""
+    denom = 2 * kappa * c * c
+    if denom == 0.0:
+        return f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}"
+    if standard:
+        values = (
+            hbar / denom * abs(exp_x),
+            0.5 * hbar * abs(exp_q),
+            0.5 * hbar,
+            hbar / (4 * kappa * c * c) * abs(exp_p),
+        )
+    else:
+        front = hbar / denom
+        values = (front * abs(exp_x), 0.5 * hbar, 0.5 * hbar, front * abs(exp_p))
+    for name, value in zip(("dt_dx", "dp_dx", "dE_dt", "dp_dt"), values):
+        if not value < math.inf:
+            return f"bound {name} overflows double precision, got {value}"
+    return values
+
+
+class TestBoundsOracle:
+    """Both bound functions against the frozen per-basis formulas, float for
+    float, over magnitudes from subnormal to the largest double."""
+
+    SPECIAL = (0.0, -0.0, 5e-324, 1e308, sys.float_info.max)
+
+    def _draw(self, rng, signed):
+        if rng.random() < 0.25:
+            x = rng.choice(self.SPECIAL)
+        else:
+            x = 10.0 ** rng.uniform(-320, 308)
+        return -x if signed and rng.random() < 0.5 else x
+
+    @pytest.mark.parametrize("standard", [False, True], ids=["bicross", "standard"])
+    def test_matches_frozen_formulas(self, standard):
+        rng = random.Random(33)
+        errors = 0
+        for _ in range(30000):
+            hbar, kappa, c = (self._draw(rng, False) for _ in range(3))
+            exp_x, exp_p, exp_q = (self._draw(rng, True) for _ in range(3))
+            if not standard:
+                exp_q = 1.0
+            expected = _frozen_bounds(hbar, kappa, c, exp_x, exp_p, exp_q, standard)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    if standard:
+                        b = bounds_standard(hbar, kappa, c, exp_x, exp_p, exp_q)
+                    else:
+                        b = bounds_bicross(hbar, kappa, c, exp_x, exp_p)
+                got = tuple(b.as_dict().values())
+            except ParameterError as exc:
+                got = str(exc)
+                errors += 1
+            # repr tells -0.0 from 0.0 and reads nan as equal to nan
+            assert repr(got) == repr(expected), (hbar, kappa, c, exp_x, exp_p, exp_q)
+        # both outcomes are exercised
+        assert 1000 < errors < 29000
 
 
 class TestLimits:
