@@ -11,7 +11,10 @@
 # that must give the same certificate digest, so output that depends on set or
 # dict order fails here every time; then the two csv sweeps at
 # kinematics.MAX_POINTS, of the mass shell and of the bound, must match their
-# pinned sha256 prefixes byte for byte; then four negative controls whose exit
+# pinned sha256 prefixes byte for byte; then the whole stdout of `numeric
+# mass-shell --M 1 --P 2 --format json` and of `numeric bounds --basis
+# standard --M 1 --exp-x 2 --exp-p 3`, the JSON and the text form of the one
+# value printer (`cli._emit_values`); then four negative controls whose exit
 # codes must be exact: a corrupted zero rule and a corrupted boost rule each
 # fail the certificate (1), a pair with no relation-table entry is rejected (2)
 # instead of corrupting nothing, and a sweep past kinematics.MAX_POINTS is
@@ -72,6 +75,12 @@ for pin in mass-shell:c972bd1c7e5fa651 bound:c5ba07fd3f6fbfd8; do
     --quantity "${pin%%:*}" | sha256sum | cut -c1-16)
   test "$digest" = "${pin#*:}" || { echo "sweep --points 100000 --quantity ${pin%%:*} gave digest $digest"; exit 1; }
 done
+out=$("${kappahopf[@]}" numeric mass-shell --M 1 --P 2 --format json)
+expected='{"kappa": 1.0, "c": 1.0, "hbar": 1.0, "M": 1.0, "P": 2.0, "exp_P0_over_2kc": 2.61803398875, "residual": 8.881784197e-16}'
+test "$out" = "$expected" || { echo "numeric mass-shell --M 1 --P 2 --format json printed '$out'"; exit 1; }
+out=$("${kappahopf[@]}" numeric bounds --basis standard --M 1 --exp-x 2 --exp-p 3)
+expected=$'dt dx_k  >= 1\ndp_k dx_k >= 0.809016994375\ndE dt    >= 0.5\ndp_k dt  >= 0.75'
+test "$out" = "$expected" || { echo "numeric bounds --basis standard --M 1 --exp-x 2 --exp-p 3 printed '$out'"; exit 1; }
 set +e
 "${kappahopf[@]}" suite all --corrupt-rule P1,x2 --format json > /dev/null
 code=$?

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
 from .crossproduct import basis_map_check, derive_phase_space_relations
 from .elements import GEN_BY_NAME, Element
-from .errors import KappaHopfError, ParameterError
+from .errors import KappaHopfError, check_finite
 from .grammar import eval_text
 from .hopf import (
     check_antipode_axiom,
@@ -165,39 +164,31 @@ def _params_from(args) -> KinematicParams:
     )
 
 
+def _emit_values(args, head: dict, values: list[tuple[str, str, float]]) -> None:
+    """Print (json key, text label, value) triples as one JSON object, head's
+    fields then each value at fmt's precision, or as one `label value` line each."""
+    if args.format == "json":
+        _emit(json.dumps(head | {key: float(fmt(v)) for key, _, v in values}), args)
+    else:
+        _emit("\n".join(f"{label} {fmt(v)}" for _, label, v in values), args)
+
+
 def cmd_mass_shell(args) -> int:
     params = _params_from(args)
-    q = mass_shell_exp(params)
-    residual = check_mass_shell(params)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "kappa": params.kappa,
-                    "c": params.c,
-                    "hbar": params.hbar,
-                    "M": params.M,
-                    "P": params.Pvec,
-                    "exp_P0_over_2kc": float(fmt(q)),
-                    "residual": float(fmt(residual)),
-                }
-            ),
-            args,
-        )
-    else:
-        _emit(
-            f"exp(P0/2 kappa c) = {fmt(q)}\nmass-shell residual = {fmt(residual)}",
-            args,
-        )
+    head = {"kappa": params.kappa, "c": params.c, "hbar": params.hbar, "M": params.M,
+            "P": params.Pvec}
+    _emit_values(args, head, [
+        ("exp_P0_over_2kc", "exp(P0/2 kappa c) =", mass_shell_exp(params)),
+        ("residual", "mass-shell residual =", check_mass_shell(params)),
+    ])
     return 0
 
 
 def cmd_bounds(args) -> int:
     basis = Basis(args.basis)
     params = _params_from(args)
-    for flag, value in (("--exp-x", args.exp_x), ("--exp-p", args.exp_p), ("--exp-q", args.exp_q)):
-        if value is not None and not math.isfinite(value):
-            raise ParameterError(f"{flag} must be finite, got {value}")
+    exps = {"--exp-x": args.exp_x, "--exp-p": args.exp_p, "--exp-q": args.exp_q}
+    check_finite("finite", **{flag: v for flag, v in exps.items() if v is not None})
     if basis is Basis.BICROSS:
         bounds = bounds_bicross(params.hbar, params.kappa, params.c, args.exp_x, args.exp_p)
     else:
@@ -205,23 +196,9 @@ def cmd_bounds(args) -> int:
         bounds = bounds_standard(
             params.hbar, params.kappa, params.c, args.exp_x, args.exp_p, exp_q
         )
-    table = bounds.as_dict()
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"basis": basis.value}
-                | {k: float(fmt(v)) for k, v in table.items()}
-            ),
-            args,
-        )
-    else:
-        names = {
-            "dt_dx": "dt dx_k  >=",
-            "dp_dx": "dp_k dx_k >=",
-            "dE_dt": "dE dt    >=",
-            "dp_dt": "dp_k dt  >=",
-        }
-        _emit("\n".join(f"{names[k]} {fmt(v)}" for k, v in table.items()), args)
+    labels = ["dt dx_k  >=", "dp_k dx_k >=", "dE dt    >=", "dp_k dt  >="]
+    table = zip(bounds.as_dict().items(), labels)
+    _emit_values(args, {"basis": basis.value}, [(key, label, v) for (key, v), label in table])
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the numeric layer's input and
+result checks, here because `scalars` cannot import `kinematics`."""
+
+import math
 
 
 class KappaHopfError(Exception):
@@ -7,6 +10,40 @@ class KappaHopfError(Exception):
 
 class ParameterError(KappaHopfError, ValueError):
     """Invalid numeric parameter (e.g. non-positive value of hbar, kappa or c)."""
+
+
+def _is_finite(value: complex) -> bool:
+    return abs(value.real) < math.inf and abs(value.imag) < math.inf
+
+
+# each kind's test and error words; every comparison is false for nan
+_KINDS = {
+    "positive": (lambda v: 0 < v < math.inf, "strictly positive and finite"),
+    "nonnegative": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+    "finite": (_is_finite, "finite"),
+}
+
+
+def check_finite(kind: str, **values: float) -> None:
+    """ParameterError "<name> must be <words>, got <v>" for the first value,
+    in argument order, that fails kind: "positive", "nonnegative" or "finite"."""
+    test, words = _KINDS[kind]
+    for name, value in values.items():
+        if not test(value):
+            raise ParameterError(f"{name} must be {words}, got {value}")
+
+
+def finite_result(name: str, compute):
+    """compute(), or ParameterError "<name> overflows double precision, got
+    <v>": finite inputs can still give inf, nan as inf times zero, or an
+    OverflowError from a float power or the modulus of a complex."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not _is_finite(value):
+        raise ParameterError(f"{name} overflows double precision, got {value}")
+    return value
 
 
 class DivisionByZeroError(KappaHopfError, ZeroDivisionError):

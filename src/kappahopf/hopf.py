@@ -335,6 +335,13 @@ def counit(e: Element, preset: AlgebraPreset) -> Scalar:
 # -- tensor-slot maps ------------------------------------------------------------
 
 
+def _check_slot(t: TensorElement, slot: int, what: str) -> None:
+    """ValueError unless t has rank 2 and slot is 0 or 1."""
+    if t.rank != 2 or slot not in (0, 1):
+        raise ValueError(f"{what} expects a rank-2 tensor and slot 0 or 1, "
+                         f"got rank {t.rank} and slot {slot!r}")
+
+
 def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, producing rank 3."""
     return TensorElement._wrap(_coproduct_slot_into({}, t, slot, preset), 3)
@@ -342,8 +349,7 @@ def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> Tensor
 
 def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset) -> dict:
     """acc += (coproduct on one slot of t), in place."""
-    if t.rank != 2:
-        raise ValueError("slot coproduct expects a rank-2 tensor")
+    _check_slot(t, slot, "slot coproduct")
     # the memo reads are unchecked, and a hand-built tensor may be out of sector
     preset.check_admissible(Element._wrap({key[slot]: c for key, c in t.items()}))
     for key, coeff in t.items():
@@ -358,8 +364,7 @@ def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset) -> dict
 
 def counit_slot(t: TensorElement, slot: int) -> Element:
     """Contract one slot of a rank-2 tensor with the counit."""
-    if t.rank != 2:
-        raise ValueError("slot counit expects a rank-2 tensor")
+    _check_slot(t, slot, "slot counit")
     # eps is 1 exactly on pure q-powers (their exponent is dropped), 0 else
     kept = ((key[1 - slot], coeff) for key, coeff in t.items() if not key[slot].word)
     return Element._wrap(accumulate({}, kept))
@@ -368,8 +373,7 @@ def counit_slot(t: TensorElement, slot: int) -> Element:
 def antipode_slot_multiply(t: TensorElement, slot: int, preset: AlgebraPreset) -> Element:
     """m . (S (x) id) or m . (id (x) S) applied to a rank-2 tensor, every
     product added into one dict after one admissibility check of t."""
-    if t.rank != 2:
-        raise ValueError("antipode axiom expects a rank-2 tensor")
+    _check_slot(t, slot, "antipode axiom")
     # S maps an admissible monomial to an admissible element, so the images
     # and products below run unchecked
     preset.check_admissible(Element._wrap({m: c for key, c in t.items() for m in key}))

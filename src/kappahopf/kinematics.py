@@ -16,7 +16,10 @@ row loop `_shell_rows`.  `sweep_rows` runs it over a log grid and
 `mass_shell_exp` and `check_mass_shell` on one point, so a sweep row equals
 the per-point values float for float.
 
-Everything runs in double precision; no arbitrary-precision floats.
+Everything runs in double precision; no arbitrary-precision floats.  Inputs
+are checked by `errors.check_finite` (not in the two bound families), results
+that can overflow by `errors.finite_result`, each error naming its parameter
+or result; the sweep's row loop and `log_grid` keep their own checks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from collections.abc import Sequence
 from contextlib import suppress
 
 from .elements import Element
-from .errors import IncompleteStateError, ParameterError, ResourceLimitError
+from .errors import (IncompleteStateError, ParameterError, ResourceLimitError, check_finite,
+                     finite_result)
 from .presets import AlgebraPreset
 from .reports import FrozenRecord
 
@@ -38,13 +42,8 @@ class KinematicParams(FrozenRecord):
 
     def __init__(self, kappa: float, c: float = 1.0, hbar: float = 1.0, M: float = 0.0,
                  Pvec: float = 0.0):
-        # every chained comparison is false for nan as well as for inf
-        for name, value in (("kappa", kappa), ("c", c), ("hbar", hbar)):
-            if not 0 < value < math.inf:
-                raise ParameterError(f"{name} must be strictly positive and finite, got {value}")
-        for name, value in (("M", M), ("Pvec", Pvec)):
-            if not 0 <= value < math.inf:
-                raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
+        check_finite("positive", kappa=kappa, c=c, hbar=hbar)
+        check_finite("nonnegative", M=M, Pvec=Pvec)
         self._init(kappa, c, hbar, M, Pvec)
 
 
@@ -61,18 +60,19 @@ def check_mass_shell(params: KinematicParams) -> float:
 class ExpectationAssignment:
     """State expectations keyed by normal-form monomial renderings.
 
-    <1> is fixed to one.  Values may be complex and no bound checks that
-    they are real: `robertson_bound` takes the modulus of <[a, b]>, and
-    `require_real` is there for a caller that wants the check.
+    <1> is fixed to one and every value must be finite.  Values may be complex
+    and no bound checks that they are real: `robertson_bound` takes the
+    modulus of <[a, b]>, and `require_real` is there for a caller that does.
     """
 
     def __init__(self, values: dict[str, complex] | None = None):
         self._values: dict[str, complex] = {"1": 1.0 + 0.0j}
-        if values:
-            for key, val in values.items():
-                if key == "1" and complex(val) != 1:
-                    raise ParameterError("<1> must equal 1")
-                self._values[key] = complex(val)
+        for key, val in (values or {}).items():
+            val = complex(val)
+            if key == "1" and val != 1:
+                raise ParameterError("<1> must equal 1")
+            check_finite("finite", **{f"<{key}>": val})
+            self._values[key] = val
 
     def get(self, rendering: str) -> complex | None:
         return self._values.get(rendering)
@@ -108,9 +108,11 @@ def robertson_bound(
     kappa: float,
     c: float,
 ) -> float:
-    """Robertson lower bound (1/2)|<[a, b]>| for the product of dispersions."""
-    comm = preset.commutator(a, b)
-    return 0.5 * abs(state.expectation(comm, hbar, kappa, c))
+    """Robertson lower bound (1/2)|<[a, b]>| for the product of dispersions;
+    the constants are checked even where the commutator is zero."""
+    check_finite("positive", hbar=hbar, kappa=kappa, c=c)
+    return finite_result("Robertson bound", lambda: 0.5 * abs(
+        state.expectation(preset.commutator(a, b), hbar, kappa, c)))
 
 
 class BoundSet(FrozenRecord):
@@ -131,15 +133,6 @@ class BoundSet(FrozenRecord):
         }
 
 
-def _finite(bounds: BoundSet) -> BoundSet:
-    """bounds, or ParameterError if a bound overflows double precision: finite
-    inputs can still give inf, or nan as inf times a zero expectation."""
-    for name, value in bounds.as_dict().items():
-        if not value < math.inf:
-            raise ParameterError(f"bound {name} overflows double precision, got {value}")
-    return bounds
-
-
 def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp_q: float,
             dp_dt_factor: int) -> BoundSet:
     """The four bounds of either basis, written once; the momentum-time
@@ -148,12 +141,14 @@ def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp
     denom = 2 * kappa * c * c
     if denom == 0.0:
         raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
-    return _finite(BoundSet(
-        time_position=hbar / denom * abs(exp_x),
-        momentum_position=0.5 * hbar * abs(exp_q),
-        energy_time=0.5 * hbar,
-        momentum_time=hbar / (dp_dt_factor * kappa * c * c) * abs(exp_p),
-    ))
+    # in BoundSet's field order, keyed as in its as_dict
+    bounds = {
+        "dt_dx": hbar / denom * abs(exp_x),
+        "dp_dx": 0.5 * hbar * abs(exp_q),
+        "dE_dt": 0.5 * hbar,
+        "dp_dt": hbar / (dp_dt_factor * kappa * c * c) * abs(exp_p),
+    }
+    return BoundSet(*(finite_result(f"bound {k}", lambda: v) for k, v in bounds.items()))
 
 
 def bounds_bicross(
@@ -201,32 +196,19 @@ def nonrel_bound(M: float, kappa: float, hbar: float = 1.0) -> float:
 
 def nonrel_chain(M: float, kappa: float, hbar: float = 1.0) -> tuple[float, float]:
     """(middle, right) of the nonrelativistic inequality chain."""
-    if not M >= 0:
-        raise ParameterError(f"M must be nonnegative, got {M}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be strictly positive, got {kappa}")
-    _check_dp_hbar(0.0, hbar)
+    check_finite("nonnegative", M=M)
+    check_finite("positive", kappa=kappa, hbar=hbar)
     v = 1.0 + M / (2.0 * kappa)
-    return 0.25 * hbar * (1.0 + v * v), 0.5 * hbar * v
+    return (finite_result("bound dp_dx", lambda: 0.25 * hbar * (1.0 + v * v)),
+            finite_result("bound dp_dx estimate", lambda: 0.5 * hbar * v))
 
 
 def _check_kappa_c(kappa: float, c: float) -> None:
-    """The estimates divide by a multiple of kappa^2 c^2: kappa and c must be
-    positive, and kappa^2 c^2 must neither underflow nor overflow."""
-    try:
-        if kappa > 0 and c > 0 and kappa**2 * c**2 > 0:
+    """kappa^2 c^2, which the estimates divide by, must neither underflow nor overflow."""
+    with suppress(OverflowError):
+        if kappa**2 * c**2 > 0:
             return
-    except OverflowError:
-        pass
     raise ParameterError(f"kappa^2 c^2 must be a positive double, got kappa={kappa}, c={c}")
-
-
-def _check_dp_hbar(delta_p: float, hbar: float) -> None:
-    """delta_p finite and >= 0, hbar finite and > 0; nan fails both tests."""
-    if not 0 <= delta_p < math.inf:
-        raise ParameterError(f"delta_p must be nonnegative and finite, got {delta_p}")
-    if not 0 < hbar < math.inf:
-        raise ParameterError(f"hbar must be strictly positive and finite, got {hbar}")
 
 
 def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) -> float:
@@ -235,7 +217,8 @@ def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) ->
     Valid in the regime <P>^2 + M^2 c^2 << kappa^2 c^2 with dp <= kappa c;
     outside it a warning is issued and the value still computed.
     """
-    _check_dp_hbar(delta_p, hbar)
+    check_finite("nonnegative", delta_p=delta_p)
+    check_finite("positive", hbar=hbar, kappa=kappa, c=c)
     _check_kappa_c(kappa, c)
     if delta_p > kappa * c:
         warnings.warn(
@@ -243,7 +226,9 @@ def modified_bound(delta_p: float, kappa: float, c: float, hbar: float = 1.0) ->
             "outside the validity regime of the quadratic estimate",
             stacklevel=2,
         )
-    return 0.5 * hbar * (1.0 + delta_p**2 / (8.0 * kappa**2 * c**2))
+    return finite_result(
+        "bound dp_dx", lambda: 0.5 * hbar * (1.0 + delta_p**2 / (8.0 * kappa**2 * c**2))
+    )
 
 
 def sqrt_bound_estimate(
@@ -258,10 +243,12 @@ def sqrt_bound_estimate(
     (hbar/2) sqrt(1 + (<P>^2 + dp^2 + M^2 c^2) / 4 kappa^2 c^2),
     of which `modified_bound` is the quadratic (upper) approximation.
     """
-    _check_dp_hbar(delta_p, hbar)
+    check_finite("nonnegative", delta_p=delta_p, M=M)
+    check_finite("positive", hbar=hbar, kappa=kappa, c=c)
+    check_finite("finite", exp_P=exp_P)
     _check_kappa_c(kappa, c)
-    u = (exp_P**2 + delta_p**2 + (M * c) ** 2) / (4.0 * kappa**2 * c**2)
-    return 0.5 * hbar * math.sqrt(1.0 + u)
+    return finite_result("bound dp_dx", lambda: 0.5 * hbar * math.sqrt(
+        1.0 + (exp_P**2 + delta_p**2 + (M * c) ** 2) / (4.0 * kappa**2 * c**2)))
 
 
 # -- sweeps (CLI backend) --------------------------------------------------------

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZeroError, ParameterError, ResourceLimitError
+from .errors import DivisionByZeroError, ResourceLimitError, check_finite, finite_result
 from .reports import FrozenRecord
 
 
@@ -283,21 +283,24 @@ class Scalar:
     # -- numeric bridge ----------------------------------------------------
 
     def to_complex(self, hbar: float, kappa: float, c: float) -> complex:
-        """Substitute positive real values for the constants.
+        """Substitute positive finite real values for the constants; a value
+        past double precision is a ParameterError.
 
         The exact rational parts are converted to float last, after the
         power product, to keep rounding to a single step per addend.  Int
         true division is correctly rounded, so `a / d` is the float of the
         reduced fraction without reducing it first.
         """
-        for name, value in (("hbar", hbar), ("kappa", kappa), ("c", c)):
-            if not value > 0:
-                raise ParameterError(f"{name} must be strictly positive, got {value}")
-        total = 0j
-        for eh, ek, ec, a, b, d in _addends(self._store):
-            mag = hbar**eh * kappa**ek * c**ec
-            total += complex(a / d * mag, b / d * mag)
-        return total
+        check_finite("positive", hbar=hbar, kappa=kappa, c=c)
+
+        def value() -> complex:
+            total = 0j
+            for eh, ek, ec, a, b, d in _addends(self._store):
+                mag = hbar**eh * kappa**ek * c**ec
+                total += complex(a / d * mag, b / d * mag)
+            return total
+
+        return finite_result("value of the scalar", value)
 
     # -- rendering ---------------------------------------------------------
 

@@ -404,6 +404,31 @@ BAD_BOUNDS = [
 ]
 
 
+# the whole stdout of `numeric mass-shell` and `numeric bounds`, in both
+# formats and both bases, at one point with nonzero --exp-x and --exp-p so
+# that no bound prints as 0
+PRINTER_POINT = ("--kappa", "2", "--c", "3", "--hbar", "0.5", "--M", "1", "--P", "2")
+PRINTED = [
+    (("mass-shell",), "text",
+     "exp(P0/2 kappa c) = 1.34462628013\nmass-shell residual = -4.4408920985e-16\n"),
+    (("mass-shell",), "json",
+     '{"kappa": 2.0, "c": 3.0, "hbar": 0.5, "M": 1.0, "P": 2.0, '
+     '"exp_P0_over_2kc": 1.34462628013, "residual": -4.4408920985e-16}\n'),
+    (("bounds", "--basis", "bicross", "--exp-x", "4", "--exp-p", "5"), "text",
+     "dt dx_k  >= 0.0555555555556\ndp_k dx_k >= 0.25\ndE dt    >= 0.25\n"
+     "dp_k dt  >= 0.0694444444444\n"),
+    (("bounds", "--basis", "bicross", "--exp-x", "4", "--exp-p", "5"), "json",
+     '{"basis": "bicross", "dt_dx": 0.0555555555556, "dp_dx": 0.25, "dE_dt": 0.25, '
+     '"dp_dt": 0.0694444444444}\n'),
+    (("bounds", "--basis", "standard", "--exp-x", "4", "--exp-p", "5"), "text",
+     "dt dx_k  >= 0.0555555555556\ndp_k dx_k >= 0.336156570033\ndE dt    >= 0.25\n"
+     "dp_k dt  >= 0.0347222222222\n"),
+    (("bounds", "--basis", "standard", "--exp-x", "4", "--exp-p", "5"), "json",
+     '{"basis": "standard", "dt_dx": 0.0555555555556, "dp_dx": 0.336156570033, '
+     '"dE_dt": 0.25, "dp_dt": 0.0347222222222}\n'),
+]
+
+
 class TestNumeric:
     def test_mass_shell_golden_point(self, capsys):
         code, out, _ = run_cli(
@@ -441,6 +466,16 @@ class TestNumeric:
         assert code == 0
         assert out == "dt dx_k  >= 0\ndp_k dx_k >= 0.25\ndE dt    >= 0.5\ndp_k dt  >= 0\n"
         assert err == "warning: on-shell values of <exp(P0/2 kappa c)> are >= 1; got 0.5\n"
+
+    @pytest.mark.parametrize(
+        "argv, out_format, expected", PRINTED,
+        ids=[" ".join(argv[:3]) + " " + fmt for argv, fmt, _ in PRINTED],
+    )
+    def test_printed_values_are_pinned(self, capsys, argv, out_format, expected):
+        code, out, err = run_cli(
+            capsys, "numeric", *argv, *PRINTER_POINT, "--format", out_format
+        )
+        assert (code, out, err) == (0, expected, "")
 
     @pytest.mark.parametrize("basis", ["bicross", "standard"])
     def test_bounds_underflowing_denominator(self, capsys, basis):

@@ -31,6 +31,7 @@ from kappahopf.hopf import (
     coproduct_monomial,
     coproduct_slot,
     counit,
+    counit_slot,
     tensor_commutator,
     tensor_multiply,
 )
@@ -459,6 +460,25 @@ class TestAxiomSuites:
             },
         )
         assert lhs == expected and rhs == expected
+
+    @pytest.mark.parametrize("slot", (2, -1, 7))
+    @pytest.mark.parametrize(
+        "slot_map",
+        [
+            lambda t, slot: coproduct_slot(t, slot, POB),
+            lambda t, slot: counit_slot(t, slot),
+            lambda t, slot: antipode_slot_multiply(t, slot, POB),
+        ],
+        ids=["coproduct_slot", "counit_slot", "antipode_slot_multiply"],
+    )
+    def test_slot_maps_reject_a_slot_other_than_0_or_1(self, slot_map, slot):
+        d = coproduct(gen(Gen.P1), POB)
+        with pytest.raises(ValueError, match=f"rank-2 tensor and slot 0 or 1, got rank 2 "
+                                             f"and slot {slot}$"):
+            slot_map(d, slot)
+        rank3 = TensorElement(3, {(ONE, ONE, ONE): Scalar.one()})
+        with pytest.raises(ValueError, match="got rank 3 and slot 0$"):
+            slot_map(rank3, 0)
 
     def test_antipode_axiom_on_degree_two_elements(self):
         # the axiom extends linearly; smoke-check composite elements

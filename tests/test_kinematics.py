@@ -1,5 +1,6 @@
 """Numeric kinematics: mass shell, Robertson bound, uncertainty families."""
 
+import cmath
 import gc
 import math
 import random
@@ -30,6 +31,7 @@ from kappahopf.kinematics import (
     sweep_rows,
 )
 from kappahopf.presets import Basis, Sector, get_preset
+from kappahopf.scalars import Scalar
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -787,3 +789,110 @@ class TestSweepMatchesPointwise:
         base = KinematicParams(kappa=1.0, c=1e-200)
         rows = sweep_rows("kappa", 1e-200, 1e-190, 3, base, "bound")
         assert [row["value"] for row in rows] == [0.5, 0.5, 0.5]
+
+
+# -- one input check and one overflow check for every numeric function ---------
+
+_PHASE = get_preset(Basis.BICROSS, Sector.PHASESPACE)
+_X0, _X1 = Element.generator(Gen.X0), Element.generator(Gen.X1)
+
+
+def _robertson(**constants):
+    # [x0, x1] is a nonzero multiple of x1, so every constant is substituted
+    return robertson_bound(_X0, _X1, _PHASE, ExpectationAssignment({"x1": 1.0}), **constants)
+
+
+# every public numeric function but the two bound functions, with a valid
+# value and the kind of each float parameter
+POSITIVE, NONNEGATIVE, FINITE = "strictly positive", "nonnegative", "finite"
+NUMERIC_FUNCTIONS = {
+    "KinematicParams": (KinematicParams, {
+        "kappa": (1.0, POSITIVE), "c": (1.0, POSITIVE), "hbar": (1.0, POSITIVE),
+        "M": (1.0, NONNEGATIVE), "Pvec": (1.0, NONNEGATIVE),
+    }),
+    "nonrel_bound": (nonrel_bound, {
+        "M": (1.0, NONNEGATIVE), "kappa": (1.0, POSITIVE), "hbar": (1.0, POSITIVE),
+    }),
+    "nonrel_chain": (nonrel_chain, {
+        "M": (1.0, NONNEGATIVE), "kappa": (1.0, POSITIVE), "hbar": (1.0, POSITIVE),
+    }),
+    "modified_bound": (modified_bound, {
+        "delta_p": (0.5, NONNEGATIVE), "kappa": (1.0, POSITIVE), "c": (1.0, POSITIVE),
+        "hbar": (1.0, POSITIVE),
+    }),
+    "sqrt_bound_estimate": (sqrt_bound_estimate, {
+        "delta_p": (0.5, NONNEGATIVE), "kappa": (1.0, POSITIVE), "c": (1.0, POSITIVE),
+        "hbar": (1.0, POSITIVE), "exp_P": (0.5, FINITE), "M": (1.0, NONNEGATIVE),
+    }),
+    "robertson_bound": (_robertson, {
+        "hbar": (1.0, POSITIVE), "kappa": (2.0, POSITIVE), "c": (3.0, POSITIVE),
+    }),
+    "Scalar.to_complex": (Scalar.term(1, 1, hbar=1, kappa=-1, c=-2).to_complex, {
+        "hbar": (1.0, POSITIVE), "kappa": (2.0, POSITIVE), "c": (3.0, POSITIVE),
+    }),
+}
+INVALID_INPUTS = [
+    (func, name, bad)
+    for func, (_, params) in NUMERIC_FUNCTIONS.items()
+    for name, (_, kind) in params.items()
+    for bad in (math.nan, math.inf, -math.inf) + ((-1.0,) if kind != FINITE else ())
+]
+
+# finite inputs whose result overflows double precision, and non-finite
+# expectation values: (id, call, start of the error text)
+OVERFLOWS_AND_BAD_STATES = [
+    ("modified_bound", lambda: modified_bound(1e160, 1.0, 1.0), "bound dp_dx overflows"),
+    ("sqrt_bound_estimate", lambda: sqrt_bound_estimate(1e200, 1.0, 1.0),
+     "bound dp_dx overflows"),
+    ("nonrel_chain", lambda: nonrel_chain(1e308, 1e-308), "bound dp_dx overflows"),
+    ("nonrel_bound", lambda: nonrel_bound(1e4, 1.0, hbar=1e308), "bound dp_dx overflows"),
+    ("to_complex", lambda: Scalar.term(1, 0, kappa=-1).to_complex(1.0, 1e-320, 1.0),
+     "value of the scalar overflows"),
+    # the coefficient hbar kappa^-1 c^-1 of <[x0, x1]> overflows
+    ("robertson_bound-coefficient", lambda: _robertson(hbar=1.0, kappa=1e-200, c=1e-200),
+     "value of the scalar overflows"),
+    # <[x0, x1]> is finite, and its modulus is not
+    ("robertson_bound-modulus", lambda: robertson_bound(
+        _X0, _X1, _PHASE, ExpectationAssignment({"x1": 1.5e308 + 1.5e308j}), 1.0, 1.0, 1.0
+    ), "Robertson bound overflows"),
+    ("expectation-nan", lambda: ExpectationAssignment({"x1": math.nan}), "<x1> must be finite"),
+    ("expectation-inf", lambda: ExpectationAssignment({"x1": complex(1.0, math.inf)}),
+     "<x1> must be finite"),
+]
+
+
+class TestNumericInputs:
+    """Each numeric function rejects a nan, infinite or negative input with a
+    ParameterError that names it, and a finite input whose result overflows
+    double precision with one that names the result."""
+
+    @pytest.mark.parametrize("func", NUMERIC_FUNCTIONS)
+    def test_valid_inputs_give_a_finite_value(self, func):
+        call, params = NUMERIC_FUNCTIONS[func]
+        result = call(**{name: value for name, (value, _) in params.items()})
+        if not isinstance(result, KinematicParams):
+            assert all(map(cmath.isfinite, result if isinstance(result, tuple) else [result]))
+
+    @pytest.mark.parametrize(
+        "func, name, bad", INVALID_INPUTS,
+        ids=[f"{func}-{name}={bad}" for func, name, bad in INVALID_INPUTS],
+    )
+    def test_invalid_input_names_the_parameter(self, func, name, bad):
+        call, params = NUMERIC_FUNCTIONS[func]
+        kwargs = {param: value for param, (value, _) in params.items()} | {name: bad}
+        kind = params[name][1]
+        words = FINITE if kind == FINITE else f"{kind} and {FINITE}"
+        with pytest.raises(ParameterError, match=f"^{name} must be {words}, got "):
+            call(**kwargs)
+
+    @pytest.mark.parametrize("case", OVERFLOWS_AND_BAD_STATES, ids=lambda case: case[0])
+    def test_overflow_and_bad_expectation_are_typed(self, case):
+        _, call, message = case
+        with warnings.catch_warnings(), pytest.raises(ParameterError, match=f"^{message}"):
+            warnings.simplefilter("ignore")
+            call()
+
+    def test_robertson_checks_constants_of_a_zero_commutator(self):
+        with pytest.raises(ParameterError, match="^kappa must be strictly positive"):
+            robertson_bound(_X1, Element.generator(Gen.P2), _PHASE, ExpectationAssignment(),
+                            1.0, math.nan, 1.0)
