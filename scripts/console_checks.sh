@@ -42,7 +42,11 @@
 # print P1^4000 (the normal-form memo drops the partial products nobody reads
 # again); `P1^1500 x0`, which must exit 0 with its exact value (x0 moves past
 # the whole run P1^1500 in one run transport), and `M2^1200 M1`, which still
-# recurses once per letter and must exit 2 with a typed error; the sha256
+# recurses once per letter and must exit 2 with a typed error; the scalar
+# powers `(2/3)^2650000` and `(1 + hbar)^8000`, which must exit 2 with the
+# error lines of the bit budget of one coefficient addend and of the exponent
+# limit of a sum of addends, before any product, while the unit-coefficient
+# power `q^100000000` must still print itself; the sha256
 # prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
 # exactness gate recorded before run transport; in both bases, `N1^1500 M1`,
 # which must print `M1 N1^1500` (M1 commutes with N1 outside every
@@ -150,6 +154,13 @@ expected='x0 P1^1500 + (-1500 i hbar kappa^-1 c^-1) P1^1500'
 test "$out" = "$expected" || { echo "eval 'P1^1500 x0' printed '$out', expected '$expected'"; exit 1; }
 typed_error eval 'M2^1200 M1'
 grep -q "too deeply nested or too long" "$tmp/err.txt" || { echo "eval 'M2^1200 M1' gave $(cat "$tmp/err.txt")"; exit 1; }
+typed_error eval '(2/3)^2650000'
+expected='error: exponent 2650000 is above the limit of 131072 for powers of a coefficient of 2 bits'
+test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '(2/3)^2650000' gave $(cat "$tmp/err.txt")"; exit 1; }
+typed_error eval '(1 + hbar)^8000'
+expected='error: exponent 8000 is above the limit of 4096 for powers of sums of coefficients'
+test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '(1 + hbar)^8000' gave $(cat "$tmp/err.txt")"; exit 1; }
+expect 'q^100000000' 'q^100000000'
 digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
 test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }
 for basis in bicross standard; do

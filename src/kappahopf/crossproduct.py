@@ -275,8 +275,7 @@ def cross_multiply(a: Element, b: Element, ctx: PairingContext) -> Element:
     result is returned in the same representation.
     """
     preset = ctx.preset
-    preset.check_admissible(a)
-    preset.check_admissible(b)
+    preset.check_admissible(a, b)
     return Element._wrap(_cross_product_into({}, a, b, ctx, preset))
 
 
@@ -313,8 +312,7 @@ def cross_commutator(a: Element, b: Element, ctx: PairingContext) -> Element:
     """[a, b] in the cross product: both products accumulated in place into
     one dict, the second as b (-a)."""
     preset = ctx.preset
-    preset.check_admissible(a)
-    preset.check_admissible(b)
+    preset.check_admissible(a, b)
     acc = _cross_product_into({}, a, b, ctx, preset)
     return Element._wrap(_cross_product_into(acc, b, -a, ctx, preset))
 

@@ -16,9 +16,10 @@
 INT is a run of ASCII digits 0-9; a literal past the interpreter's
 str-to-int digit limit raises ResourceLimitError.  Division is defined for
 invertible right factors only: rationals, single-term scalars, and scalar
-multiples of q powers.  A power of an element or tensor with generators in it
-takes an exponent of at most MAX_POWER, and a product at most MAX_POWER
-factors; more raises ResourceLimitError before any product is formed.
+multiples of q powers.  A power of a value with generators in it, or of a sum
+of coefficient addends, takes an exponent of at most MAX_POWER, a power of one
+addend grows its parts to at most MAX_POWER_BITS bits, and a product takes at most
+MAX_POWER factors; more raises ResourceLimitError before any product is formed.
 `parse(render(e))` evaluates back to `e` for every normal-form element the
 engine produces.
 """
@@ -39,8 +40,13 @@ from .scalars import Scalar
 # -- lexer ---------------------------------------------------------------------
 
 _KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
-# largest exponent of an element or tensor power with generators in it
+# largest exponent of a power with generators in it or of a coefficient sum
 MAX_POWER = 4096
+# most bits a power of one coefficient addend may grow its numerators or
+# denominator to, estimated as the exponent times their largest bit length
+MAX_POWER_BITS = 1 << 18
+# the coefficient addends 1, -1, i and -i, as (re_num, im_num, den): their powers never grow
+_UNITS = {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
 
 # whitespace (\s is str.isspace), then one token: a run of ASCII digits, a run
 # of word characters (\w is str.isalnum or "_"), a symbol, or any other
@@ -80,9 +86,9 @@ def _position(source: str, offset: int) -> tuple[int, int]:
 
 # -- parse tree ------------------------------------------------------------------
 
-# nodes: ('num', Fraction) ('sym', name) ('neg', a) ('add', a, b) ('sub', a, b)
-#        ('mul', a, b) ('div', a, b) ('pow', a, int) ('comm', a, b)
+# nodes: ('num', Fraction) ('sym', name) ('neg', a) ('pow', a, int) ('comm', a, b)
 #        ('cop', a) ('anti', a) ('counit', a) ('pair', a, b) ('action', a, b)
+#        ('sum', a, (('+' or '-', b), ...)) ('product', a, (('*' or '/', b), ...))
 
 
 class _Parser:
@@ -134,31 +140,35 @@ class _Parser:
             return ("action", node, self.action())
         return node
 
+    def operands(self, *delimiters) -> tuple:
+        """An action before each of delimiters, read in turn."""
+        args = []
+        for delimiter in delimiters:
+            args.append(self.action())
+            self.expect(delimiter)
+        return tuple(args)
+
     def sum(self):
         node = self.product()
+        terms = []
         while self.peek() in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.product()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            terms.append((self.advance()[0], self.product()))
+        return ("sum", node, tuple(terms)) if terms else node
 
     _ATOM_STARTS = {"NUMBER", "IDENT", "(", "[", "<"}
 
     def product(self):
-        negate = False
-        if self.peek() == "-":
+        negate = self.peek() == "-"
+        if negate:
             self.advance()
-            negate = True
         node = self.power()
-        while True:
-            kind = self.peek()
+        factors = []
+        while (kind := self.peek()) in ("*", "/") or kind in self._ATOM_STARTS:
             if kind in ("*", "/"):
                 self.advance()
-                node = ("mul" if kind == "*" else "div", node, self.power())
-            elif kind in self._ATOM_STARTS:
-                node = ("mul", node, self.power())
-            else:
-                break
+            factors.append(("/" if kind == "/" else "*", self.power()))
+        if factors:
+            node = ("product", node, tuple(factors))
         return ("neg", node) if negate else node
 
     def power(self):
@@ -178,28 +188,16 @@ class _Parser:
         if kind == "NUMBER":
             return ("num", Fraction(self.int_literal(tok)))
         if kind == "(":
-            node = self.action()
-            self.expect(")")
-            return node
+            return self.operands(")")[0]
         if kind == "[":
-            a = self.action()
-            self.expect(",")
-            b = self.action()
-            self.expect("]")
-            return ("comm", a, b)
+            return ("comm", *self.operands(",", "]"))
         if kind == "<":
-            a = self.action()
-            self.expect("|")
-            b = self.action()
-            self.expect(">")
-            return ("pair", a, b)
+            return ("pair", *self.operands("|", ">"))
         if kind == "IDENT":
             name = tok[1]
             if name in ("D", "S", "eps"):
                 self.expect("(")
-                inner = self.action()
-                self.expect(")")
-                return {"D": "cop", "S": "anti", "eps": "counit"}[name], inner
+                return ({"D": "cop", "S": "anti", "eps": "counit"}[name], *self.operands(")"))
             if name in _KEYWORDS:
                 self.names.add(name)
                 return ("sym", name)
@@ -273,7 +271,7 @@ def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Valu
     that sector as well, so names that disagree with node raise SectorError
     before any product runs unchecked.
     """
-    data = _eval(node, get_preset(Basis(basis), _sector_of(names, sector)))
+    data = _eval(node, get_preset(basis, _sector_of(names, sector)))
     return Value(_KINDS[type(data)], data)
 
 
@@ -291,34 +289,25 @@ def _eval(node, preset: AlgebraPreset):
         return _SYMBOL_VALUES[node[1]]
     if kind == "neg":
         return -_eval(node[1], preset)
-    if kind in ("add", "sub"):
-        # a sum parses as a left-deep chain; walking its spine in a loop keeps
-        # the depth independent of the number of terms
-        spine = []
-        while node[0] in ("add", "sub"):
-            spine.append(node)
-            node = node[1]
-        a = _eval(node, preset)
-        for op, _, rhs in reversed(spine):
+    if kind == "sum":
+        # one loop over the chain, so the depth is independent of its length
+        a = _eval(node[1], preset)
+        for op, rhs in node[2]:
             b = _eval(rhs, preset)
             if (type(a) is TensorElement) != (type(b) is TensorElement):
                 raise SectorError("cannot add a tensor to a non-tensor value")
             if type(a) is not type(b):  # a scalar and an element
                 a, b = _element(a), _element(b)
-            a = a + b if op == "add" else a - b
+            a = a + b if op == "+" else a - b
         return a
-    if kind in ("mul", "div"):
-        # a left-deep chain as well, its factors bounded like a power's exponent
-        spine = []
-        while node[0] in ("mul", "div"):
-            spine.append(node)
-            node = node[1]
-        if len(spine) >= MAX_POWER:
+    if kind == "product":
+        # a loop as well, its factors bounded like a power's exponent
+        if len(node[2]) >= MAX_POWER:
             raise ResourceLimitError(f"a product has more than {MAX_POWER} factors")
-        a = _eval(node, preset)
-        for op, _, rhs in reversed(spine):
+        a = _eval(node[1], preset)
+        for op, rhs in node[2]:
             b = _eval(rhs, preset)
-            a = _mul(a, b if op == "mul" else _invert(b), preset)
+            a = _mul(a, b if op == "*" else _invert(b), preset)
         return a
     if kind == "pow":
         return _pow(_eval(node[1], preset), node[2], preset)
@@ -392,16 +381,12 @@ def _pow(v, n: int, preset: AlgebraPreset):
         v = _invert(v)
         n = -n
     if type(v) is Scalar:
-        return _power(v, n)
+        return _scalar_power(v, n)
     term = _q_term(v)
     if term is not None:
         # (c q^k)^n = c^n q^(k n): q-powers multiply by adding exponents
-        return Element.term(Monomial((), term[0].qexp * n), _power(term[1], n))
-    if n > MAX_POWER:
-        raise ResourceLimitError(
-            f"exponent {n} is above the limit of {MAX_POWER} for powers with "
-            "generators in them"
-        )
+        return Element.term(Monomial((), term[0].qexp * n), _scalar_power(term[1], n))
+    _check_exponent(n, MAX_POWER, "powers with generators in them")
     if type(v) is Element and len(v) == 1:
         # one term: O(log n) products, so O(log n) memoized words
         return _power(v, n, Element.one(), preset._product)
@@ -410,6 +395,21 @@ def _pow(v, n: int, preset: AlgebraPreset):
     for _ in range(n):
         out = _mul(out, v, preset)
     return out
+
+
+def _check_exponent(n: int, limit: int, what: str):
+    if n > limit:
+        raise ResourceLimitError(f"exponent {n} is above the limit of {limit} for {what}")
+
+
+def _scalar_power(s: Scalar, n: int) -> Scalar:
+    """s^n for n >= 0, refused past the limits of the module docstring."""
+    if len(s) > 1:
+        _check_exponent(n, MAX_POWER, "powers of sums of coefficients")
+    elif len(s) and s._store[3:] not in _UNITS:
+        bits = max(map(abs, s._store[3:])).bit_length()
+        _check_exponent(n, MAX_POWER_BITS // bits, f"powers of a coefficient of {bits} bits")
+    return _power(s, n)
 
 
 def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):

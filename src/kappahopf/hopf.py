@@ -109,8 +109,9 @@ def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -
     """Slotwise product, no braiding; each slot normalized by the preset."""
     if a.rank != b.rank:
         raise ValueError("tensor ranks differ")
+    preset.check_admissible(a, b)
     acc: dict[tuple[Monomial, ...], Scalar] = {}
-    mul = preset.multiply_monomials
+    mul = preset._multiply_monomials
     for key_a, ca in a.items():
         for key_b, cb in b.items():
             _slots_into(acc, [mul(x, y)._terms for x, y in zip(key_a, key_b)], ca * cb)
@@ -119,6 +120,9 @@ def tensor_multiply(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -
 
 def tensor_commutator(a: TensorElement, b: TensorElement, preset: AlgebraPreset) -> TensorElement:
     """[a, b] = ab - ba, telescoped over slots into one dict."""
+    if a.rank != b.rank:
+        raise ValueError("tensor ranks differ")
+    preset.check_admissible(a, b)
     return TensorElement._wrap(_tensor_commutator_into({}, a, b, preset, {}), a.rank)
 
 
@@ -129,11 +133,9 @@ def _tensor_commutator_into(acc: dict, a, b, preset, brackets: dict) -> dict:
     X_1 (x) .. X_r - Y_1 (x) .. Y_r is the sum over slots i of
     Y_1 (x) .. Y_(i-1) (x) (X_i - Y_i) (x) X_(i+1) (x) .. X_r, so a slot that
     commutes adds nothing.  brackets memoizes X_i - Y_i per monomial pair; a
-    caller may share it between calls on one preset.
+    caller may share it on one preset, and checks a and b as `tensor_commutator` does.
     """
-    if a.rank != b.rank:
-        raise ValueError("tensor ranks differ")
-    mul = preset.multiply_monomials
+    mul = preset._multiply_monomials
     for key_a, ca in a.items():
         for key_b, cb in b.items():
             cab = ca * cb
@@ -245,7 +247,7 @@ def coproduct_monomial(mono: Monomial, preset: AlgebraPreset) -> TensorElement:
     Every other word is folded, reading no memo entry: q^n (x) q^n, then
     table[g] times it for each letter g of the reversed word.  Only mono is
     stored, once the fold succeeds; a word with a letter from outside the
-    sector never takes the closed form, so it fails in the checked `multiply`.
+    sector never takes the closed form, so it fails at `tensor_multiply`'s check.
     """
     memo = preset._coproduct_cache
     t = memo.get(mono)
@@ -344,14 +346,13 @@ def _check_slot(t: TensorElement, slot: int, what: str) -> None:
 
 def coproduct_slot(t: TensorElement, slot: int, preset: AlgebraPreset) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, producing rank 3."""
+    _check_slot(t, slot, "slot coproduct")
+    preset.check_admissible(t)
     return TensorElement._wrap(_coproduct_slot_into({}, t, slot, preset), 3)
 
 
 def _coproduct_slot_into(acc: dict, t: TensorElement, slot: int, preset) -> dict:
-    """acc += (coproduct on one slot of t), in place."""
-    _check_slot(t, slot, "slot coproduct")
-    # the memo reads are unchecked, and a hand-built tensor may be out of sector
-    preset.check_admissible(Element._wrap({key[slot]: c for key, c in t.items()}))
+    """acc += (coproduct on one slot of t), in place, for a checked t and slot."""
     for key, coeff in t.items():
         other = key[1 - slot]
         split = (
@@ -376,7 +377,7 @@ def antipode_slot_multiply(t: TensorElement, slot: int, preset: AlgebraPreset) -
     _check_slot(t, slot, "antipode axiom")
     # S maps an admissible monomial to an admissible element, so the images
     # and products below run unchecked
-    preset.check_admissible(Element._wrap({m: c for key, c in t.items() for m in key}))
+    preset.check_admissible(t)
     table = _antipodes(preset.basis)
     acc: dict[Monomial, Scalar] = {}
     for (m1, m2), coeff in t.items():

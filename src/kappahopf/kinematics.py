@@ -78,7 +78,8 @@ class ExpectationAssignment:
         return self._values.get(rendering)
 
     def expectation(self, e: Element, hbar: float, kappa: float, c: float) -> complex:
-        """<e> with Scalar coefficients numerized; raises if monomials are missing."""
+        """<e> with Scalar coefficients numerized; raises if monomials are
+        missing, or if the sum overflows double precision."""
         total = 0.0 + 0.0j
         missing = []
         for mono, coeff in e.items():
@@ -89,7 +90,7 @@ class ExpectationAssignment:
             total += coeff.to_complex(hbar, kappa, c) * val
         if missing:
             raise IncompleteStateError(sorted(missing))
-        return total
+        return finite_result("expectation value", lambda: total)
 
     def require_real(self, rendering: str):
         val = self._values.get(rendering)

@@ -79,6 +79,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .elements import (
     BOOSTS,
@@ -281,18 +282,19 @@ def _weight(word: tuple[Gen, ...]) -> int:
 class AlgebraPreset:
     """One basis/sector choice with its rewrite table and memoized engine.
 
-    The public products check that their operands are admissible; `_product`
-    and `_product_into` are for callers that already know it.  The normal-form
-    memo holds plain term dicts, which nothing may change, in two generations:
-    `_nf_young` takes every store and `_nf_letters` counts the letters of its
-    keys; `_nf_old` is the generation before, read on a young miss.  They
-    turn over only at the start of `_product_into`, so a value read within
-    one request stays in young.
+    The public products check that their operands are admissible; `_product`,
+    `_product_into` and `_multiply_monomials` are for callers that already
+    know it.  The normal-form memo holds plain term dicts, which nothing may
+    change, in two generations: `_nf_young` takes every store and
+    `_nf_letters` counts the letters of its keys; `_nf_old` is the generation
+    before, read on a young miss.  They turn over only at the start of
+    `_product_into`, so a value read within one request stays in young.
     """
 
     def __init__(self, basis: Basis, sector: Sector, rules, qrules):
-        self.basis = basis
-        self.sector = sector
+        # the enum members themselves: the structure maps test them by identity
+        self.basis = Basis(basis)
+        self.sector = sector = Sector(sector)
         self.rules = rules
         self.qrules = qrules
         if sector is Sector.POINCARE:
@@ -322,7 +324,7 @@ class AlgebraPreset:
         self._nf_old: dict[tuple[Gen, ...], dict[Monomial, Scalar]] = {}
         self._nf_letters = 0
         self._qpast_cache: dict = {}
-        # structure-map memos: monomial products (`multiply_monomials`),
+        # structure-map memos: monomial products (`_multiply_monomials`),
         # coproducts (`hopf.coproduct`), and, on a phase-space preset, the
         # duality pairing and the left action per (convention, p, x) monomial
         # pair (`crossproduct`); per instance, so a `with_rule_override` copy
@@ -361,14 +363,16 @@ class AlgebraPreset:
 
     # -- admissibility -------------------------------------------------------
 
-    def check_admissible(self, e: Element):
-        for word, _ in e.monomials():
-            if not self.allowed.issuperset(word):
-                g = next(g for g in word if g not in self.allowed)
-                raise SectorError(
-                    f"generator {g.render()} is not admissible in the "
-                    f"{self.sector.value} sector"
-                )
+    def check_admissible(self, *values):
+        """SectorError at the first generator of elements or tensors (any slot) not admitted."""
+        for v in values:
+            for word, _ in v._terms if isinstance(v, Element) else chain.from_iterable(v._terms):
+                if not self.allowed.issuperset(word):
+                    g = next(g for g in word if g not in self.allowed)
+                    raise SectorError(
+                        f"generator {g.render()} is not admissible in the "
+                        f"{self.sector.value} sector"
+                    )
 
     # -- q transport ---------------------------------------------------------
 
@@ -464,8 +468,7 @@ class AlgebraPreset:
         return self._product(_UNIT, e)
 
     def multiply(self, a: Element, b: Element) -> Element:
-        self.check_admissible(a)
-        self.check_admissible(b)
+        self.check_admissible(a, b)
         return self._product(a, b)
 
     def _product(self, a: Element, b: Element) -> Element:
@@ -491,29 +494,26 @@ class AlgebraPreset:
                     _shifted_accumulate(acc, self._nf_word(w1 + word2), q1 + q2, c12 * qc)
         return acc
 
-    def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
-        """Normal form of m1 * m2, memoized per monomial pair.
+    def _multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
+        """Normal form of m1 * m2 for admissible monomials, memoized per pair.
 
-        For the structure maps, which multiply the same few monomials over and
-        over; `multiply` stays unmemoized, since arbitrary products rarely
-        repeat and the memo would only grow.  A miss goes through the checked
-        `multiply`, since a hand-built tensor may carry a generator from
-        outside the sector.
+        For the tensor maps of `hopf`, which multiply the same few monomials
+        over and over and check their operands on entry; `multiply` stays
+        unmemoized, since arbitrary products rarely repeat and the memo would
+        only grow.
         """
         key = (m1, m2)
         cached = self._product_cache.get(key)
         if cached is None:
-            cached = self.multiply(
-                Element.term(m1, Scalar.one()), Element.term(m2, Scalar.one())
+            cached = self._product_cache[key] = self._product(
+                Element._wrap({m1: _ONE}), Element._wrap({m2: _ONE})
             )
-            self._product_cache[key] = cached
         return cached
 
     def commutator(self, a: Element, b: Element) -> Element:
         """[a, b] = ab - ba, both products accumulated in place into one dict,
         the second as b * (-a)."""
-        self.check_admissible(a)
-        self.check_admissible(b)
+        self.check_admissible(a, b)
         return self._commutator(a, b)
 
     def _commutator(self, a: Element, b: Element) -> Element:

@@ -1,6 +1,7 @@
 """Expression grammar: parsing, evaluation, rendering round trips."""
 
 import random
+import re
 import time
 
 import pytest
@@ -26,8 +27,13 @@ class TestParse:
 
     def test_sum_of_product_and_scaled_generator(self):
         node = parse("x0 x1 + (i hbar / (kappa c)) x1")
-        assert node[0] == "add"
-        assert node[1] == ("mul", ("sym", "x0"), ("sym", "x1"))
+        kappa_c = ("product", ("sym", "kappa"), (("*", ("sym", "c")),))
+        scale = ("product", ("sym", "i"), (("*", ("sym", "hbar")), ("/", kappa_c)))
+        assert node == (
+            "sum",
+            ("product", ("sym", "x0"), (("*", ("sym", "x1")),)),
+            (("+", ("product", scale, (("*", ("sym", "x1")),))),),
+        )
 
     def test_pairing_node(self):
         assert parse("<P1 | x1>") == ("pair", ("sym", "P1"), ("sym", "x1"))
@@ -41,7 +47,9 @@ class TestParse:
 
     def test_product_binds_tighter_than_sum(self):
         node = parse("x0 + x1 x2")
-        assert node == ("add", ("sym", "x0"), ("mul", ("sym", "x1"), ("sym", "x2")))
+        assert node == (
+            "sum", ("sym", "x0"), (("+", ("product", ("sym", "x1"), (("*", ("sym", "x2")),))),)
+        )
 
     def test_error_position_and_expected_set(self):
         with pytest.raises(ParseError) as err:
@@ -385,6 +393,33 @@ class TestEval:
         assert eval_text("P1^4096").render() == "P1^4096"
         with pytest.raises(ResourceLimitError, match="exponent 4097"):
             eval_text(expression)
+
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("(2/3)^2650000", "exponent 2650000 is above the limit of 131072 for powers of a "
+                              "coefficient of 2 bits"),
+            ("(2/3 + 5/7 i)^1000000", "exponent 1000000 is above the limit of 52428 for powers "
+                                      "of a coefficient of 5 bits"),
+            ("3^100000000", "exponent 100000000 is above the limit of 131072"),
+            ("(1 + hbar)^8000", "exponent 8000 is above the limit of 4096 for powers of sums"),
+            ("((1 + hbar) q)^8000", "exponent 8000 is above the limit of 4096"),
+        ],
+    )
+    def test_scalar_power_above_limit_is_typed(self, expression, message):
+        assert grammar.MAX_POWER_BITS == 1 << 18
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            eval_text(expression)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "expression, value",
+        [("q^100000000", "q^100000000"), ("i^100000000", "1"), ("(-1)^99999999999", "-1"),
+         ("2^100000 / 2^99999", "2"), ("(1 + i)^262144 / 2^131072", "1"), ("0^100000000", "0")],
+    )
+    def test_unit_and_small_scalar_powers_evaluate(self, expression, value):
+        assert eval_text(expression).render() == value
 
     def test_product_above_limit_is_typed(self):
         # a chain of generators multiplies left to right, so each factor

@@ -881,3 +881,43 @@ class TestCoproductMemo:
             for m, (t, terms) in entries.items():
                 assert p._coproduct_cache[m] is t
                 assert dict(t.items()) == terms, m.render()
+
+
+class TestOperandChecks:
+    """A preset built from plain strings, and the one admissibility check of
+    elements and tensors at each public entry."""
+
+    @pytest.mark.parametrize(
+        "basis, sector", [("bicross", "poincare"), ("standard", "phasespace")]
+    )
+    def test_string_built_preset_equals_the_shared_preset(self, basis, sector):
+        shared = get_preset(basis, sector)
+        built = AlgebraPreset(basis, sector, shared.rules, shared.qrules)
+        assert built.basis is shared.basis is Basis(basis)
+        assert built.sector is shared.sector is Sector(sector)
+        assert built.generators == shared.generators and repr(built) == repr(shared)
+        for g in shared.generators:
+            assert coproduct(gen(g), built) == coproduct(gen(g), shared), g
+            assert antipode(gen(g), built) == antipode(gen(g), shared), g
+        assert check_coproduct_homomorphism(built).passed
+        assert check_jacobi(built).passed
+
+    @pytest.mark.parametrize("tensor_map", [tensor_multiply, tensor_commutator])
+    def test_tensor_maps_reject_an_out_of_sector_operand_before_any_product(self, tensor_map):
+        preset = _fresh(PB, False)
+        bad = t2((Monomial((Gen.P1,)), Monomial((Gen.M1,)), Scalar.one()))
+        good = t2((Monomial((Gen.X0,)), Monomial((Gen.P2,)), Scalar.one()))
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(SectorError) as err:
+                tensor_map(a, b, preset)
+            assert str(err.value) == "generator M1 is not admissible in the phasespace sector"
+        assert not preset._product_cache
+        # a rank mismatch is reported first
+        rank3 = TensorElement(3, {(ONE, ONE, ONE): Scalar.one()})
+        with pytest.raises(ValueError, match="tensor ranks differ"):
+            tensor_map(bad, rank3, preset)
+
+    def test_coproduct_slot_checks_the_slot_it_does_not_expand(self):
+        t = t2((Monomial((Gen.P1,)), Monomial((Gen.M1,)), Scalar.one()))
+        with pytest.raises(SectorError, match="generator M1 is not admissible in the phasespace"):
+            coproduct_slot(t, 0, PB)

@@ -855,6 +855,10 @@ OVERFLOWS_AND_BAD_STATES = [
     ("robertson_bound-modulus", lambda: robertson_bound(
         _X0, _X1, _PHASE, ExpectationAssignment({"x1": 1.5e308 + 1.5e308j}), 1.0, 1.0, 1.0
     ), "Robertson bound overflows"),
+    # every value is finite, and <[x0, x1]> = (-i hbar kappa^-1 c^-1) <x1> is not
+    ("expectation-overflow", lambda: ExpectationAssignment({"x1": 1e308}).expectation(
+        _PHASE.commutator(_X0, _X1), 1.0, 1e-3, 1.0
+    ), "expectation value overflows double precision, got -infj"),
     ("expectation-nan", lambda: ExpectationAssignment({"x1": math.nan}), "<x1> must be finite"),
     ("expectation-inf", lambda: ExpectationAssignment({"x1": complex(1.0, math.inf)}),
      "<x1> must be finite"),
