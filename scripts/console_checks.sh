@@ -45,8 +45,10 @@
 # recurses once per letter and must exit 2 with a typed error; the scalar
 # powers `(2/3)^2650000` and `(1 + hbar)^8000`, which must exit 2 with the
 # error lines of the bit budget of one coefficient addend and of the exponent
-# limit of a sum of addends, before any product, while the unit-coefficient
-# power `q^100000000` must still print itself; the sha256
+# limit of a sum of addends, before any product, and a product of 16 factors
+# `(2/3)^100000`, each inside that budget, which must exit 2 with the error
+# line of the bit budget of a product's scalar factors, while the
+# unit-coefficient power `q^100000000` must still print itself; the sha256
 # prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
 # exactness gate recorded before run transport; in both bases, `N1^1500 M1`,
 # which must print `M1 N1^1500` (M1 commutes with N1 outside every
@@ -160,6 +162,9 @@ test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '(2/3)^2650000' gave 
 typed_error eval '(1 + hbar)^8000'
 expected='error: exponent 8000 is above the limit of 4096 for powers of sums of coefficients'
 test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '(1 + hbar)^8000' gave $(cat "$tmp/err.txt")"; exit 1; }
+typed_error eval "$(printf '(2/3)^100000 %.0s' {1..16})"
+expected='error: the scalar factors of a product have more than 262144 bits'
+test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval of 16 factors (2/3)^100000 gave $(cat "$tmp/err.txt")"; exit 1; }
 expect 'q^100000000' 'q^100000000'
 digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
 test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }

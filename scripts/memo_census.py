@@ -5,11 +5,16 @@
 Builds the four shared presets, then runs one pass of the rewrite-stream
 corpus (imported from perfbench/workloads.py, which it does not change) on
 their cold memos, then one pass of the phasespace-stream corpus (from the same
-module), counting the `AlgebraPreset._product_into` calls it makes through a
-wrapper that only this script installs, then `kappahopf suite all --format
-json` in the same process, then the product of 4000 factors `P1`.  It prints:
-- the bytes `tracemalloc` sees held after the pass, and its peak;
+module), then `kappahopf suite all --format json` in the same process, then
+the product of 4000 factors `P1`.  Engine calls are counted through wrappers
+that only this script installs, around one pass each, and taken off after it.
+It prints:
+- the bytes `tracemalloc` sees held after the rewrite-stream pass, and its
+  peak;
 - the growth of GC-tracked objects over the pass, by type;
+- the `_nf_word` calls (recursive ones included) and `_q_past_word` calls of
+  that pass: a change that keeps the rewriting keeps the first count, and the
+  second shows how often q-transport is asked for;
 - the engine products of the phasespace-stream pass: the cross product calls
   `_product_into` only for a left operand term with a position letter;
 - after each stage, the entry count of each memo of each preset, the young
@@ -23,6 +28,7 @@ It prints and gates nothing.
 """
 
 import contextlib
+import functools
 import gc
 import io
 import sys
@@ -40,6 +46,29 @@ MEMOS = {"nf young": "_nf_young", "nf old": "_nf_old", "qpast": "_qpast_cache",
          "product": "_product_cache", "coproduct": "_coproduct_cache",
          "pair": "_pair_cache", "action": "_action_cache"}
 MIB = 1024 * 1024
+
+
+@contextlib.contextmanager
+def counting_calls(*names):
+    """A Counter of the calls to each named AlgebraPreset method while the
+    block runs, through wrappers taken off at its end."""
+    calls = Counter()
+    originals = {name: getattr(presets.AlgebraPreset, name) for name in names}
+
+    def counted(name, method):
+        @functools.wraps(method)
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(presets.AlgebraPreset, name, counted(name, method))
+    try:
+        yield calls
+    finally:
+        for name, method in originals.items():
+            setattr(presets.AlgebraPreset, name, method)
 
 
 def tracked_types() -> Counter:
@@ -70,12 +99,14 @@ def main():
     corpus = workload.corpus()
     before = tracked_types()
     tracemalloc.start()
-    for item in corpus:
-        workload.run(item)
+    with counting_calls("_nf_word", "_q_past_word") as calls:
+        for item in corpus:
+            workload.run(item)
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     growth = tracked_types() - before
     print(f"rewrite-stream pass: {len(corpus)} ops on cold memos")
+    print(f"  engine calls: {calls['_nf_word']} _nf_word, {calls['_q_past_word']} _q_past_word")
     print(f"  tracemalloc: {held / MIB:.2f} MiB held after the pass, peak {peak / MIB:.2f} MiB")
     print(f"  GC-tracked objects: +{sum(growth.values())}")
     for name, n in growth.most_common(4):
@@ -83,21 +114,10 @@ def main():
     print_memos("the rewrite-stream pass")
     workload = PhasespaceStream()
     corpus = workload.corpus()
-    products = 0
-    product_into = presets.AlgebraPreset._product_into
-
-    def counting_product_into(*args):
-        nonlocal products
-        products += 1
-        return product_into(*args)
-
-    presets.AlgebraPreset._product_into = counting_product_into
-    try:
+    with counting_calls("_product_into") as calls:
         for item in corpus:
             workload.run(item)
-    finally:
-        presets.AlgebraPreset._product_into = product_into
-    print(f"phasespace-stream pass: {len(corpus)} ops, {products} _product_into calls")
+    print(f"phasespace-stream pass: {len(corpus)} ops, {calls['_product_into']} _product_into calls")
     print_memos("the phasespace-stream pass")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["suite", "all", "--format", "json"])

@@ -19,7 +19,8 @@ invertible right factors only: rationals, single-term scalars, and scalar
 multiples of q powers.  A power of a value with generators in it, or of a sum
 of coefficient addends, takes an exponent of at most MAX_POWER, a power of one
 addend grows its parts to at most MAX_POWER_BITS bits, and a product takes at most
-MAX_POWER factors; more raises ResourceLimitError before any product is formed.
+MAX_POWER factors, its scalar factors at most MAX_POWER_BITS summed `_bits`; more
+raises ResourceLimitError before the product that would pass the limit.
 `parse(render(e))` evaluates back to `e` for every normal-form element the
 engine produces.
 """
@@ -31,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from .crossproduct import PairingContext, left_action, pair
-from .elements import GEN_BY_NAME, Monomial, Element
+from .elements import GEN_BY_NAME, LORENTZ, POSITIONS, Monomial, Element
 from .errors import ParseError, ResourceLimitError, SectorError
 from .hopf import TensorElement, antipode, coproduct, counit, tensor_multiply
 from .presets import AlgebraPreset, Basis, Sector, get_preset
@@ -40,6 +41,9 @@ from .scalars import Scalar
 # -- lexer ---------------------------------------------------------------------
 
 _KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
+_ATOM_STARTS = {"NUMBER", "IDENT", "(", "[", "<"}
+_POSITION_NAMES = frozenset(g.render() for g in POSITIONS)
+_LORENTZ_NAMES = frozenset(g.render() for g in LORENTZ)
 # largest exponent of a power with generators in it or of a coefficient sum
 MAX_POWER = 4096
 # most bits a power of one coefficient addend may grow its numerators or
@@ -101,16 +105,9 @@ class _Parser:
     def error(self, message: str, tok, **detail) -> ParseError:
         return ParseError(message, *_position(self.source, tok[2]), **detail)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def advance(self):
+    def expect(self, kind: str):
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
         if tok[0] != kind:
             raise self.error("syntax error", tok, expected={kind}, found=tok[1])
         return tok
@@ -121,10 +118,8 @@ class _Parser:
         except ValueError:
             # past the interpreter's limit on str-to-int conversion
             line, column = _position(self.source, tok[2])
-            raise ResourceLimitError(
-                f"integer literal of {len(tok[1])} digits at line {line}, "
-                f"column {column} is too long"
-            ) from None
+            raise ResourceLimitError(f"integer literal of {len(tok[1])} digits at line {line}, "
+                                     f"column {column} is too long") from None
 
     def parse(self):
         node = self.action()
@@ -135,8 +130,8 @@ class _Parser:
 
     def action(self):
         node = self.sum()
-        if self.peek() == "|>":
-            self.advance()
+        if self.tokens[self.pos][0] == "|>":
+            self.pos += 1
             return ("action", node, self.action())
         return node
 
@@ -151,48 +146,40 @@ class _Parser:
     def sum(self):
         node = self.product()
         terms = []
-        while self.peek() in ("+", "-"):
-            terms.append((self.advance()[0], self.product()))
+        while (op := self.tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
+            terms.append((op, self.product()))
         return ("sum", node, tuple(terms)) if terms else node
 
-    _ATOM_STARTS = {"NUMBER", "IDENT", "(", "[", "<"}
-
     def product(self):
-        negate = self.peek() == "-"
+        negate = self.tokens[self.pos][0] == "-"
         if negate:
-            self.advance()
+            self.pos += 1
         node = self.power()
         factors = []
-        while (kind := self.peek()) in ("*", "/") or kind in self._ATOM_STARTS:
-            if kind in ("*", "/"):
-                self.advance()
-            factors.append(("/" if kind == "/" else "*", self.power()))
+        while (op := self.tokens[self.pos][0]) in ("*", "/") or op in _ATOM_STARTS:
+            if op == "*" or op == "/":
+                self.pos += 1
+            factors.append(("/" if op == "/" else "*", self.power()))
         if factors:
             node = ("product", node, tuple(factors))
         return ("neg", node) if negate else node
 
     def power(self):
         node = self.atom()
-        if self.peek() == "^":
-            self.advance()
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
             sign = 1
-            if self.peek() == "-":
-                self.advance()
+            if self.tokens[self.pos][0] == "-":
+                self.pos += 1
                 sign = -1
             node = ("pow", node, sign * self.int_literal(self.expect("NUMBER")))
         return node
 
     def atom(self):
-        tok = self.advance()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         kind = tok[0]
-        if kind == "NUMBER":
-            return ("num", Fraction(self.int_literal(tok)))
-        if kind == "(":
-            return self.operands(")")[0]
-        if kind == "[":
-            return ("comm", *self.operands(",", "]"))
-        if kind == "<":
-            return ("pair", *self.operands("|", ">"))
         if kind == "IDENT":
             name = tok[1]
             if name in ("D", "S", "eps"):
@@ -202,12 +189,16 @@ class _Parser:
                 self.names.add(name)
                 return ("sym", name)
             raise self.error("unknown symbol", tok, expected=sorted(_KEYWORDS), found=name)
-        raise self.error(
-            "syntax error",
-            tok,
-            expected=sorted(self._ATOM_STARTS),
-            found=tok[1] or "end of input",
-        )
+        if kind == "NUMBER":
+            return ("num", Fraction(self.int_literal(tok)))
+        if kind == "(":
+            return self.operands(")")[0]
+        if kind == "[":
+            return ("comm", *self.operands(",", "]"))
+        if kind == "<":
+            return ("pair", *self.operands("|", ">"))
+        raise self.error("syntax error", tok, expected=sorted(_ATOM_STARTS),
+                         found=tok[1] or "end of input")
 
 
 def parse(source: str, names: set[str] | None = None):
@@ -226,8 +217,8 @@ def _sector_of(names, explicit: Sector | None) -> Sector:
     """The sector that admits every symbol named, or SectorError.  With the
     leaf check in `_eval` it is the admissibility gate of evaluation, so
     products skip their own checks."""
-    has_x = any(n.startswith("x") for n in names)
-    has_lorentz = any(n[0] in "MN" for n in names if n in GEN_BY_NAME)
+    has_x = not _POSITION_NAMES.isdisjoint(names)
+    has_lorentz = not _LORENTZ_NAMES.isdisjoint(names)
     if explicit is not None:
         sector = Sector(explicit)
         if sector is Sector.POINCARE and has_x:
@@ -236,9 +227,7 @@ def _sector_of(names, explicit: Sector | None) -> Sector:
             raise SectorError("Lorentz generators are not admissible in the phasespace sector")
         return sector
     if has_x and has_lorentz:
-        raise SectorError(
-            "expression mixes position and Lorentz generators; no sector admits it"
-        )
+        raise SectorError("expression mixes position and Lorentz generators; no sector admits it")
     return Sector.PHASESPACE if has_x else Sector.POINCARE
 
 
@@ -278,8 +267,6 @@ def evaluate(node, names: set[str], basis: Basis, sector: Sector | None) -> Valu
 def _eval(node, preset: AlgebraPreset):
     """The Scalar, Element or TensorElement that node evaluates to."""
     kind = node[0]
-    if kind == "num":
-        return Scalar.term(node[1])
     if kind == "sym":
         g = GEN_BY_NAME.get(node[1])
         if g is not None and g not in preset.allowed:
@@ -287,6 +274,8 @@ def _eval(node, preset: AlgebraPreset):
                 f"generator {node[1]} is not admissible in the {preset.sector.value} sector"
             )
         return _SYMBOL_VALUES[node[1]]
+    if kind == "num":
+        return Scalar.term(node[1])
     if kind == "neg":
         return -_eval(node[1], preset)
     if kind == "sum":
@@ -301,13 +290,19 @@ def _eval(node, preset: AlgebraPreset):
             a = a + b if op == "+" else a - b
         return a
     if kind == "product":
-        # a loop as well, its factors bounded like a power's exponent
+        # a loop as well, its factors and their scalars' bits bounded like a power's
         if len(node[2]) >= MAX_POWER:
             raise ResourceLimitError(f"a product has more than {MAX_POWER} factors")
         a = _eval(node[1], preset)
+        bits = _bits(a) if type(a) is Scalar else 0
         for op, rhs in node[2]:
-            b = _eval(rhs, preset)
-            a = _mul(a, b if op == "*" else _invert(b), preset)
+            b = _eval(rhs, preset) if op == "*" else _invert(_eval(rhs, preset))
+            if type(b) is Scalar:
+                bits += _bits(b)
+                if bits > MAX_POWER_BITS:
+                    raise ResourceLimitError(f"the scalar factors of a product have more "
+                                             f"than {MAX_POWER_BITS} bits")
+            a = _mul(a, b, preset)
         return a
     if kind == "pow":
         return _pow(_eval(node[1], preset), node[2], preset)
@@ -347,15 +342,15 @@ def _element(v) -> Element:
 
 
 def _mul(a, b, preset: AlgebraPreset):
+    if type(a) is Element and type(b) is Element:
+        return preset._product(a, b)
     if type(a) is Scalar:
         return a * b if type(b) is Scalar else b.scaled(a)
     if type(b) is Scalar:
         return a.scaled(b)
     if type(a) is not type(b):
         raise SectorError("cannot multiply a tensor by a non-scalar element")
-    if type(a) is TensorElement:
-        return tensor_multiply(a, b, preset)
-    return preset._product(a, b)
+    return tensor_multiply(a, b, preset)
 
 
 def _q_term(v):
@@ -410,6 +405,11 @@ def _scalar_power(s: Scalar, n: int) -> Scalar:
         bits = max(map(abs, s._store[3:])).bit_length()
         _check_exponent(n, MAX_POWER_BITS // bits, f"powers of a coefficient of {bits} bits")
     return _power(s, n)
+
+
+def _bits(s: Scalar) -> int:
+    """Largest part bit length less one: a product outgrows the sum by at most a bit per factor."""
+    return max(map(int.bit_length, s._store[3::6] + s._store[4::6] + s._store[5::6]), default=1) - 1
 
 
 def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):

@@ -17,9 +17,9 @@ row loop `_shell_rows`.  `sweep_rows` runs it over a log grid and
 the per-point values float for float.
 
 Everything runs in double precision; no arbitrary-precision floats.  Inputs
-are checked by `errors.check_finite` (not in the two bound families), results
-that can overflow by `errors.finite_result`, each error naming its parameter
-or result; the sweep's row loop and `log_grid` keep their own checks.
+are checked by `errors.check_finite`, results that can overflow by
+`errors.finite_result`, each error naming its parameter or result; the sweep's
+row loop and `log_grid` keep their own checks.
 """
 
 from __future__ import annotations
@@ -139,6 +139,7 @@ def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp
     """The four bounds of either basis, written once; the momentum-time
     denominator is dp_dt_factor kappa c^2, which is nonzero whenever
     2 kappa c^2 is."""
+    check_finite("nonnegative", hbar=hbar, kappa=kappa, c=c)
     denom = 2 * kappa * c * c
     if denom == 0.0:
         raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
@@ -179,11 +180,7 @@ def bounds_standard(
     relative to the bicrossproduct basis (it tracks [x0, p_k] = i hbar p_k / 2 kappa c).
     """
     if exp_q < 1.0:
-        warnings.warn(
-            "on-shell values of <exp(P0/2 kappa c)> are >= 1; "
-            f"got {exp_q}",
-            stacklevel=2,
-        )
+        warnings.warn(f"on-shell values of <exp(P0/2 kappa c)> are >= 1; got {exp_q}", stacklevel=2)
     return _bounds(hbar, kappa, c, exp_x, exp_p, exp_q, 4)
 
 

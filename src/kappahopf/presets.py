@@ -379,11 +379,11 @@ class AlgebraPreset:
     def _q_past_word(self, a: int, word: tuple[Gen, ...]):
         """Rewrite q^a * word as a sum of coeff * word' * q^a, like words merged.
 
-        A word with no q-rule letter passes unchanged, with no memo entry.
-        Otherwise q^a moves right one letter at a time: each term w stays w g
-        and, when g has a q-rule, adds a*lam*extra in place of g.  Words are
-        merged after every letter, so q x0^n keeps n + 1 terms, and the result
-        is memoized per (a, word).
+        A word with no q-rule letter passes unchanged with no memo entry, and
+        `_product_into` makes the same test before it calls.  Otherwise q^a
+        moves right one letter at a time: each term w stays w g and, when g has
+        a q-rule, adds a*lam*extra in place of g.  Words are merged per letter,
+        so q x0^n keeps n + 1 terms, and the result is memoized per (a, word).
         """
         if a == 0 or self.qrules.keys().isdisjoint(word):
             return ((word, _ONE),)
@@ -487,11 +487,14 @@ class AlgebraPreset:
             self._nf_old = self._nf_young
             self._nf_young = {}
             self._nf_letters = 0
-        for (w1, q1), c1 in a.items():
-            for (w2, q2), c2 in b.items():
-                c12 = c1 * c2
-                for word2, qc in self._q_past_word(q1, w2):
-                    _shifted_accumulate(acc, self._nf_word(w1 + word2), q1 + q2, c12 * qc)
+        for (w1, q1), c1 in a._terms.items():
+            for (w2, q2), c2 in b._terms.items():
+                c12 = c1 if c2 is _ONE else c1 * c2
+                if q1 and not self.qrules.keys().isdisjoint(w2):
+                    for word2, qc in self._q_past_word(q1, w2):
+                        _shifted_accumulate(acc, self._nf_word(w1 + word2), q1 + q2, c12 * qc)
+                else:
+                    _shifted_accumulate(acc, self._nf_word(w1 + w2), q1 + q2, c12)
         return acc
 
     def _multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappahopf.elements import LORENTZ, Gen, Monomial, Element
+from kappahopf.elements import GEN_BY_NAME, LORENTZ, Gen, Monomial, Element
 from kappahopf import grammar
 from kappahopf.errors import ParseError, ResourceLimitError, SectorError
 from kappahopf.grammar import _sector_of, eval_text, parse, tokenize
@@ -284,6 +284,39 @@ class TestEval:
             infer("x0 N1")
         with pytest.raises(SectorError):
             infer("[x0, x1]", Sector.POINCARE)
+        # every name the parser accepts, read off its unknown-symbol error,
+        # less the three that take an operand in parentheses
+        with pytest.raises(ParseError) as err:
+            parse("unknown")
+        symbols = [name for name in err.value.expected if name not in ("D", "S", "eps")]
+        assert len(symbols) == 19
+        sectors = (Sector.POINCARE, Sector.PHASESPACE)
+        # the oracle: each preset's own generators; q and the constants are in every sector
+        allowed = {s: get_preset(Basis.BICROSS, s).allowed for s in sectors}
+
+        def admits(sector, names):
+            return all(n not in GEN_BY_NAME or GEN_BY_NAME[n] in allowed[sector] for n in names)
+
+        for symbol in symbols:
+            for context in ("", "x0 ", "N1 "):
+                source = context + symbol
+                names = set()
+                parse(source, names)
+                assert names == set(source.split())
+                admitting = [s for s in sectors if admits(s, names)]
+                for explicit in (None, *sectors):
+                    if explicit is not None:
+                        expect = explicit if explicit in admitting else None
+                    else:
+                        expect = admitting[0] if admitting else None
+                    if expect is None:
+                        with pytest.raises(SectorError):
+                            _sector_of(names, explicit)
+                        with pytest.raises(SectorError):
+                            eval_text(source, Basis.BICROSS, explicit)
+                    else:
+                        assert _sector_of(names, explicit) is expect, (source, explicit)
+                        eval_text(source, Basis.BICROSS, explicit)
 
     @pytest.mark.parametrize(
         "base, n, sector",
@@ -427,6 +460,30 @@ class TestEval:
         assert eval_text(" ".join(["2"] * 4096)).data == Scalar.rational(2**4096)
         with pytest.raises(ResourceLimitError, match="more than 4096 factors"):
             eval_text(" ".join(["P1"] * 4097))
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            " ".join(["(2/3)^100000"] * 16),
+            "(2/3)^100000 P1 q (2/3)^100000",
+            "(3/2)^100000 / (2/3)^100000",
+            "P1 (2/3 + 5/7 i)^50000 x0 (2/3 + 5/7 i)^50000",
+        ],
+    )
+    def test_product_of_large_scalar_factors_is_typed(self, chain):
+        # each factor is inside the power's bit budget; the chain's running
+        # count of their bits refuses the second one before multiplying
+        message = f"the scalar factors of a product have more than {grammar.MAX_POWER_BITS} bits"
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            eval_text(chain)
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_scalar_factor_alone_evaluates(self):
+        assert eval_text("(2/3)^100000").data == Scalar.rational(2**100000, 3**100000)
+        assert eval_text("(2/3)^100000 P1").as_element() == Element.term(
+            Monomial((Gen.P1,)), Scalar.rational(2**100000, 3**100000)
+        )
 
     def test_shared_preset_recovers_after_recursion_limit(self):
         # M1 moves left past M2^1200 one swap, and one recursion, at a time

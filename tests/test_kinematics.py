@@ -308,6 +308,16 @@ class TestBoundsOracle:
         # both outcomes are exercised
         assert 1000 < errors < 29000
 
+    @pytest.mark.parametrize("bounds", [bounds_bicross, bounds_standard])
+    @pytest.mark.parametrize("slot, name", [(0, "hbar"), (1, "kappa"), (2, "c")])
+    @pytest.mark.parametrize("value", [-1.0, -5e-324, -math.inf, math.inf, math.nan])
+    def test_negative_or_infinite_constant_is_refused(self, bounds, slot, name, value):
+        constants = [1.0, 1.0, 1.0]
+        constants[slot] = value
+        with pytest.raises(ParameterError) as err:
+            bounds(*constants, 1.0, 1.0)
+        assert str(err.value) == f"{name} must be nonnegative and finite, got {value}"
+
 
 class TestLimits:
     def test_nonrel_examples(self):
