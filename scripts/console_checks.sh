@@ -47,7 +47,10 @@
 # error lines of the bit budget of one coefficient addend and of the exponent
 # limit of a sum of addends, before any product, and a product of 16 factors
 # `(2/3)^100000`, each inside that budget, which must exit 2 with the error
-# line of the bit budget of a product's scalar factors, while the
+# line of the bit budget of a product's scalar factors, as must a product of
+# 8 element factors `((2/3)^100000 P1)`, whose coefficients count alike, and
+# the element power `((2/3)^20000 P1)^64` must exit 2 with the error line of
+# the bit budget of its base's coefficient, while the
 # unit-coefficient power `q^100000000` must still print itself; the sha256
 # prefix of `(x0 x1 x2 x3 P0 P1 P2 P3)^4` in the standard basis, a long-word
 # exactness gate recorded before run transport; in both bases, `N1^1500 M1`,
@@ -165,6 +168,11 @@ test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '(1 + hbar)^8000' gav
 typed_error eval "$(printf '(2/3)^100000 %.0s' {1..16})"
 expected='error: the scalar factors of a product have more than 262144 bits'
 test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval of 16 factors (2/3)^100000 gave $(cat "$tmp/err.txt")"; exit 1; }
+typed_error eval "$(printf '((2/3)^100000 P1) %.0s' {1..8})"
+test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval of 8 factors ((2/3)^100000 P1) gave $(cat "$tmp/err.txt")"; exit 1; }
+typed_error eval '((2/3)^20000 P1)^64'
+expected='error: exponent 64 is above the limit of 8 for powers of a coefficient of 31700 bits'
+test "$(cat "$tmp/err.txt")" = "$expected" || { echo "eval '((2/3)^20000 P1)^64' gave $(cat "$tmp/err.txt")"; exit 1; }
 expect 'q^100000000' 'q^100000000'
 digest=$("${kappahopf[@]}" eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard | sha256sum | cut -c1-16)
 test "$digest" = 656d7c5e5cc91629 || { echo "eval '(x0 x1 x2 x3 P0 P1 P2 P3)^4' --basis standard gave digest $digest"; exit 1; }

@@ -27,6 +27,8 @@ from .hopf import (
 )
 from .kinematics import (
     MAX_POINTS,
+    SWEEP_QUANTITIES,
+    SWEEP_VARS,
     KinematicParams,
     bounds_bicross,
     bounds_standard,
@@ -44,15 +46,14 @@ def fmt(x: float) -> str:
 
 def _emit(text: str, args):
     text = text if text.endswith("\n") else text + "\n"
-    out_path = getattr(args, "out", None)
-    if not out_path:
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise KappaHopfError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+        raise KappaHopfError(f"cannot write --out {args.out}: {exc.strerror}") from exc
 
 
 # -- eval -----------------------------------------------------------------------
@@ -78,6 +79,7 @@ def cmd_eval(args) -> int:
 
 
 _BOTH = (Sector.POINCARE, Sector.PHASESPACE)
+_BASES = [b.value for b in Basis]  # the --basis choices
 # each per-preset suite: the preset sectors it checks and the reports it makes
 # for one preset; `all` runs them in this order, then basis-map, which builds
 # its own presets.  The entries are lambdas, not the check functions
@@ -121,7 +123,7 @@ def _corrupted(preset, pair):
 
 def cmd_suite(args) -> int:
     pair = _corrupt_pair(args)
-    bases = [Basis(args.basis)] if args.basis else [Basis.BICROSS, Basis.STANDARD]
+    bases = [Basis(args.basis)] if args.basis else list(Basis)
     # the (check, basis, sector) runs of the selected suites, in table order
     runs = [
         (make, basis, sector)
@@ -239,6 +241,13 @@ def _add_numeric_flags(p):
     p.add_argument("--P", type=float, default=0.0)
 
 
+def _add_output_flags(p, func, default="text", formats=("text", "json")):
+    """--format and --out, shared by every command, and the function that runs it."""
+    p.add_argument("--format", choices=formats, default=default)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kappahopf",
@@ -251,17 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
         "expression",
         help="expression to evaluate; put -- before one that starts with -, as in `eval -- -x0`",
     )
-    p_eval.add_argument("--basis", choices=["bicross", "standard"], default="bicross")
-    p_eval.add_argument("--sector", choices=["poincare", "phasespace"], default=None)
-    p_eval.add_argument("--format", choices=["text", "json"], default="text")
-    p_eval.add_argument("--out", default=None)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.add_argument("--basis", choices=_BASES, default="bicross")
+    p_eval.add_argument("--sector", choices=[s.value for s in Sector], default=None)
+    _add_output_flags(p_eval, cmd_eval)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("suite", choices=[*_SUITES, "basis-map", "all"])
-    p_suite.add_argument("--basis", choices=["bicross", "standard"], default=None)
-    p_suite.add_argument("--format", choices=["text", "json"], default="text")
-    p_suite.add_argument("--out", default=None)
+    p_suite.add_argument("--basis", choices=_BASES, default=None)
+    _add_output_flags(p_suite, cmd_suite)
     p_suite.add_argument(
         "--corrupt-rule",
         default=None,
@@ -271,19 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
             "with no entry in the presets the suite checks exits 2"
         ),
     )
-    p_suite.set_defaults(func=cmd_suite)
 
     p_num = sub.add_parser("numeric", help="numeric kinematics")
     num_sub = p_num.add_subparsers(dest="numeric_command", required=True)
 
     p_ms = num_sub.add_parser("mass-shell", help="on-shell exp(P0/2kc) and residual")
     _add_numeric_flags(p_ms)
-    p_ms.add_argument("--format", choices=["text", "json"], default="text")
-    p_ms.add_argument("--out", default=None)
-    p_ms.set_defaults(func=cmd_mass_shell)
+    _add_output_flags(p_ms, cmd_mass_shell)
 
     p_b = num_sub.add_parser("bounds", help="deformed uncertainty bounds")
-    p_b.add_argument("--basis", choices=["bicross", "standard"], default="bicross")
+    p_b.add_argument("--basis", choices=_BASES, default="bicross")
     _add_numeric_flags(p_b)
     p_b.add_argument("--exp-x", type=float, default=0.0, dest="exp_x")
     p_b.add_argument("--exp-p", type=float, default=0.0, dest="exp_p")
@@ -294,22 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
         dest="exp_q",
         help="<exp(P0/2kc)>; defaults to the on-shell value from --M/--P",
     )
-    p_b.add_argument("--format", choices=["text", "json"], default="text")
-    p_b.add_argument("--out", default=None)
-    p_b.set_defaults(func=cmd_bounds)
+    _add_output_flags(p_b, cmd_bounds)
 
     p_s = num_sub.add_parser("sweep", help="log sweep of one parameter")
-    p_s.add_argument("--var", choices=["kappa", "M", "P"], required=True)
+    p_s.add_argument("--var", choices=SWEEP_VARS, required=True)
     p_s.add_argument("--from", type=float, required=True, dest="start")
     p_s.add_argument("--to", type=float, required=True, dest="stop")
     p_s.add_argument("--points", type=int, default=10, help=f"2 to {MAX_POINTS}")
-    p_s.add_argument(
-        "--quantity", choices=["mass-shell", "bound"], default="mass-shell"
-    )
+    p_s.add_argument("--quantity", choices=SWEEP_QUANTITIES, default="mass-shell")
     _add_numeric_flags(p_s)
-    p_s.add_argument("--format", choices=["text", "json", "csv"], default="csv")
-    p_s.add_argument("--out", default=None)
-    p_s.set_defaults(func=cmd_sweep)
+    _add_output_flags(p_s, cmd_sweep, "csv", ("text", "json", "csv"))
 
     return parser
 

@@ -17,10 +17,11 @@ INT is a run of ASCII digits 0-9; a literal past the interpreter's
 str-to-int digit limit raises ResourceLimitError.  Division is defined for
 invertible right factors only: rationals, single-term scalars, and scalar
 multiples of q powers.  A power of a value with generators in it, or of a sum
-of coefficient addends, takes an exponent of at most MAX_POWER, a power of one
-addend grows its parts to at most MAX_POWER_BITS bits, and a product takes at most
-MAX_POWER factors, its scalar factors at most MAX_POWER_BITS summed `_bits`; more
-raises ResourceLimitError before the product that would pass the limit.
+of addends, takes an exponent of at most MAX_POWER; a power of any base but zero
+or a unit grows its coefficients to at most MAX_POWER_BITS bits; a product takes
+at most MAX_POWER factors whose `_bits` (an element's: its largest coefficient's)
+sum to at most MAX_POWER_BITS; more raises ResourceLimitError before the product
+that would pass the limit.
 `parse(render(e))` evaluates back to `e` for every normal-form element the
 engine produces.
 """
@@ -40,7 +41,16 @@ from .scalars import Scalar
 
 # -- lexer ---------------------------------------------------------------------
 
-_KEYWORDS = {"i", "hbar", "kappa", "c", "q", "D", "S", "eps"} | set(GEN_BY_NAME)
+# one shared value per symbol: values are never mutated
+_SYMBOL_VALUES = {
+    "i": Scalar.i(),
+    **{name: Scalar.term(1, **{name: 1}) for name in ("hbar", "kappa", "c")},
+    "q": Element.q_power(1),
+    **{name: Element.generator(g) for name, g in GEN_BY_NAME.items()},
+}
+# the structure maps, each a name before one parenthesized operand, and their node kinds
+_MAPS = {"D": "cop", "S": "anti", "eps": "counit"}
+_KEYWORDS = _SYMBOL_VALUES.keys() | _MAPS
 _ATOM_STARTS = {"NUMBER", "IDENT", "(", "[", "<"}
 _POSITION_NAMES = frozenset(g.render() for g in POSITIONS)
 _LORENTZ_NAMES = frozenset(g.render() for g in LORENTZ)
@@ -51,6 +61,7 @@ MAX_POWER = 4096
 MAX_POWER_BITS = 1 << 18
 # the coefficient addends 1, -1, i and -i, as (re_num, im_num, den): their powers never grow
 _UNITS = {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
+_ONE = Scalar.one()
 
 # whitespace (\s is str.isspace), then one token: a run of ASCII digits, a run
 # of word characters (\w is str.isalnum or "_"), a symbol, or any other
@@ -182,10 +193,10 @@ class _Parser:
         kind = tok[0]
         if kind == "IDENT":
             name = tok[1]
-            if name in ("D", "S", "eps"):
+            if name in _MAPS:
                 self.expect("(")
-                return ({"D": "cop", "S": "anti", "eps": "counit"}[name], *self.operands(")"))
-            if name in _KEYWORDS:
+                return (_MAPS[name], *self.operands(")"))
+            if name in _SYMBOL_VALUES:
                 self.names.add(name)
                 return ("sym", name)
             raise self.error("unknown symbol", tok, expected=sorted(_KEYWORDS), found=name)
@@ -290,14 +301,14 @@ def _eval(node, preset: AlgebraPreset):
             a = a + b if op == "+" else a - b
         return a
     if kind == "product":
-        # a loop as well, its factors and their scalars' bits bounded like a power's
+        # a loop as well, bounded like a power by its factors' bits; a symbol's value has none
         if len(node[2]) >= MAX_POWER:
             raise ResourceLimitError(f"a product has more than {MAX_POWER} factors")
         a = _eval(node[1], preset)
-        bits = _bits(a) if type(a) is Scalar else 0
+        bits = 0 if node[1][0] == "sym" else _bits(a)
         for op, rhs in node[2]:
             b = _eval(rhs, preset) if op == "*" else _invert(_eval(rhs, preset))
-            if type(b) is Scalar:
+            if rhs[0] != "sym":
                 bits += _bits(b)
                 if bits > MAX_POWER_BITS:
                     raise ResourceLimitError(f"the scalar factors of a product have more "
@@ -321,15 +332,6 @@ def _eval(node, preset: AlgebraPreset):
     if kind == "action":
         return left_action(*args, PairingContext(preset.basis))
     raise AssertionError(f"unhandled node kind {kind!r}")
-
-
-# one shared value per symbol: values are never mutated
-_SYMBOL_VALUES = {
-    "i": Scalar.i(),
-    **{name: Scalar.term(1, **{name: 1}) for name in ("hbar", "kappa", "c")},
-    "q": Element.q_power(1),
-    **{name: Element.generator(g) for name, g in GEN_BY_NAME.items()},
-}
 
 
 def _element(v) -> Element:
@@ -375,13 +377,14 @@ def _pow(v, n: int, preset: AlgebraPreset):
     if n < 0:
         v = _invert(v)
         n = -n
-    if type(v) is Scalar:
-        return _scalar_power(v, n)
     term = _q_term(v)
     if term is not None:
         # (c q^k)^n = c^n q^(k n): q-powers multiply by adding exponents
-        return Element.term(Monomial((), term[0].qexp * n), _scalar_power(term[1], n))
-    _check_exponent(n, MAX_POWER, "powers with generators in them")
+        _check_power(term[1], n)
+        return Element.term(Monomial((), term[0].qexp * n), _power(term[1], n))
+    _check_power(v, n)
+    if type(v) is Scalar:
+        return _power(v, n)
     if type(v) is Element and len(v) == 1:
         # one term: O(log n) products, so O(log n) memoized words
         return _power(v, n, Element.one(), preset._product)
@@ -392,24 +395,29 @@ def _pow(v, n: int, preset: AlgebraPreset):
     return out
 
 
+def _check_power(v, n: int):
+    """Refuse v^n past the limits of the module docstring, before any product."""
+    if type(v) is not Scalar:
+        _check_exponent(n, MAX_POWER, "powers with generators in them")
+    elif len(v) > 1:
+        _check_exponent(n, MAX_POWER, "powers of sums of coefficients")
+    elif not len(v) or v._store[3:] in _UNITS:
+        return
+    bits = _bits(v) + 1
+    _check_exponent(n, MAX_POWER_BITS // bits, f"powers of a coefficient of {bits} bits")
+
+
 def _check_exponent(n: int, limit: int, what: str):
     if n > limit:
         raise ResourceLimitError(f"exponent {n} is above the limit of {limit} for {what}")
 
 
-def _scalar_power(s: Scalar, n: int) -> Scalar:
-    """s^n for n >= 0, refused past the limits of the module docstring."""
-    if len(s) > 1:
-        _check_exponent(n, MAX_POWER, "powers of sums of coefficients")
-    elif len(s) and s._store[3:] not in _UNITS:
-        bits = max(map(abs, s._store[3:])).bit_length()
-        _check_exponent(n, MAX_POWER_BITS // bits, f"powers of a coefficient of {bits} bits")
-    return _power(s, n)
-
-
-def _bits(s: Scalar) -> int:
-    """Largest part bit length less one: a product outgrows the sum by at most a bit per factor."""
-    return max(map(int.bit_length, s._store[3::6] + s._store[4::6] + s._store[5::6]), default=1) - 1
+def _bits(v) -> int:
+    """Largest part bit length less one (a product outgrows the sum by at most a bit per factor)
+    over a Scalar's addends, or over an element's or tensor's coefficients but the shared one."""
+    if type(v) is not Scalar:
+        return max([_bits(c) for c in v._terms.values() if c is not _ONE], default=0)
+    return max(map(int.bit_length, v._store[3::6] + v._store[4::6] + v._store[5::6]), default=1) - 1
 
 
 def _power(base, n: int, one=Scalar.one(), mul=Scalar.__mul__):
@@ -431,9 +439,12 @@ def eval_text(source: str, basis: Basis = Basis.BICROSS, sector: Sector | None =
     given one); every value built from them lies in that sector, so products,
     powers and commutators run unchecked.  The parser, the evaluator and the
     rewrite engine all recurse, so deep nesting and long words are bounded by
-    the interpreter's recursion limit; reaching it raises ResourceLimitError,
-    as `M2^1200 M1` does, whose M1 moves left one swap at a time.  A letter below a run of momenta, or x0
-    below a run of x1..x3, moves past the whole run in one step, so
+    the interpreter's recursion limit; reaching it raises ResourceLimitError.
+    At the default limit of 1000, 160 nested parentheses evaluate, and so does
+    `M2^44 M1` but not `M2^45 M1`: the correction of each swap of M1 is
+    rewritten inside that swap's frame and nests its own the same way, so the
+    depth of `M2^k M1` grows as k(k+1)/2.  A letter below a run of momenta, or
+    x0 below a run of x1..x3, moves past the whole run in one step, so
     `P1^1500 x0` evaluates.  Sums and products are parsed and evaluated in a
     loop, so the number of terms or factors is not bounded by it.
     """

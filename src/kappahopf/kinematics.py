@@ -120,18 +120,15 @@ class BoundSet(FrozenRecord):
     """Lower bounds for the four uncertainty products (x0 = c t, E = c p0)."""
 
     __slots__ = ("time_position", "momentum_position", "energy_time", "momentum_time")
+    # the as_dict key of each field, in field order
+    KEYS = ("dt_dx", "dp_dx", "dE_dt", "dp_dt")
 
     def __init__(self, time_position: float, momentum_position: float, energy_time: float,
                  momentum_time: float):
         self._init(time_position, momentum_position, energy_time, momentum_time)
 
     def as_dict(self):
-        return {
-            "dt_dx": self.time_position,
-            "dp_dx": self.momentum_position,
-            "dE_dt": self.energy_time,
-            "dp_dt": self.momentum_time,
-        }
+        return dict(zip(self.KEYS, self._values()))
 
 
 def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp_q: float,
@@ -143,14 +140,10 @@ def _bounds(hbar: float, kappa: float, c: float, exp_x: float, exp_p: float, exp
     denom = 2 * kappa * c * c
     if denom == 0.0:
         raise ParameterError(f"2 kappa c^2 underflows double precision at kappa={kappa}, c={c}")
-    # in BoundSet's field order, keyed as in its as_dict
-    bounds = {
-        "dt_dx": hbar / denom * abs(exp_x),
-        "dp_dx": 0.5 * hbar * abs(exp_q),
-        "dE_dt": 0.5 * hbar,
-        "dp_dt": hbar / (dp_dt_factor * kappa * c * c) * abs(exp_p),
-    }
-    return BoundSet(*(finite_result(f"bound {k}", lambda: v) for k, v in bounds.items()))
+    values = (hbar / denom * abs(exp_x), 0.5 * hbar * abs(exp_q), 0.5 * hbar,
+              hbar / (dp_dt_factor * kappa * c * c) * abs(exp_p))
+    return BoundSet(*(finite_result(f"bound {key}", lambda: v)
+                      for key, v in zip(BoundSet.KEYS, values)))
 
 
 def bounds_bicross(
@@ -254,6 +247,8 @@ def sqrt_bound_estimate(
 
 # the most points a sweep takes: its grid and columns are built in full
 MAX_POINTS = 10**5
+SWEEP_VARS = ("kappa", "M", "P")
+SWEEP_QUANTITIES = ("mass-shell", "bound")
 
 
 def log_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -395,10 +390,10 @@ def sweep_rows(
     defect.  quantity "bound": value is the standard-basis momentum-position
     bound at the on-shell q, residual its deviation from hbar/2.
     """
-    if var not in ("kappa", "M", "P"):
+    if var not in SWEEP_VARS:
         raise ParameterError(f"sweep variable must be kappa, M or P, got {var!r}")
     grid = log_grid(lo, hi, n)
-    if quantity not in ("mass-shell", "bound"):
+    if quantity not in SWEEP_QUANTITIES:
         raise ParameterError(f"unknown sweep quantity {quantity!r}")
     values, residuals = _shell_rows(var, grid, base, quantity)
     # one conversion per column after the row loop, which is faster than

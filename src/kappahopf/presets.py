@@ -258,19 +258,6 @@ def _phase_rules(basis: Basis) -> dict:
     return rules
 
 
-def _q_rules(sector: Sector) -> dict[Gen, tuple[Scalar, tuple[Gen, ...]]]:
-    """Per-generator data (lam, extra) with q^a g = g q^a + a*lam*extra*q^a."""
-    if sector is Sector.POINCARE:
-        return {
-            BOOSTS[i - 1]: (
-                Scalar.term(0, -HALF, kappa=-1, c=-1),
-                (SPATIAL_P[i - 1],),
-            )
-            for i in (1, 2, 3)
-        }
-    return {Gen.X0: (Scalar.term(0, HALF, hbar=1, kappa=-1, c=-1), ())}
-
-
 # -- preset ------------------------------------------------------------------
 
 
@@ -561,11 +548,15 @@ def get_preset(basis: Basis, sector: Sector) -> AlgebraPreset:
     """Shared preset instances (warm rewrite caches across callers)."""
     basis = Basis(basis)
     sector = Sector(sector)
+    # qrules: per generator (lam, extra) with q^a g = g q^a + a*lam*extra*q^a
     if sector is Sector.POINCARE:
         rules = {**_lorentz_rules(basis), **_momentum_lorentz_rules(basis), **_momentum_rules()}
+        lam = Scalar.term(0, -HALF, kappa=-1, c=-1)
+        qrules = {n: (lam, (p,)) for n, p in zip(BOOSTS, SPATIAL_P)}
     else:
         rules = {**_position_rules(), **_phase_rules(basis), **_momentum_rules()}
-    return AlgebraPreset(basis, sector, rules, _q_rules(sector))
+        qrules = {Gen.X0: (Scalar.term(0, HALF, hbar=1, kappa=-1, c=-1), ())}
+    return AlgebraPreset(basis, sector, rules, qrules)
 
 
 def classical_limit(e: Element) -> Element:

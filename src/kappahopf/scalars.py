@@ -244,6 +244,8 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Inverse of a single-addend scalar; zero and sums are not invertible."""
+        if self is _S_ONE:  # so q^-k keeps the shared one that products skip
+            return self
         x = self._store
         if not x:
             raise DivisionByZeroError("division by zero")

@@ -140,6 +140,22 @@ class TestEval:
         assert err.startswith("error: exponent 100000 is above the limit")
 
     @pytest.mark.parametrize(
+        "expression, line",
+        [
+            (" ".join(["((2/3)^100000 P1)"] * 8),
+             "error: the scalar factors of a product have more than 262144 bits"),
+            ("((2/3)^20000 P1)^64",
+             "error: exponent 64 is above the limit of 8 for powers of a coefficient of 31700 bits"),
+        ],
+        ids=["element-chain", "element-power"],
+    )
+    def test_large_element_coefficients_are_bounded(self, capsys, expression, line):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", expression)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize(
         "expression",
         ["(" * 300 + "P1" + ")" * 300, "M2^1200 M1"],
         ids=["nested-parentheses", "long-word"],

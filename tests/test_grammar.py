@@ -479,10 +479,44 @@ class TestEval:
             eval_text(chain)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            *((" ".join(["((2/3)^100000 P1)"] * n), "the scalar factors of a product have more "
+               f"than {grammar.MAX_POWER_BITS} bits") for n in (2, 4, 8)),
+            ("D((2/3)^100000 P1) D((2/3)^100000 P1)", "the scalar factors of a product"),
+            ("((2/3)^20000 P1)^64", "exponent 64 is above the limit of 8 for powers of a "
+                                    "coefficient of 31700 bits"),
+            ("((2/3)^20000 + hbar)^64", "exponent 64 is above the limit of 8 for powers of a "
+                                        "coefficient of 31700 bits"),
+        ],
+        ids=["chain-2", "chain-4", "chain-8", "tensor-chain", "element-power", "sum-power"],
+    )
+    def test_large_element_coefficients_are_counted(self, expression, message):
+        # an element's or tensor's coefficients count by the same `_bits` as a
+        # scalar factor's, in a product chain and in a power's base
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            eval_text(expression)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bits_of_an_element_skip_the_shared_one(self):
+        assert grammar._bits(eval_text("P1 + q + x0").data) == 0
+        # a q power of either sign carries the shared one itself
+        for text in ("q^2", "q^-1", "q^-2"):
+            [coeff] = eval_text(text).data._terms.values()
+            assert coeff is Scalar.one()
+        assert grammar._bits(eval_text("P1 + 8 x0").data) == grammar._bits(Scalar.rational(8)) == 3
+        assert grammar._bits(eval_text("D(5 P1)").data) == 2
+
     def test_large_scalar_factor_alone_evaluates(self):
         assert eval_text("(2/3)^100000").data == Scalar.rational(2**100000, 3**100000)
         assert eval_text("(2/3)^100000 P1").as_element() == Element.term(
             Monomial((Gen.P1,)), Scalar.rational(2**100000, 3**100000)
+        )
+        # a power of an element with small coefficients keeps MAX_POWER as its limit
+        assert eval_text("(2 P1)^4096").as_element() == Element.term(
+            Monomial((Gen.P1,) * 4096), Scalar.rational(2**4096)
         )
 
     def test_shared_preset_recovers_after_recursion_limit(self):
@@ -508,6 +542,19 @@ class TestEval:
         expect = fresh.multiply(m2_40, Element.generator(Gen.M1))
         got = eval_text("M2^40 M1").as_element()
         assert got == expect and len(got) == 41
+
+    @pytest.mark.parametrize("k", [30, 40])
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_nested_corrections_reach_long_words(self, basis, k):
+        # the correction of each swap of M1 is rewritten inside that swap's
+        # frame, so the depth of M2^k M1 is k(k+1)/2 + 1: 821 frames at k = 40
+        # under the default limit of 1000, which a second frame per rewrite
+        # level would double past it; a cold preset recurses in full
+        got = eval_text(f"M2^{k} M1", basis).as_element()
+        assert len(got) == k + 1
+        m2_k = Element.term(Monomial((Gen.M2,) * k), Scalar.one())
+        fresh = get_preset.__wrapped__(basis, Sector.POINCARE)
+        assert got == fresh.multiply(m2_k, Element.generator(Gen.M1))
 
     def test_pairing_and_action(self):
         assert eval_text("<P0 | x0>").render() == "i hbar"

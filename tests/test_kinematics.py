@@ -219,9 +219,18 @@ class TestBoundFamilies:
             }
             extra = {"exp_q": exp_q} if bounds is bounds_standard else {}
             got = bounds(hbar, kappa, c, exp_x, exp_p, **extra).as_dict()
-            assert got.keys() == expected.keys()
+            assert list(got) == list(expected)
             for name, value in expected.items():
                 assert math.isclose(got[name], value, rel_tol=1e-14), (name, hbar, kappa, c)
+
+    @pytest.mark.parametrize("bounds", [bounds_bicross, bounds_standard])
+    def test_as_dict_keys_follow_the_fields(self, bounds):
+        # cli.cmd_bounds pairs the keys with its text labels by position
+        b = bounds(1.0, 2.0, 3.0, 5.0, 7.0)
+        assert list(b.as_dict()) == ["dt_dx", "dp_dx", "dE_dt", "dp_dt"]
+        assert list(b.as_dict().values()) == [
+            b.time_position, b.momentum_position, b.energy_time, b.momentum_time
+        ]
 
     def test_standard_warns_below_one(self):
         with pytest.warns(UserWarning):

@@ -65,6 +65,8 @@ def test_to_complex_rejects_nonpositive_constants():
 def test_inverse_of_single_term():
     a = Scalar.term(0, -2, hbar=1, kappa=-1)
     assert a * a.inverse() == Scalar.one()
+    # the shared one is its own inverse, so products that skip it still do
+    assert Scalar.one().inverse() is Scalar.one()
     with pytest.raises(ZeroDivisionError):
         (Scalar.one() + Scalar.term(1, 0, hbar=1)).inverse()
 
